@@ -896,9 +896,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def kernel_read_dataset(sf):
         # the DISTRIBUTED kernel READ path: kernel-sink a table, then
         # read the directory back as a ray.data.Dataset decoded by OUR
-        # page/level/assembly kernels (one task per file) with
-        # column-chunk pruning — pyarrow appears only for footer
-        # metadata. Fully self-hosted IO both directions.
+        # footer/page/level/assembly kernels (one read task per row
+        # group) with column-chunk pruning. Fully self-hosted IO both
+        # directions.
         import os
         import tempfile
 
@@ -956,7 +956,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     q["kernel_read_pruned"] = kernel_read_pruned
 
     def kernel_read_pruned_kernels(sf):
-        # the same pruned distributed read with footer="kernels": OUR
+        # the same pruned distributed read as kernel_read_pruned: OUR
         # thrift footer parser supplies the chunk Statistics
         # (min_value/max_value, parquet_footer.py — the struct the
         # reference models at Types/Primitives.hs:79-87), so row-group
@@ -982,8 +982,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 out, columns=["l_orderkey", "l_linenumber",
                               "l_quantity"],
                 predicate=[("l_orderkey", "<=", 4000),
-                           ("l_linenumber", ">", 1)],
-                footer="kernels")
+                           ("l_linenumber", ">", 1)])
             t = pa.concat_tables(
                 [ray.get(r) for r in back.to_arrow_refs()])
         return t.sort_by([("l_orderkey", "ascending"),
@@ -1020,8 +1019,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 out, columns=["l_orderkey", "l_linenumber",
                               "l_quantity"],
                 predicate=[("l_orderkey", "<=", 4000),
-                           ("l_linenumber", ">", 1)],
-                footer="kernels")
+                           ("l_linenumber", ">", 1)])
             t = pa.concat_tables(
                 [ray.get(r) for r in back.to_arrow_refs()])
         return t.sort_by([("l_orderkey", "ascending"),
@@ -1065,8 +1063,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                   bloom_filters=["l_partkey"])
             back = read_parquet_kernels(
                 out, columns=["l_orderkey", "l_linenumber", "l_partkey"],
-                predicate=("l_partkey", "==", probe),
-                footer="kernels")
+                predicate=("l_partkey", "==", probe))
             t = pa.concat_tables(
                 [ray.get(r) for r in back.to_arrow_refs()])
         return t.sort_by([("l_orderkey", "ascending"),
@@ -1109,8 +1106,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                   bloom_filters=["l_partkey"])
             back = read_parquet_kernels(
                 out, columns=["l_orderkey", "l_linenumber", "l_partkey"],
-                predicate=("l_partkey", "in", probes),
-                footer="kernels")
+                predicate=("l_partkey", "in", probes))
             t = pa.concat_tables(
                 [ray.get(r) for r in back.to_arrow_refs()])
         return t.sort_by([("l_orderkey", "ascending"),

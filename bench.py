@@ -259,19 +259,18 @@ def main() -> None:
                                               encodings="auto")
         sink_times.append(time.perf_counter() - t0)
     # r5 surface: the row-group-granular distributed kernel READ of the
-    # sink store, fully self-hosted (footer="kernels"), full + pruned
+    # sink store, fully self-hosted, full + pruned
     from parquet_hs_ray.sources.kernel_sink import read_parquet_kernels
 
     kread_times, kread_pruned_times = [], []
     for _ in range(2):
         t0 = time.perf_counter()
-        n = read_parquet_kernels(d, footer="kernels").count()
+        n = read_parquet_kernels(d).count()
         kread_times.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         read_parquet_kernels(
             d, columns=["l_orderkey", "l_quantity"],
-            predicate=("l_orderkey", "<=", 4000),
-            footer="kernels").count()
+            predicate=("l_orderkey", "<=", 4000)).count()
         kread_pruned_times.append(time.perf_counter() - t0)
     assert n == sink_manifest["rows"]
     shutil.rmtree("/tmp/bench_kernel_sink", ignore_errors=True)

@@ -23,11 +23,13 @@ with ``repartition`` / block size.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from typing import Iterable
 
-from ray.data import Datasink
+from ray.data import Datasink, Datasource, ReadTask
+from ray.data.block import BlockMetadata
 from ray.data._internal.execution.interfaces import TaskContext
 
 from ..state import fsio
@@ -145,12 +147,13 @@ def write_parquet_kernels(ds, path: str, compression: str = "SNAPPY",
     return read_sink_manifest(path, filesystem)
 
 
-# worker-local parsed-footer cache: decode tasks for the same file
-# reuse one KernelFileMetaData instead of re-parsing the footer per
-# ROW GROUP (a 92-row-group file would otherwise parse its footer 92
-# times across the decode stage).  Keyed by (path, size, mtime_ns) so
-# an overwritten file re-parses; bounded; local paths only (remote
-# filesystems skip the cache — no cheap validity key).
+# process-local parsed-footer cache: the driver's read planning and
+# the decode tasks in each worker reuse one KernelFileMetaData per file
+# instead of re-parsing the footer per read and per ROW GROUP (a
+# 92-row-group file would otherwise parse its footer 92 times across
+# its decode tasks).  Keyed by (path, size, mtime_ns) so an overwritten
+# file re-parses; bounded; local paths only (remote filesystems skip
+# the cache — no cheap validity key).
 _KM_CACHE: dict = {}
 
 
@@ -182,23 +185,106 @@ def read_sink_manifest(path: str, filesystem=None) -> dict:
     return json.loads(fsio.read_bytes(marker, filesystem))
 
 
-def read_parquet_kernels(path: str, columns: list[str] | None = None,
-                         predicate=None, footer: str = "pyarrow",
-                         filesystem=None, concurrency=None,
-                         page_index: bool = True,
-                         bloom: bool = True,
-                         verify_crc: bool = False):
-    """Distributed parquet READ through our kernels: the inverse of
-    ``write_parquet_kernels`` — returns a ``ray.data.Dataset``.
+def _decode_row_group(path: str, rg: int, columns, preds, filesystem,
+                      page_index: bool, verify_crc: bool) -> list:
+    """Read-task body: decode one planned row group through our kernels
+    — only the pages the page index keeps when a predicate allows —
+    then apply the EXACT filter and the projection."""
+    import pyarrow.compute as pc
 
-    Two distributed stages: (1) a footer stage parses each file's
-    metadata, prunes row groups against ``predicate`` statistics, and
-    emits one ``(path, row_group)`` work item per SURVIVING row group;
-    (2) a decode stage decodes one row group per task.  The row-group
-    seam — not the file — is the unit of parallelism and of per-task
-    memory, so one multi-GB file decodes as many bounded tasks instead
-    of a single task holding the whole decoded table.  Blocks stream
-    out with backpressure; the driver never holds data.
+    import pyarrow as pa
+
+    from .parquet_pages import read_parquet_via_kernels
+
+    km = _cached_km(path, filesystem)
+    # the filter needs its columns decoded even when projected away
+    read_cols = columns
+    if preds and columns is not None:
+        read_cols = columns + [c for c, _, _ in preds if c not in columns]
+    ranges = None
+    if preds and page_index:
+        from .parquet_footer import prune_pages_by_index
+
+        ranges = prune_pages_by_index(km, path, rg, preds,
+                                      filesystem=filesystem)
+    if ranges is not None:
+        from .parquet_pages import read_row_group_page_pruned
+
+        t = read_row_group_page_pruned(
+            path, km, rg, ranges, columns=read_cols,
+            filesystem=filesystem, verify_crc=verify_crc)
+    else:
+        t = read_parquet_via_kernels(
+            path, columns=read_cols, row_groups=[rg], footer="kernels",
+            filesystem=filesystem, km=km, verify_crc=verify_crc)
+    if preds:
+        op_fn = {"==": pc.equal, "!=": pc.not_equal,
+                 "<": pc.less, "<=": pc.less_equal,
+                 ">": pc.greater, ">=": pc.greater_equal,
+                 "in": lambda arr, v: pc.is_in(
+                     arr, value_set=pa.array(list(v)))}
+        mask = None
+        for col, op, val in preds:
+            m = op_fn[op](t[col], val)
+            mask = m if mask is None else pc.and_kleene(mask, m)
+        t = t.filter(pc.fill_null(mask, False))
+        if columns is not None:
+            t = t.select(columns)
+    return [t]
+
+
+class KernelParquetDatasource(Datasource):
+    """A planned kernel read as a Ray Data source: one ``ReadTask`` per
+    surviving ``(path, row_group, bytes)`` in ``work``, each running
+    ``_decode_row_group``.  ``empty`` is the 0-row projected table a
+    read whose plan kept nothing returns, as its single task."""
+
+    def __init__(self, work: list, empty, columns, preds, filesystem,
+                 page_index: bool, verify_crc: bool):
+        self._work = work
+        self._empty = empty
+        self._decode_args = (columns, preds, filesystem, page_index,
+                             verify_crc)
+
+    def get_name(self) -> str:
+        return "KernelParquet"
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(nbytes for _, _, nbytes in self._work)
+
+    def get_read_tasks(self, parallelism: int) -> list:
+        if not self._work:
+            empty = self._empty
+            return [ReadTask(lambda: [empty], BlockMetadata(
+                num_rows=0, size_bytes=0, exec_stats=None,
+                input_files=None))]
+        return [ReadTask(
+            functools.partial(_decode_row_group, p, rg, *self._decode_args),
+            BlockMetadata(num_rows=None, size_bytes=nbytes,
+                          exec_stats=None, input_files=[p]))
+            for p, rg, nbytes in self._work]
+
+
+def read_parquet_kernels(path: str, columns: list[str] | None = None,
+                         predicate=None, filesystem=None,
+                         concurrency=None, page_index: bool = True,
+                         bloom: bool = True, verify_crc: bool = False,
+                         footer: str = "kernels"):
+    """Distributed parquet READ through our kernels: the inverse of
+    ``write_parquet_kernels`` — returns a lazy ``ray.data.Dataset``.
+
+    The driver plans the read: it parses each file's footer through our
+    thrift kernels (`parquet_footer.py`) and prunes row groups against
+    ``predicate`` — statistics, then split-block bloom filters, then
+    dictionary pages.  The plan becomes one ``KernelParquetDatasource``
+    with one read task per SURVIVING row group, so the read is a single
+    Ray Data execution, started when the dataset is consumed.  The
+    row-group seam — not the file — is the unit of parallelism and of
+    per-task memory, so one multi-GB file decodes as many bounded tasks
+    instead of a single task holding the whole decoded table.  Blocks
+    stream out with backpressure; the driver holds footers, never data.
+    A read whose plan keeps no row group returns 0 rows with the
+    projected schema, taken from the footer the driver parsed.
 
     ``path`` is a single parquet file, a directory, or an explicit
     list of files.  A directory holding a ``_kernel_manifest.json``
@@ -213,29 +299,32 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
     match are never decoded, then the EXACT filter is applied to the
     decoded rows — pushdown as pruning, not as semantics.
 
-    ``footer="kernels"`` parses footers AND statistics through our
-    thrift kernels (`parquet_footer.py`) — zero pyarrow anywhere on
-    the read path, pruned reads included.  With ``page_index`` (the
-    default) predicates additionally prune at PAGE granularity inside
-    each surviving row group via the ColumnIndex/OffsetIndex
-    structures when the file carries them (our writer emits them;
-    parquet-format PageIndex.md) — only pages whose row ranges may
-    match are read and decoded.  pyarrow's Python API does not expose
-    the index offsets, so page pruning applies to footer='kernels'.
+    ``page_index`` (default on): inside each surviving row group a
+    predicate also prunes at PAGE granularity through the
+    ColumnIndex/OffsetIndex structures when the file carries them (our
+    writer emits them; parquet-format PageIndex.md) — only pages whose
+    row ranges may match are read and decoded.
 
-    ``bloom`` (default on, footer='kernels' only): equality predicates
-    additionally probe each candidate row group's split-block bloom
-    filter when the file carries one (`bloom.py`; our writer emits
-    them under ``bloom_filters=``) — the unsorted-high-cardinality
-    case where min/max statistics prune nothing.  One-sided: a missing
-    or foreign filter keeps the row group.
+    ``bloom`` (default on): equality and ``in`` predicates also probe
+    each candidate row group's split-block bloom filter when the file
+    carries one (`bloom.py`; our writer emits them under
+    ``bloom_filters=``) — the unsorted-high-cardinality case where
+    min/max statistics prune nothing — and then its dictionary page,
+    which is definitive when PageEncodingStats prove every data page
+    dictionary-encoded.  One-sided: a missing or foreign filter or
+    dictionary keeps the row group.
 
     ``filesystem`` (any pyarrow FileSystem, e.g.
     ``state.httpfs.http_range_filesystem``) makes every footer and
     column-chunk read a ranged GET through it — the reference's
-    ``remoteParquetFile`` (`Reader.hs:223-248`) at Dataset scale."""
-    if footer not in ("pyarrow", "kernels"):
-        raise ValueError(f"footer must be 'pyarrow' or 'kernels', got {footer!r}")
+    ``remoteParquetFile`` (`Reader.hs:223-248`) at Dataset scale.
+
+    ``footer`` accepts only ``"kernels"``, the one footer engine; it
+    remains so callers that still pass it keep working."""
+    if footer != "kernels":
+        raise ValueError(
+            f"footer must be 'kernels' (the only footer engine), "
+            f"got {footer!r}")
     import ray
 
     from ..state import fsio
@@ -294,22 +383,14 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
                 raise ValueError(
                     f"unknown predicate op {p[1]!r} (use "
                     f"{sorted(_PRED_OPS)})")
+    # one footer parse per file per read: validation, pruning and the
+    # empty-result schema all use these
+    kms = [_cached_km(p, filesystem) for p in files]
     if columns is not None or preds:
         # fail fast on the driver, not as a deferred per-task RayTaskError
         import pyarrow as pa
 
-        if footer == "kernels":
-            from .parquet_footer import read_footer_via_kernels
-
-            sch = read_footer_via_kernels(files[0],
-                                          filesystem=filesystem).schema
-        else:
-            import pyarrow.parquet as pq
-
-            sch = pq.read_schema(
-                fsio.open_parquet_input(files[0], filesystem)
-                if filesystem is not None or "://" in files[0]
-                else files[0])
+        sch = kms[0].schema
         known = set(sch.names)
         missing = set(columns or []) - known
         if preds:
@@ -323,135 +404,41 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
         if missing:
             raise KeyError(f"columns not in schema: {sorted(missing)}")
 
-    # the filter needs its columns decoded even when projected away
-    read_cols = columns
-    if preds and columns is not None:
-        read_cols = columns + [c for c, _, _ in preds
-                               if c not in columns]
-
-    def enumerate_row_groups(batch):
-        """Footer stage: one (path, row_group) item per surviving row
-        group.  File index 0 emits a row_group=-1 sentinel when fully
-        pruned so the dataset always carries ≥1 decode task and a
-        stable schema (a fully-pruned read returns 0 rows with the
-        RIGHT columns, never an empty {} block)."""
-        import numpy as np
-
-        paths = batch["path"].tolist()
-        idxs = batch["index"].tolist()
-        out_p, out_rg = [], []
-        for p, fi in zip(paths, idxs):
-            if footer == "kernels":
-                from .parquet_footer import (
-                    prune_row_groups_by_stats_kernels)
-
-                km = _cached_km(p, filesystem)
-                rgs = (prune_row_groups_by_stats_kernels(km, preds)
-                       if preds else range(len(km.row_groups)))
-                if preds and bloom and any(op in ("==", "in")
-                                           for _, op, _ in preds):
-                    # split-block bloom probes (bloom.py): row groups
-                    # whose filter PROVES an equality value absent are
-                    # dropped even when min/max could not prune (the
-                    # unsorted high-cardinality case); one-sided
-                    from .bloom import prune_row_groups_by_bloom
-                    from .parquet_pages import prune_row_groups_by_dict
-
-                    rgs = prune_row_groups_by_bloom(
-                        km, preds, p, filesystem=filesystem,
-                        candidates=list(rgs))
-                    # dictionary-membership pruning: definitive where
-                    # PageEncodingStats prove all-dict data pages —
-                    # catches bloom false positives AND files written
-                    # with no blooms at all (pyarrow/DuckDB defaults)
-                    rgs = prune_row_groups_by_dict(
-                        km, preds, p, filesystem=filesystem,
-                        candidates=list(rgs))
-            else:
-                import pyarrow.parquet as pq
-
-                from .parquet_pages import prune_row_groups_by_stats
-
-                pf = pq.ParquetFile(
-                    p if filesystem is None and "://" not in p
-                    else fsio.open_parquet_input(p, filesystem))
-                rgs = (prune_row_groups_by_stats(pf.metadata, preds)
-                       if preds else range(pf.metadata.num_row_groups))
-            rgs = list(rgs)
-            if not rgs and fi == 0:
-                rgs = [-1]  # schema-anchor sentinel
-            out_p.extend([p] * len(rgs))
-            out_rg.extend(rgs)
-        return {"path": np.array(out_p, dtype=object),
-                "row_group": np.array(out_rg, dtype=np.int64)}
-
-    def decode_one(batch):
-        import pyarrow.compute as pc
-
-        import pyarrow as pa
-
-        op_fn = {"==": pc.equal, "!=": pc.not_equal,
-                 "<": pc.less, "<=": pc.less_equal,
-                 ">": pc.greater, ">=": pc.greater_equal,
-                 "in": lambda arr, v: pc.is_in(
-                     arr, value_set=pa.array(list(v)))}
-        p = batch["path"].tolist()[0]
-        rg = int(batch["row_group"][0])
-        if rg < 0:  # sentinel: 0-row table with the read schema
-            return read_parquet_via_kernels(
-                p, columns=columns, row_groups=[], footer=footer,
-                filesystem=filesystem)
-        vc = verify_crc
-        t = None
-        if preds and page_index and footer == "kernels":
-            from .parquet_footer import prune_pages_by_index
-            from .parquet_pages import read_row_group_page_pruned
-
-            km = _cached_km(p, filesystem)
-            ranges = prune_pages_by_index(km, p, rg, preds,
-                                          filesystem=filesystem)
-            if ranges is not None:
-                t = read_row_group_page_pruned(
-                    p, km, rg, ranges, columns=read_cols,
-                    filesystem=filesystem, verify_crc=vc)
-            else:
-                t = read_parquet_via_kernels(
-                    p, columns=read_cols, row_groups=[rg],
-                    footer=footer, filesystem=filesystem, km=km,
-                    verify_crc=vc)
-        if t is None:
-            t = read_parquet_via_kernels(
-                p, columns=read_cols, row_groups=[rg], footer=footer,
-                filesystem=filesystem, verify_crc=vc,
-                km=(_cached_km(p, filesystem)
-                    if footer == "kernels" else None))
+    work = []
+    for p, km in zip(files, kms):
         if preds:
-            mask = None
-            for col, op, val in preds:
-                m = op_fn[op](t[col], val)
-                mask = m if mask is None else pc.and_kleene(mask, m)
-            t = t.filter(pc.fill_null(mask, False))
-            if columns is not None:
-                t = t.select(columns)
-        return t
+            from .parquet_footer import prune_row_groups_by_stats_kernels
 
-    items = [{"path": p, "index": i} for i, p in enumerate(files)]
-    # Footer stage: DISTRIBUTED (Ray tasks parse/prune footers,
-    # num_cpus=0.25 is the honest metadata-only cost) but materialized
-    # eagerly — the work list is one (path, row_group) record per
-    # surviving row group, bytes per entry, the same driver-side
-    # metadata contract as ray.data.read_parquet's planning phase.
-    # An earlier streaming formulation (map_batches -> streaming
-    # repartition -> decode) drip-fed the decode operator through ONE
-    # repartition task's generator backpressure (~50 ms per work item,
-    # measured), serializing a 92-row-group file to ~5 s regardless of
-    # CPU count; the eager list costs driver memory O(row groups) and
-    # dispatches every decode task immediately.
-    work = ray.data.from_items(items).map_batches(
-        enumerate_row_groups, batch_size=64, batch_format="numpy",
-        num_cpus=0.25).take_all()
-    # one block per work item => one decode TASK per row group
-    return ray.data.from_items(
-        work, override_num_blocks=len(work)
-    ).map_batches(decode_one, batch_size=1, batch_format="numpy",
-                  concurrency=concurrency)
+            rgs = prune_row_groups_by_stats_kernels(km, preds)
+            if bloom and any(op in ("==", "in") for _, op, _ in preds):
+                # split-block bloom probes (bloom.py): row groups whose
+                # filter PROVES an equality value absent are dropped
+                # even when min/max could not prune (the unsorted
+                # high-cardinality case); one-sided
+                from .bloom import prune_row_groups_by_bloom
+                from .parquet_pages import prune_row_groups_by_dict
+
+                rgs = prune_row_groups_by_bloom(
+                    km, preds, p, filesystem=filesystem,
+                    candidates=list(rgs))
+                # dictionary-membership pruning: definitive where
+                # PageEncodingStats prove all-dict data pages — catches
+                # bloom false positives AND files written with no
+                # blooms at all (pyarrow/DuckDB defaults)
+                rgs = prune_row_groups_by_dict(
+                    km, preds, p, filesystem=filesystem,
+                    candidates=list(rgs))
+        else:
+            rgs = range(len(km.row_groups))
+        work.extend((p, rg, km.row_groups[rg].total_byte_size)
+                    for rg in rgs)
+    empty = None
+    if not work:
+        empty = read_parquet_via_kernels(
+            files[0], columns=columns, row_groups=[], footer="kernels",
+            filesystem=filesystem, km=kms[0])
+    # one block per read task => one block per surviving row group
+    return ray.data.read_datasource(
+        KernelParquetDatasource(work, empty, columns, preds, filesystem,
+                                page_index, verify_crc),
+        concurrency=concurrency, override_num_blocks=max(1, len(work)))

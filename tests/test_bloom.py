@@ -119,23 +119,26 @@ def test_bloom_distributed_read_prunes(bloom_file, ray_session):
 
     p, t = bloom_file
     target = int(t["uid"][500].as_py())
-    ds = read_parquet_kernels(p, predicate=("uid", "==", target),
-                              footer="kernels")
+    ds = read_parquet_kernels(p, predicate=("uid", "==", target))
     out = ds.take_all()
     assert len(out) == 1 and out[0]["uid"] == target
     # the bloom kept the decode fan-out below the 8 row groups
-    nb = read_parquet_kernels(p, predicate=("uid", "==", target),
-                              footer="kernels").materialize().num_blocks()
+    nb = read_parquet_kernels(
+        p, predicate=("uid", "==", target)).materialize().num_blocks()
     assert nb <= 3
-    # absent value: 0 rows, schema intact (sentinel block)
-    empty = read_parquet_kernels(p, predicate=("uid", "==", 10**13),
-                                 footer="kernels")
+    # absent value: 0 rows, schema intact (from the planner's footer)
+    empty = read_parquet_kernels(p, predicate=("uid", "==", 10**13))
     et = empty.materialize()
     assert et.count() == 0
     assert set(et.schema().names) == {"uid", "tag", "score"}
+    # ... and projected: exactly the requested columns
+    ep = read_parquet_kernels(p, columns=["uid"],
+                              predicate=("uid", "==", 10**13)).materialize()
+    assert ep.count() == 0
+    assert ep.schema().names == ["uid"]
     # bloom=False still answers correctly (stats-only path)
     same = read_parquet_kernels(p, predicate=("uid", "==", target),
-                                footer="kernels", bloom=False).take_all()
+                                bloom=False).take_all()
     assert len(same) == 1 and same[0]["uid"] == target
 
 

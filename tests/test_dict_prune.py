@@ -105,8 +105,7 @@ def test_in_predicate_end_to_end(dict_files, ray_session):
         km, [("tag", "in", ["no1", "no2"])], ours) == []
     # distributed read: rows for exactly the members, schema stable
     got = read_parquet_kernels(
-        ours, predicate=("tag", "in", ["only_in_rg0", "nope"]),
-        footer="kernels").materialize()
+        ours, predicate=("tag", "in", ["only_in_rg0", "nope"])).materialize()
     assert got.count() == 8000
     assert got.num_blocks() == 1
     import pandas as pd
@@ -115,8 +114,7 @@ def test_in_predicate_end_to_end(dict_files, ray_session):
     assert set(df["tag"]) == {"only_in_rg0"}
     # stats-only path ('in' against min/max) on a sorted int column
     got2 = read_parquet_kernels(
-        ours, predicate=("x", "in", [5, 63999]),
-        footer="kernels").take_all()
+        ours, predicate=("x", "in", [5, 63999])).take_all()
     assert sorted(r["x"] for r in got2) == [5, 63999]
 
 
@@ -175,13 +173,12 @@ def test_distributed_read_dict_prunes(dict_files, ray_session):
     from parquet_hs_ray.sources.kernel_sink import read_parquet_kernels
 
     ours, _, t = dict_files
-    ds = read_parquet_kernels(ours, predicate=("tag", "==", "only_in_rg0"),
-                              footer="kernels")
+    ds = read_parquet_kernels(ours, predicate=("tag", "==", "only_in_rg0"))
     mt = ds.materialize()
     assert mt.count() == 8000
     assert mt.num_blocks() == 1  # 7 of 8 row groups dict-pruned
-    # absent -> 0 rows, schema preserved via the sentinel block
-    empty = read_parquet_kernels(ours, predicate=("tag", "==", "nope"),
-                                 footer="kernels").materialize()
+    # absent -> 0 rows, schema preserved from the planner's footer
+    empty = read_parquet_kernels(ours,
+                                 predicate=("tag", "==", "nope")).materialize()
     assert empty.count() == 0
     assert set(empty.schema().names) == {"tag", "code", "x"}

@@ -20,7 +20,11 @@ SF = "/root/testdata/sf0.001"
 
 
 def _canon(t: pa.Table, schema: pa.Schema, keys: list[str]) -> pa.Table:
-    return t.cast(schema).sort_by([(k, "ascending") for k in keys])
+    """Cast to ``schema`` and sort by ``keys``, ties broken on every
+    other column, so equality never depends on block order (the keys
+    need not be unique: lineitem repeats (l_orderkey, l_linenumber))."""
+    order = keys + [c for c in schema.names if c not in keys]
+    return t.cast(schema).sort_by([(k, "ascending") for k in order])
 
 
 def test_kernel_sink_roundtrip(ray_session, tmp_path):
@@ -296,7 +300,7 @@ def test_decode_to_parquet_kernel_writer(ray_session, tmp_path):
 
 # ---------------------------------------------------------------------------
 # VERDICT r4 #1/#2/#3: row-group-granular distributed read, fully
-# self-hosted pruned reads (footer="kernels"), and remote-filesystem
+# self-hosted pruned reads, and remote-filesystem
 # kernel reads (remoteParquetFile parity, Reader.hs:223-248).
 # ---------------------------------------------------------------------------
 
@@ -312,25 +316,27 @@ def test_kernel_read_row_group_granularity(ray_session, tmp_path):
     pq.write_table(src, p, row_group_size=1000, store_schema=False)
     n_rgs = pq.read_metadata(p).num_row_groups
     assert n_rgs > 1
-    for footer in ("pyarrow", "kernels"):
-        ds = read_parquet_kernels(p, footer=footer).materialize()
-        assert ds.num_blocks() == n_rgs, footer
-        got = pa.Table.from_batches(
-            ds.to_arrow_refs() and
-            [b for ref in ds.to_arrow_refs()
-             for b in __import__("ray").get(ref).to_batches()])
-        keys = ["l_orderkey", "l_linenumber"]
-        assert _canon(got, src.schema, keys).equals(
-            _canon(src, src.schema, keys)), footer
+    ds = read_parquet_kernels(p).materialize()
+    assert ds.num_blocks() == n_rgs
+    got = pa.Table.from_batches(
+        ds.to_arrow_refs() and
+        [b for ref in ds.to_arrow_refs()
+         for b in __import__("ray").get(ref).to_batches()])
+    keys = ["l_orderkey", "l_linenumber"]
+    assert _canon(got, src.schema, keys).equals(
+        _canon(src, src.schema, keys))
 
 
 def test_kernel_read_pruned_selfhosted(ray_session, tmp_path):
-    """Predicate pushdown with footer='kernels': zero pyarrow anywhere
-    on a PRUNED read — our thrift footer statistics drive the pruning,
-    results hash-equal the pyarrow-footer path and the exact answer."""
+    """Predicate pushdown with zero pyarrow anywhere on a PRUNED read —
+    our thrift footer statistics drive the pruning, which keeps exactly
+    the row groups pyarrow's statistics keep, and the result equals the
+    exact answer."""
     import ray
 
     from parquet_hs_ray.sources.kernel_sink import read_parquet_kernels
+    from parquet_hs_ray.sources.parquet_pages import (
+        prune_row_groups_by_stats)
 
     src = pq.read_table(f"{SF}/orders.parquet").replace_schema_metadata(
         None)
@@ -343,35 +349,60 @@ def test_kernel_read_pruned_selfhosted(ray_session, tmp_path):
         pa.compute.less_equal(srt["o_orderkey"], cut)).select(
             ["o_orderkey", "o_totalprice"])
 
-    outs = {}
-    for footer in ("pyarrow", "kernels"):
-        ds = read_parquet_kernels(
-            p, columns=["o_orderkey", "o_totalprice"], predicate=pred,
-            footer=footer).materialize()
-        # pruning is real: fewer decode tasks than total row groups
-        assert ds.num_blocks() < pq.read_metadata(p).num_row_groups
-        t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
-        outs[footer] = t.sort_by("o_orderkey")
-    assert outs["kernels"].cast(want.schema).equals(
-        want.sort_by("o_orderkey"))
-    assert outs["kernels"].equals(outs["pyarrow"])
+    ds = read_parquet_kernels(
+        p, columns=["o_orderkey", "o_totalprice"],
+        predicate=pred).materialize()
+    # pruning is real: fewer decode tasks than total row groups
+    assert ds.num_blocks() < pq.read_metadata(p).num_row_groups
+    # ... and agrees with pyarrow's statistics, one block per survivor
+    assert ds.num_blocks() == len(prune_row_groups_by_stats(
+        pq.read_metadata(p), [pred]))
+    t = pa.concat_tables(ray.get(ds.to_arrow_refs())).sort_by("o_orderkey")
+    assert t.cast(want.schema).equals(want.sort_by("o_orderkey"))
+
+
+def test_kernel_read_is_one_lazy_execution(ray_session, tmp_path,
+                                           monkeypatch):
+    """The read plans on the driver and returns a lazy dataset: no Ray
+    Data execution runs before the dataset is consumed, and consuming
+    it runs exactly one.  ``footer`` accepts only the kernel engine."""
+    from ray.data._internal.execution import streaming_executor as se
+
+    from parquet_hs_ray.sources.kernel_sink import read_parquet_kernels
+
+    runs = []
+    execute = se.StreamingExecutor.execute
+
+    def counting(self, *a, **k):
+        runs.append(1)
+        return execute(self, *a, **k)
+
+    monkeypatch.setattr(se.StreamingExecutor, "execute", counting)
+    p = str(tmp_path / "lazy.parquet")
+    pq.write_table(pa.table({"x": list(range(100))}), p, row_group_size=10)
+    for kw, n in (({}, 100), ({"predicate": ("x", "<=", 25)}, 26),
+                  ({"columns": ["x"], "predicate": ("x", ">", 999)}, 0)):
+        ds = read_parquet_kernels(p, **kw)
+        assert runs == [], kw
+        assert len(ds.take_all()) == n, kw
+        assert len(runs) == 1, kw
+        runs.clear()
+    with pytest.raises(ValueError, match="footer"):
+        read_parquet_kernels(p, footer="pyarrow")
 
 
 def test_kernel_read_all_pruned_keeps_schema(ray_session, tmp_path):
     """A predicate matching nothing returns 0 rows WITH the projected
-    schema, on both footer engines (the file-0 sentinel path)."""
+    schema, taken from the footer the driver parsed while planning."""
     from parquet_hs_ray.sources.kernel_sink import read_parquet_kernels
 
     p = str(tmp_path / "t.parquet")
     pq.write_table(pa.table({"x": [1, 2, 3], "y": ["a", "b", "c"]}), p,
                    store_schema=False)
-    for footer in ("pyarrow", "kernels"):
-        ds = read_parquet_kernels(p, columns=["y"],
-                                  predicate=("x", ">", 99),
-                                  footer=footer)
-        t = ds.materialize()
-        assert t.count() == 0
-        assert t.schema().names == ["y"], footer
+    ds = read_parquet_kernels(p, columns=["y"], predicate=("x", ">", 99))
+    t = ds.materialize()
+    assert t.count() == 0
+    assert t.schema().names == ["y"]
 
 
 def test_kernel_read_over_http_is_ranged(ray_session, tmp_path):
@@ -393,12 +424,11 @@ def test_kernel_read_over_http_is_ranged(ray_session, tmp_path):
     srv, port, stats = _start_range_server(root)
     try:
         fs = http_range_filesystem(f"http://127.0.0.1:{port}")
-        for footer in ("pyarrow", "kernels"):
-            ds = read_parquet_kernels("nation.parquet", footer=footer,
-                                      filesystem=fs).materialize()
-            t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
-            assert _canon(t, src.schema, ["n_nationkey"]).equals(
-                _canon(src, src.schema, ["n_nationkey"])), footer
+        ds = read_parquet_kernels("nation.parquet",
+                                  filesystem=fs).materialize()
+        t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+        assert _canon(t, src.schema, ["n_nationkey"]).equals(
+            _canon(src, src.schema, ["n_nationkey"]))
         assert stats["range_gets"] > 0
         assert stats["full_gets"] == 0
     finally:
@@ -418,18 +448,15 @@ def test_distributed_read_verify_crc(tmp_path, ray_session):
     d = str(tmp_path / "crc_sink")
     write_parquet_kernels(ray.data.read_parquet(src).repartition(2), d,
                           compression="SNAPPY", data_page_rows=512)
-    assert read_parquet_kernels(d, footer="kernels",
-                                verify_crc=True).count() == 6000
+    assert read_parquet_kernels(d, verify_crc=True).count() == 6000
     assert read_parquet_kernels(
-        d, predicate=("l_orderkey", "<=", 500), footer="kernels",
+        d, predicate=("l_orderkey", "<=", 500),
         verify_crc=True).count() == \
         read_parquet_kernels(
-            d, predicate=("l_orderkey", "<=", 500),
-            footer="kernels").count()
+            d, predicate=("l_orderkey", "<=", 500)).count()
     f = sorted(glob.glob(d + "/*.parquet"))[0]
     blob = bytearray(open(f, "rb").read())
     blob[6000] ^= 0xFF
     open(f, "wb").write(bytes(blob))
     with pytest.raises(Exception):
-        read_parquet_kernels(d, footer="kernels",
-                             verify_crc=True).materialize()
+        read_parquet_kernels(d, verify_crc=True).materialize()

@@ -477,7 +477,7 @@ def test_page_pruned_read_matches_full(tmp_path):
 
 
 def test_distributed_read_uses_page_index(ray_session, tmp_path):
-    """read_parquet_kernels(footer='kernels') with a predicate over a
+    """read_parquet_kernels with a predicate over a
     paginated kernel-sink store: page pruning produces blocks smaller
     than whole row groups and the result hash-equals the page_index=False
     path."""
@@ -497,7 +497,7 @@ def test_distributed_read_uses_page_index(ray_session, tmp_path):
     res = {}
     for pi in (True, False):
         d = read_parquet_kernels(out, columns=["o_orderkey", "o_custkey"],
-                                 predicate=pred, footer="kernels",
+                                 predicate=pred,
                                  page_index=pi).materialize()
         t = pa.concat_tables(ray.get(d.to_arrow_refs()))
         res[pi] = t.sort_by("o_orderkey")

@@ -63,7 +63,7 @@ def main() -> None:
 
     def lookup(pred, bloom):
         t0 = time.perf_counter()
-        mt = read_parquet_kernels(p, predicate=pred, footer="kernels",
+        mt = read_parquet_kernels(p, predicate=pred,
                                   bloom=bloom).materialize()
         return (round(time.perf_counter() - t0, 3), mt.num_blocks(),
                 mt.count())
@@ -74,7 +74,7 @@ def main() -> None:
     # warm each path once, record the second run
     for _ in range(2):
         full_t0 = time.perf_counter()
-        full_n = read_parquet_kernels(p, footer="kernels").count()
+        full_n = read_parquet_kernels(p).count()
         res["full_read_sec"] = round(time.perf_counter() - full_t0, 3)
     assert full_n == n
     for _ in range(2):

@@ -81,7 +81,7 @@ path = sys.argv[2]
 out = {}
 # full distributed read of ONE file
 t0 = time.perf_counter()
-ds = read_parquet_kernels(path, footer="kernels").materialize()
+ds = read_parquet_kernels(path).materialize()
 wall = time.perf_counter() - t0
 refs = ds.to_arrow_refs()
 sizes = [t.nbytes for t in ray.get(refs)]
@@ -104,8 +104,7 @@ if ncpu == 8:
 # pruned read: page index narrows inside the one surviving key span
 t0 = time.perf_counter()
 dp = read_parquet_kernels(path, columns=["l_orderkey", "l_quantity"],
-                          predicate=("l_orderkey", "<=", 60000),
-                          footer="kernels").materialize()
+                          predicate=("l_orderkey", "<=", 60000)).materialize()
 wallp = time.perf_counter() - t0
 prows = dp.count()
 out["pruned"] = {"sec": round(wallp, 2), "rows": prows,
