@@ -881,7 +881,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         with tempfile.TemporaryDirectory() as d:
             p5 = os.path.join(d, "part_lz4.parquet")
             write_parquet_via_kernels(t, p5, compression="LZ4")
-            assert read_parquet_via_kernels(p5, footer="kernels").equals(
+            assert read_parquet_via_kernels(p5).equals(
                 t.combine_chunks())
             p7 = os.path.join(d, "part_lz4raw.parquet")
             write_parquet_via_kernels(t, p7, compression="LZ4_RAW")
@@ -1127,7 +1127,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             read_parquet_via_kernels)
 
         t = read_parquet_via_kernels(
-            os.path.join(sf, "orders.parquet"), footer="kernels",
+            os.path.join(sf, "orders.parquet"),
             columns=["o_orderkey", "o_custkey", "o_orderstatus",
                      "o_orderdate"])
         return t.sort_by([("o_orderkey", "ascending")])

@@ -17,7 +17,9 @@ import sys
 
 def _parse_where(spec: str) -> tuple:
     """'col OP value' -> (col, op, typed value); also 'col IS NULL' /
-    'col IS NOT NULL' and 'col IN (v1, v2, ...)' (case-insensitive)."""
+    'col IS NOT NULL', 'col IN (v1, v2, ...)' (case-insensitive) and
+    'col contains value'.  See WHERE_HELP; the grammar is
+    ``predicates.py``'s."""
     import csv
     import io
     import re
@@ -81,6 +83,12 @@ def _parse_where(spec: str) -> tuple:
     raise SystemExit(f"bad --where {spec!r}: expected 'col OP value'")
 
 
+WHERE_HELP = ("predicate: 'col OP value' (OP one of == < <= > >=), "
+              "'col IN (v1, v2, ...)', 'col IS NULL', 'col IS NOT NULL' "
+              "or 'col contains value' (list-column element membership); "
+              "value int/float/string; repeatable = AND")
+
+
 def _ray_session(num_cpus: int | None):
     """Returns (ray, owns): ``owns`` is False when a session already
     existed (e.g. the CLI is driven in-process from a host app or test)
@@ -127,11 +135,9 @@ def main(argv=None):
                      help="comma-separated columns to hive-partition the "
                           "decoded parquet output by (resumable-output layout)")
     dec.add_argument("--where", default=None, action="append",
-                     help="predicate 'col OP value' (OP in ==,<,<=,>,>=, or "
-                          "'col contains value' for list-column element "
-                          "membership; value int/float/string; repeatable = "
-                          "AND). Partitions whose manifest min/max/Bloom "
-                          "stats exclude it are never opened.")
+                     help=WHERE_HELP + ". Partitions whose manifest "
+                          "min/max/null-count/Bloom stats exclude it are "
+                          "never opened.")
     dec.add_argument("--keep-deleted", action="store_true",
                      help="ignore deletion vectors (audit the base data)")
     dec.add_argument("--snapshot", default=None,
@@ -158,8 +164,8 @@ def main(argv=None):
         "sidecars (no blob rewrite; compact materializes)")
     dele.add_argument("--encoded", required=True)
     dele.add_argument("--where", required=True, action="append",
-                      help='e.g. "n_tok > 900" (repeat = AND); rows '
-                      "matching are deleted")
+                      help=WHERE_HELP + '; rows matching are deleted, '
+                      'e.g. "n_tok > 900"')
 
     ver = sub.add_parser("verify", help="per-partition round-trip equality vs input")
     ver.add_argument("--encoded", required=True)

@@ -18,6 +18,7 @@ import os
 
 import ray.data
 
+from .. import predicates as P
 from ..plan import DEFAULT_TOKEN_BUDGET, Partition, build_plan, load_plan, save_plan
 
 
@@ -184,88 +185,34 @@ def encode_dataset(
     return result
 
 
-def _normalize_predicate(predicate):
-    """Predicate spec: a single (col, op, value) or an AND-list of them,
-    op in {"==", "<", "<=", ">", ">=", "between", "in", "is_null",
-    "is_not_null", "contains"} ("between" takes a (lo, hi) tuple,
-    inclusive; "in" takes a list of values — SQL IN-list, pruned when
-    EVERY value misses the partition's min/max and Bloom; the null
-    tests ignore the value slot — pass None; "contains" tests
-    list-column element membership, pruned by the flattened-element
-    Bloom + min/max stats)."""
-    if predicate is None:
-        return []
-    if isinstance(predicate, tuple) and len(predicate) == 3 and isinstance(predicate[0], str):
-        return [predicate]
-    return list(predicate)
-
-
 def _stats_can_match(entry: dict, preds: list) -> bool:
-    """False only when the partition's manifest min/max PROVE no row can
-    satisfy the conjunction — the payoff for the per-column stats the
+    """False only when the partition's manifest stats PROVE no row can
+    satisfy the conjunction: min/max and null counts through the one
+    predicate engine (`predicates.py`), then the per-partition Bloom
+    for membership ops — the payoff for the per-column stats the
     reference parses but never uses (Types/Primitives.hs:79-87)."""
+    from ..sources.bloom import manifest_bloom_may_contain
+
     for col, op, v in preds:
         st = entry.get("columns", {}).get(col)
         if not st:
             continue  # no stats -> cannot prune
-        if op in ("is_null", "is_not_null"):
-            nulls = st.get("null_count")
-            rows = entry.get("row_count")
-            if nulls is None or rows is None:
-                continue
-            if (op == "is_null" and nulls == 0) or \
-               (op == "is_not_null" and nulls == rows):
-                return False
-            continue
-        if op == "in":
-            # prunable iff EVERY listed value provably misses
-            from ..state import bloomstats as bst
-
-            mn, mx = st.get("min"), st.get("max")
-            bloom = st.get("bloom")
-
-            def value_may_hit(x) -> bool:
-                if mn is not None and mx is not None:
-                    try:
-                        if x < mn or x > mx:
-                            return False
-                    except TypeError:
-                        return True
-                if bloom is not None and not bst.might_contain(bloom, x):
-                    return False
-                return True
-
-            if not any(value_may_hit(x) for x in v):
-                return False
-            continue
-        if op in ("==", "contains") and st.get("bloom") is not None:
-            # per-partition Bloom over distinct values: proves absence
-            # for point probes min/max can't (uniform high-cardinality
-            # ids); a false positive only costs a wasted decode
-            from ..state import bloomstats as bst
-
-            if not bst.might_contain(st["bloom"], v):
-                return False
-        if st.get("min") is None or st.get("max") is None:
-            continue
-        mn, mx = st["min"], st["max"]
-        try:
-            if (op in ("==", "contains") and (v < mn or v > mx)) or \
-               (op == ">" and mx <= v) or (op == ">=" and mx < v) or \
-               (op == "<" and mn >= v) or (op == "<=" and mn > v) or \
-               (op == "between" and (mx < v[0] or mn > v[1])):
-                return False
-        except TypeError:
-            # predicate value / stats type mismatch (e.g. a numeric-looking
-            # --where value against a string column): incomparable stats
-            # cannot prove absence -> degrade to no-prune, never crash
-            continue
+        if not P.may_match(op, v, st.get("min"), st.get("max"),
+                           st.get("null_count"), entry.get("row_count")):
+            return False
+        # membership ops: the Bloom proves absence min/max can't
+        # (uniform high-cardinality ids); a false positive only costs
+        # a wasted decode
+        probes = P.members(op, v)
+        if probes is not None and \
+                not manifest_bloom_may_contain(st.get("bloom"), probes):
+            return False
     return True
 
 
 def pruned_partition_ids(out_dir: str, predicate, filesystem=None) -> tuple[list[int], int]:
     """(kept partition ids, total finished) for a predicate."""
-    preds = _normalize_predicate(predicate)
+    preds = P.normalize(predicate)
     entries = [e for e in mf.load_manifest(out_dir, filesystem) if e.get("status") == "done"]
     kept = [e["partition_id"] for e in entries if _stats_can_match(e, preds)]
     return kept, len(entries)
@@ -320,7 +267,7 @@ def delete_rows(out_dir: str, predicate, filesystem=None,
     (partition_id, counts) rows return to the driver."""
     from ..state import deletes as dvs
 
-    preds = _normalize_predicate(predicate)
+    preds = P.normalize(predicate)
     if not preds:
         raise ValueError("delete_rows requires a predicate")
     entries = [e for e in mf.load_manifest(out_dir, filesystem)
@@ -335,20 +282,17 @@ def delete_rows(out_dir: str, predicate, filesystem=None,
 
     def scan(batch: dict) -> dict:
         import numpy as np
-        import pyarrow.compute as pc
 
         from ..format import decode_table
-        from ..stages.decode import predicate_mask
 
         pred_cols = sorted({p[0] for p in preds})
         pids, new = [], []
         for pid in batch["partition_id"]:
             pid = int(pid)
             blob = mf.read_blob(out_dir, pid, filesystem)
-            mask = predicate_mask(decode_table(blob, pred_cols), preds)
-            # only TRUE deletes (NULL keeps) — is_in on a filtered index
-            idx = np.flatnonzero(
-                pc.fill_null(mask, False).to_numpy(zero_copy_only=False))
+            # only TRUE deletes: the mask fills NULL with False
+            mask = P.mask(decode_table(blob, pred_cols), preds)
+            idx = np.flatnonzero(mask.to_numpy(zero_copy_only=False))
             n = dvs.write_delete_vector(out_dir, pid, idx, filesystem) \
                 if len(idx) else 0
             pids.append(pid)
@@ -373,7 +317,7 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
                    ) -> "ray.data.Dataset":
     """Lazy decode Dataset over all finished partitions (streaming).
 
-    ``predicate`` (see ``_normalize_predicate``) prunes whole partitions by
+    ``predicate`` (grammar in ``predicates.py``) prunes whole partitions by
     manifest min/max stats BEFORE any blob is opened; surviving partitions
     decode the predicate columns FIRST (byte-level frame skip), full-decode
     only on a match, and filter exactly — same semantics, ~selectivity×
@@ -403,7 +347,7 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
 
     from ..state import deletes as dvs
 
-    preds = _normalize_predicate(predicate)
+    preds = P.normalize(predicate)
     entries = mf.load_manifest(out_dir, filesystem)
     done = [e for e in entries if e.get("status") == "done"]
     snap_crc: dict[int, int] | None = None
@@ -551,7 +495,7 @@ def decode_to_parquet(out_dir: str, dest_dir: str, columns: list[str] | None = N
     from ..state import deletes as dvs
     from ..state import fsio
 
-    preds = _normalize_predicate(predicate)
+    preds = P.normalize(predicate)
     deleted_pids = dvs.list_delete_pids(out_dir, filesystem) \
         if apply_deletes else set()
     entries = [e for e in mf.load_manifest(out_dir, filesystem)

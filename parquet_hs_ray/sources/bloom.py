@@ -25,6 +25,10 @@ Spec pieces implemented here, all from the public parquet-format repo:
   (field 14; length in field 15), written by `parquet_writer.py` and
   parsed back by `parquet_footer.py`.
 
+The blob store's per-partition manifest Blooms (``build_manifest_bloom``)
+use the same filter and hash, so the repo has one hash family and one
+false-positive model.
+
 The reference models ColumnMetaData but stops before the bloom fields
 (`/root/reference/src/Parquet/Types/ColumnChunk.hs:19-30`); this is a
 forward-looking superset of its metadata surface.
@@ -315,29 +319,16 @@ def prune_row_groups_by_bloom(km, preds: list, path: str,
                               filesystem=None,
                               candidates: list[int] | None = None
                               ) -> list[int]:
-    """Drop row groups whose bloom filters PROVE an equality predicate
-    cannot match.  ``preds`` uses the same (column, op, value) triples
-    as stats pruning; only ``==`` and ``in`` participate (bloom answers
-    membership, not ranges).  Missing/foreign filters keep the row
+    """Drop row groups whose bloom filters PROVE a membership predicate
+    (``==``, ``in``; `predicates.members`) cannot match — bloom answers
+    membership, not ranges.  Missing/foreign filters keep the row
     group — one-sided, never drops a match.  Flat top-level columns
-    only, same contiguous-leaf bookkeeping as stats pruning."""
-    import pyarrow as pa
+    only (`predicates.leaf_index`)."""
+    from .. import predicates as P
 
-    from .parquet_pages import _leaf_count
-
-    name_to_leaf: dict[str, int] = {}
-    next_leaf = 0
-    for fld in km.schema:
-        k = _leaf_count(fld.type)
-        if k == 1 and not pa.types.is_nested(fld.type):
-            name_to_leaf[fld.name] = next_leaf
-        next_leaf += k
-    eq_preds = []
-    for col, op, value in preds:
-        if op == "==" and col in name_to_leaf:
-            eq_preds.append((name_to_leaf[col], [value]))
-        elif op == "in" and col in name_to_leaf:
-            eq_preds.append((name_to_leaf[col], list(value)))
+    leaves = P.leaf_index(km.schema)
+    eq_preds = [(leaves[col][0], P.members(op, v)) for col, op, v in preds
+                if col in leaves and P.members(op, v) is not None]
     rgs = range(len(km.row_groups)) if candidates is None else candidates
     if not eq_preds:
         return list(rgs)
@@ -360,3 +351,75 @@ def prune_row_groups_by_bloom(km, preds: list, path: str,
         if ok:
             keep.append(rg)
     return keep
+
+
+# Per-partition manifest Blooms (the blob store's analogue of the
+# per-chunk filters above, same hash and block layout): one filter per
+# column over the partition's DISTINCT non-null values, stored base64
+# in the manifest entry.  Above MAX_DISTINCT distinct values the filter
+# stops paying and is skipped.  MANIFEST_FPP sizes a 1,900-key filter
+# at 4 KiB.  Entries carry "v"; any other version is ignored, which is
+# safe because pruning is one-sided.
+MANIFEST_BLOOM_VERSION = 2
+MAX_DISTINCT = 65536
+MANIFEST_FPP = 0.0024
+
+
+def build_manifest_bloom(arr) -> dict | None:
+    """Manifest Bloom over the distinct non-null values of one Arrow
+    column: integers hash as plain INT64, strings as BYTE_ARRAY, and a
+    list column covers its FLATTENED elements (``contains`` pruning).
+    None for other types and above :data:`MAX_DISTINCT` values."""
+    import base64
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    if pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type) or \
+            pa.types.is_fixed_size_list(arr.type):
+        arr = arr.flatten()
+    if pa.types.is_integer(arr.type):
+        kind = "int"
+    elif pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type):
+        kind = "str"
+    else:
+        return None
+    uniq = pc.unique(arr).drop_null()
+    if len(uniq) > MAX_DISTINCT:
+        return None
+    f = SplitBlockBloom.for_ndv(len(uniq), MANIFEST_FPP)
+    if len(uniq):
+        if kind == "int":
+            f.add_hashes(xxh64_fixed8(
+                uniq.to_numpy(zero_copy_only=False).astype(np.int64)))
+        else:
+            f.add_hashes(hash_probe_values(uniq.to_pylist(), "BYTE_ARRAY"))
+    return {"v": MANIFEST_BLOOM_VERSION, "kind": kind,
+            "b64": base64.b64encode(f.tobytes()).decode()}
+
+
+def manifest_bloom_may_contain(bloom: dict | None, values: list) -> bool:
+    """False only when the manifest Bloom PROVES every one of ``values``
+    absent.  No filter, another version, or a probe whose type does not
+    match the filter's kind (``"5"`` or ``True`` on an int column)
+    answers True: cross-type equality is the exact filter's business."""
+    import base64
+
+    if not bloom or bloom.get("v") != MANIFEST_BLOOM_VERSION:
+        return True
+    if bloom["kind"] == "int":
+        if any(isinstance(x, bool) or not isinstance(x, (int, np.integer))
+               for x in values):
+            return True
+        h = xxh64_fixed8(np.array([int(x) & _M64 for x in values],
+                                  dtype=np.uint64))
+    elif bloom["kind"] == "str":
+        if not all(isinstance(x, str) for x in values):
+            return True
+        h = hash_probe_values(values, "BYTE_ARRAY")
+    else:
+        return True
+    f = SplitBlockBloom.from_bytes(base64.b64decode(bloom["b64"]))
+    return bool(f.check_hashes(h).any())

@@ -32,6 +32,7 @@ from ray.data import Datasink, Datasource, ReadTask
 from ray.data.block import BlockMetadata
 from ray.data._internal.execution.interfaces import TaskContext
 
+from .. import predicates as P
 from ..state import fsio
 from .parquet_writer import encode_parquet_bytes
 
@@ -190,10 +191,6 @@ def _decode_row_group(path: str, rg: int, columns, preds, filesystem,
     """Read-task body: decode one planned row group through our kernels
     — only the pages the page index keeps when a predicate allows —
     then apply the EXACT filter and the projection."""
-    import pyarrow.compute as pc
-
-    import pyarrow as pa
-
     from .parquet_pages import read_parquet_via_kernels
 
     km = _cached_km(path, filesystem)
@@ -215,19 +212,10 @@ def _decode_row_group(path: str, rg: int, columns, preds, filesystem,
             filesystem=filesystem, verify_crc=verify_crc)
     else:
         t = read_parquet_via_kernels(
-            path, columns=read_cols, row_groups=[rg], footer="kernels",
+            path, columns=read_cols, row_groups=[rg],
             filesystem=filesystem, km=km, verify_crc=verify_crc)
     if preds:
-        op_fn = {"==": pc.equal, "!=": pc.not_equal,
-                 "<": pc.less, "<=": pc.less_equal,
-                 ">": pc.greater, ">=": pc.greater_equal,
-                 "in": lambda arr, v: pc.is_in(
-                     arr, value_set=pa.array(list(v)))}
-        mask = None
-        for col, op, val in preds:
-            m = op_fn[op](t[col], val)
-            mask = m if mask is None else pc.and_kleene(mask, m)
-        t = t.filter(pc.fill_null(mask, False))
+        t = t.filter(P.mask(t, preds))
         if columns is not None:
             t = t.select(columns)
     return [t]
@@ -294,10 +282,11 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
     entries skipped per parquet dataset convention.
 
     ``predicate`` is one ``(column, op, value)`` tuple or a list of
-    them (AND semantics; ops ``== != < <= > >= in`` — ``in`` takes a
-    list of members): row groups whose footer min/max provably cannot
-    match are never decoded, then the EXACT filter is applied to the
-    decoded rows — pushdown as pruning, not as semantics.
+    them, AND semantics, in the grammar of `predicates.py` (every op
+    but ``contains``, which needs a list column): row groups whose
+    footer min/max and null counts provably cannot match are never
+    decoded, then the EXACT filter is applied to the decoded rows —
+    pushdown as pruning, not as semantics.
 
     ``page_index`` (default on): inside each surviving row group a
     predicate also prunes at PAGE granularity through the
@@ -305,7 +294,7 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
     writer emits them; parquet-format PageIndex.md) — only pages whose
     row ranges may match are read and decoded.
 
-    ``bloom`` (default on): equality and ``in`` predicates also probe
+    ``bloom`` (default on): ``==`` and ``in`` predicates also probe
     each candidate row group's split-block bloom filter when the file
     carries one (`bloom.py`; our writer emits them under
     ``bloom_filters=``) — the unsorted-high-cardinality case where
@@ -370,19 +359,7 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
     if not files:
         raise FileNotFoundError(f"no parquet files under {path}")
 
-    preds = None
-    if predicate is not None:
-        from .parquet_pages import _PRED_OPS
-
-        preds = ([tuple(predicate)] if isinstance(predicate, tuple)
-                 else [tuple(p) for p in predicate])
-        for p in preds:
-            if len(p) != 3:
-                raise ValueError(f"predicate must be (col, op, value): {p}")
-            if p[1] not in _PRED_OPS:
-                raise ValueError(
-                    f"unknown predicate op {p[1]!r} (use "
-                    f"{sorted(_PRED_OPS)})")
+    preds = P.normalize(predicate)
     # one footer parse per file per read: validation, pruning and the
     # empty-result schema all use these
     kms = [_cached_km(p, filesystem) for p in files]
@@ -393,14 +370,16 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
         sch = kms[0].schema
         known = set(sch.names)
         missing = set(columns or []) - known
-        if preds:
-            for c, _, _ in preds:
-                if c not in known:
-                    missing.add(c)
-                elif pa.types.is_nested(sch.field(c).type):
-                    raise ValueError(
-                        f"predicate column {c!r} is nested; only flat "
-                        "columns filter")
+        for c, op, _ in preds:
+            if c not in known:
+                missing.add(c)
+            elif pa.types.is_nested(sch.field(c).type):
+                raise ValueError(
+                    f"predicate column {c!r} is nested; only flat "
+                    "columns filter")
+            elif op == "contains":
+                raise ValueError(
+                    f"'contains' needs a list column, and {c!r} is flat")
         if missing:
             raise KeyError(f"columns not in schema: {sorted(missing)}")
 
@@ -410,11 +389,11 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
             from .parquet_footer import prune_row_groups_by_stats_kernels
 
             rgs = prune_row_groups_by_stats_kernels(km, preds)
-            if bloom and any(op in ("==", "in") for _, op, _ in preds):
+            if bloom:
                 # split-block bloom probes (bloom.py): row groups whose
-                # filter PROVES an equality value absent are dropped
-                # even when min/max could not prune (the unsorted
-                # high-cardinality case); one-sided
+                # filter PROVES every member of a membership predicate
+                # absent are dropped even when min/max could not prune
+                # (the unsorted high-cardinality case); one-sided
                 from .bloom import prune_row_groups_by_bloom
                 from .parquet_pages import prune_row_groups_by_dict
 
@@ -435,7 +414,7 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
     empty = None
     if not work:
         empty = read_parquet_via_kernels(
-            files[0], columns=columns, row_groups=[], footer="kernels",
+            files[0], columns=columns, row_groups=[],
             filesystem=filesystem, km=kms[0])
     # one block per read task => one block per surviving row group
     return ray.data.read_datasource(

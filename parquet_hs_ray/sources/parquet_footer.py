@@ -8,7 +8,7 @@ TIMESTAMP, DATE, DECIMAL), and computes per-leaf max rep/def levels by
 walking repetitions along each path — the reference's ``readMetadata``
 + ``calcMaxEncodingLevels`` (`/root/reference/src/Parquet/Reader.hs:
 197-213`, `Stream/Reader.hs:286-306`) without delegating either to
-pyarrow.  With this, `read_parquet_via_kernels(footer="kernels")` is
+pyarrow.  With this, `read_parquet_via_kernels` is
 fully self-hosted: footer, pages, levels, values and record assembly
 are all our kernels.
 """
@@ -344,51 +344,47 @@ def decode_stat_value(raw: bytes, physical: str, typ: pa.DataType,
 _DEPRECATED_ORDER_OK = ("INT32", "INT64", "FLOAT", "DOUBLE", "BOOLEAN")
 
 
+def _stat_bounds(min_raw, max_raw, leaf, typ) -> tuple:
+    """Decoded (lo, hi) of a min/max pair; (None, None) when either is
+    missing or undecodable."""
+    if min_raw is None or max_raw is None:
+        return None, None
+    lo = decode_stat_value(min_raw, leaf.physical, typ, leaf.type_length)
+    hi = decode_stat_value(max_raw, leaf.physical, typ, leaf.type_length)
+    return (None, None) if lo is None or hi is None else (lo, hi)
+
+
 def prune_row_groups_by_stats_kernels(km: KernelFileMetaData,
                                       preds: list) -> list[int]:
-    """Self-hosted twin of ``prune_row_groups_by_stats``
-    (`parquet_pages.py`): row groups that MAY satisfy every ``(column,
-    op, value)`` predicate, judged from OUR footer parser's chunk
-    statistics — zero pyarrow metadata anywhere.  Same flat-top-level
-    contiguous-leaf mapping (a flat column literally named ``"s.x"``
-    must not collide with a nested leaf path ``s.x``); missing or
-    undecodable stats keep the row group."""
-    from .parquet_pages import _PRED_OPS, _leaf_count
+    """Row groups that MAY satisfy every ``(column, op, value)``
+    predicate, judged from OUR footer parser's chunk statistics — min/max
+    and null counts through `predicates.may_match`, zero pyarrow
+    metadata anywhere (``parquet_pages.prune_row_groups_by_stats`` is
+    the pyarrow-metadata oracle for it).  Flat top-level columns only
+    (`predicates.leaf_index`); missing or undecodable stats keep the
+    row group."""
+    from .. import predicates as P
 
-    name_to_leaf: dict[str, tuple[int, pa.DataType]] = {}
-    next_leaf = 0
-    for f in km.schema:
-        if not pa.types.is_nested(f.type):
-            name_to_leaf[f.name] = (next_leaf, f.type)
-        next_leaf += _leaf_count(f.type)
+    leaves = P.leaf_index(km.schema)
     kept = []
     for rg_i, rg in enumerate(km.row_groups):
         ok = True
         for col, op, val in preds:
-            ent = name_to_leaf.get(col)
-            if ent is None or op not in _PRED_OPS:
+            if col not in leaves:
                 continue  # nested/unknown column: cannot prune on it
-            li, typ = ent
+            li, typ = leaves[col]
             leaf = km.leaves[li]
             st = rg.columns[li].statistics
-            if st is None or st.min_raw is None or st.max_raw is None:
+            if st is None:
                 continue
-            if st.deprecated_order and \
-                    (leaf.physical not in _DEPRECATED_ORDER_OK
-                     or pa.types.is_unsigned_integer(typ)):
-                continue
-            lo = decode_stat_value(st.min_raw, leaf.physical, typ,
-                                   leaf.type_length)
-            hi = decode_stat_value(st.max_raw, leaf.physical, typ,
-                                   leaf.type_length)
-            if lo is None or hi is None:
-                continue
-            try:
-                if not _PRED_OPS[op](lo, hi, val):
-                    ok = False
-                    break
-            except TypeError:  # incomparable types: no pruning
-                continue
+            lo = hi = None
+            if not st.deprecated_order or (
+                    leaf.physical in _DEPRECATED_ORDER_OK
+                    and not pa.types.is_unsigned_integer(typ)):
+                lo, hi = _stat_bounds(st.min_raw, st.max_raw, leaf, typ)
+            if not P.may_match(op, val, lo, hi, st.null_count, rg.num_rows):
+                ok = False
+                break
         if ok:
             kept.append(rg_i)
     return kept
@@ -465,30 +461,24 @@ def prune_pages_by_index(km: KernelFileMetaData, path: str, rg: int,
     Returns a sorted disjoint list of half-open row ranges, or None
     when no predicate column carries a usable page index OR the index
     cannot rule out any rows — callers then fall back to whole-row-
-    group decode.  All-null pages cannot satisfy any of the supported
-    ops (they are all value comparisons; SQL NULL never matches), so
-    they prune.  Undecodable/missing stats keep a page."""
-    from .parquet_pages import _PRED_OPS, _leaf_count
+    group decode.  Each page is judged by `predicates.may_match` on its
+    min/max and null count: an all-null page can match only
+    ``is_null``, and a page with no nulls cannot match it.
+    Undecodable/missing stats keep a page."""
+    from .. import predicates as P
+    from .parquet_pages import _read_range
 
-    name_to_leaf: dict = {}
-    next_leaf = 0
-    for f in km.schema:
-        if not pa.types.is_nested(f.type):
-            name_to_leaf[f.name] = (next_leaf, f.type)
-        next_leaf += _leaf_count(f.type)
+    leaves = P.leaf_index(km.schema)
     n_rows = km.row_groups[rg].num_rows
     result = None  # None = "all rows" until a usable index narrows it
     for col, op, val in preds:
-        ent = name_to_leaf.get(col)
-        if ent is None or op not in _PRED_OPS:
+        if col not in leaves:
             continue
-        li, typ = ent
+        li, typ = leaves[col]
         leaf = km.leaves[li]
         cc = km.row_groups[rg].columns[li]
         if cc.column_index_offset is None or cc.offset_index_offset is None:
             continue
-        from .parquet_pages import _read_range
-
         cidx = parse_column_index(_read_range(
             path, cc.column_index_offset, cc.column_index_length,
             filesystem))
@@ -503,18 +493,14 @@ def prune_pages_by_index(km: KernelFileMetaData, path: str, rg: int,
             row_b = (oidx[i + 1].first_row_index if i + 1 < len(oidx)
                      else n_rows)
             if cidx.null_pages[i]:
-                continue  # all-null page: no value comparison matches
-            lo = decode_stat_value(cidx.min_values[i], leaf.physical,
-                                   typ, leaf.type_length)
-            hi = decode_stat_value(cidx.max_values[i], leaf.physical,
-                                   typ, leaf.type_length)
-            if lo is None or hi is None:
-                kept.append((row_a, row_b))
-                continue
-            try:
-                if _PRED_OPS[op](lo, hi, val):
-                    kept.append((row_a, row_b))
-            except TypeError:
+                lo = hi = None
+                nulls = row_b - row_a
+            else:
+                lo, hi = _stat_bounds(cidx.min_values[i],
+                                      cidx.max_values[i], leaf, typ)
+                nulls = (cidx.null_counts[i] if cidx.null_counts
+                         and len(cidx.null_counts) == len(oidx) else None)
+            if P.may_match(op, val, lo, hi, nulls, row_b - row_a):
                 kept.append((row_a, row_b))
         kept = _merge_ranges(kept)
         result = kept if result is None else _intersect_ranges(result,

@@ -9,9 +9,9 @@ kernels:
   ``DataPageHeader`` / ``DictionaryPageHeader`` — the analogue of
   ``decodeConduit`` (`/root/reference/src/Parquet/Stream/Reader.hs:380-393`)
   over the structs in `/root/reference/src/Parquet/Types/PageHeader.hs:23-73`.
-  Column-chunk location comes from pyarrow's footer metadata (the
-  reference's `readMetadata`, `Reader.hs:197-213`, is the same thrift
-  mechanics at file scope).
+  Column-chunk location comes from our own thrift footer parser
+  (`parquet_footer.py`; the reference's `readMetadata`,
+  `Reader.hs:197-213`).
 - page loop per column chunk: dictionary page then data pages
   (`readPage`, `Stream/Reader.hs:340-372`; unlike the reference's
   single-data-page quirk at `:364-367` we loop).
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from ..codecs.bitpack import unpack_bits_le
 from ..codecs.rle_hybrid import decode_hybrid
@@ -479,13 +478,6 @@ def _page_codec(compression: str):
     return pa.Codec(name)
 
 
-def _fs_input(path: str, filesystem):
-    """pq.ParquetFile-ready input over an explicit/URI filesystem."""
-    from ..state import fsio
-
-    return fsio.open_parquet_input(path, filesystem)
-
-
 def _read_range(path: str, start: int, length: int,
                 filesystem=None) -> bytes:
     """One ranged read of ``length`` bytes at ``start`` — plain seek on
@@ -502,44 +494,6 @@ def _read_range(path: str, start: int, length: int,
     with fs.open_input_file(p) as fh:
         fh.seek(start)
         return fh.read(length)
-
-
-def read_column_chunk_values(path: str, row_group: int, column: int,
-                             pf=None, filesystem=None,
-                             verify_crc: bool = False):
-    """Decode one column chunk -> (rep_levels, def_levels, values,
-    max_rep, max_def). Values has one entry per non-null leaf slot.
-    ``pf`` reuses an already-open ``pq.ParquetFile`` (its parsed
-    footer) — the whole-file reader passes it so a wide table is not
-    O(row_groups x columns) footer parses."""
-    f = pf if pf is not None else pq.ParquetFile(
-        path if filesystem is None else _fs_input(path, filesystem))
-    meta = f.metadata.row_group(row_group).column(column)
-    comp = meta.compression
-    if comp == "UNKNOWN":
-        # pyarrow's Python metadata labels codec id 5 (the deprecated
-        # Hadoop-framed LZ4) "UNKNOWN" (and mislabels id 7 LZ4_RAW as
-        # "LZ4" — harmless here: _HadoopLz4Codec falls back to raw
-        # blocks).  Resolve the true id from our own footer parser.
-        from .parquet_footer import read_footer_via_kernels
-
-        comp = (read_footer_via_kernels(path, filesystem=filesystem)
-                .row_groups[row_group].columns[column].codec)
-    codec = _page_codec(comp)
-    schema = f.metadata.schema
-    leaf = schema.column(column)
-    max_rep, max_def = leaf.max_repetition_level, leaf.max_definition_level
-
-    start = meta.dictionary_page_offset or meta.data_page_offset
-    chunk = _read_range(path, start, meta.total_compressed_size,
-                        filesystem)
-
-    tl = leaf.length if meta.physical_type == "FIXED_LEN_BYTE_ARRAY" else 0
-    rep, dfl, vals = decode_column_chunk_pages(chunk, meta.num_values, meta.physical_type,
-                                              max_rep, max_def, codec=codec,
-                                              type_length=tl,
-                                              verify_crc=verify_crc)
-    return rep, dfl, vals, max_rep, max_def
 
 
 def _decode_levels_v2(buf: bytes, pos: int, byte_len: int, n: int,
@@ -870,19 +824,6 @@ def assemble_optional_list_chain(rep, dfl, values, depth: int,
     return out
 
 
-_PRED_OPS = {
-    "==": lambda lo, hi, v: lo <= v <= hi,
-    "!=": lambda lo, hi, v: not (lo == hi == v),
-    "<": lambda lo, hi, v: lo < v,
-    "<=": lambda lo, hi, v: lo <= v,
-    ">": lambda lo, hi, v: hi > v,
-    ">=": lambda lo, hi, v: hi >= v,
-    # membership: prunes when NO member can fall inside [lo, hi];
-    # bloom and dictionary pruning refine it per member
-    "in": lambda lo, hi, v: any(lo <= x <= hi for x in v),
-}
-
-
 def read_chunk_dictionary(path: str, km, rg: int, ci: int,
                           filesystem=None):
     """Decode ONLY one column chunk's dictionary page (the region
@@ -948,8 +889,9 @@ def prune_row_groups_by_dict(km, preds: list, path: str,
                              max_dict_bytes: int = 4 << 20
                              ) -> list[int]:
     """Dictionary-membership pruning (parquet-mr's "dictionary
-    filtering"): drop a row group when an ``==`` predicate's value is
-    absent from the chunk's dictionary page — valid ONLY when the
+    filtering"): drop a row group when every member a membership
+    predicate needs (``==``, ``in``; `predicates.members`) is absent
+    from the chunk's dictionary page — valid ONLY when the
     footer's PageEncodingStats (ColumnMetaData field 13, which our
     writer and pyarrow both emit) PROVE every data page is
     dict-encoded (a plain-fallback page could hold values outside the
@@ -958,18 +900,11 @@ def prune_row_groups_by_dict(km, preds: list, path: str,
     One-sided: anything unprovable keeps the row group.  Complements
     bloom filters — this works on files from ANY writer (pyarrow,
     DuckDB, parquet-mr) with no opt-in at write time."""
-    import pyarrow as pa
+    from .. import predicates as P
 
-    name_to_leaf: dict[str, int] = {}
-    next_leaf = 0
-    for fld in km.schema:
-        k = _leaf_count(fld.type)
-        if k == 1 and not pa.types.is_nested(fld.type):
-            name_to_leaf[fld.name] = next_leaf
-        next_leaf += k
-    eq = [(name_to_leaf[c], [v] if op == "==" else list(v))
-          for c, op, v in preds
-          if op in ("==", "in") and c in name_to_leaf]
+    leaves = P.leaf_index(km.schema)
+    eq = [(leaves[c][0], P.members(op, v)) for c, op, v in preds
+          if c in leaves and P.members(op, v) is not None]
     rgs = range(len(km.row_groups)) if candidates is None else candidates
     if not eq:
         return list(rgs)
@@ -1004,41 +939,29 @@ def prune_row_groups_by_dict(km, preds: list, path: str,
 
 def prune_row_groups_by_stats(meta, preds: list) -> list[int]:
     """Row groups that MAY satisfy every ``(column, op, value)``
-    predicate, judged from the footer min/max statistics (the scan-
-    pruning half of predicate pushdown; the caller still applies the
-    exact filter).  Missing/typeless stats keep the row group.
+    predicate, judged from pyarrow's view of the footer statistics —
+    the independent oracle the kernel pruner
+    (``parquet_footer.prune_row_groups_by_stats_kernels``) is tested
+    against.  Missing stats keep the row group; flat top-level columns
+    only (`predicates.leaf_index`)."""
+    from .. import predicates as P
 
-    Only FLAT top-level columns prune.  The map is built by walking the
-    arrow schema with the same contiguous leaf-count bookkeeping
-    ``read_parquet_via_kernels`` uses — NOT by keying every leaf's
-    dotted ``path_in_schema``: a flat column literally named ``"s.x"``
-    and a nested leaf at path ``s.x`` (struct ``s``, field ``x``) both
-    stringify to ``"s.x"``, and whichever came later in footer order
-    would shadow the other, silently pruning on the wrong column's
-    stats (= silently dropping matching rows)."""
-    sch = meta.schema.to_arrow_schema()
-    name_to_leaf = {}
-    next_leaf = 0
-    for f in sch:
-        if not pa.types.is_nested(f.type):
-            name_to_leaf[f.name] = next_leaf
-        next_leaf += _leaf_count(f.type)
+    leaves = P.leaf_index(meta.schema.to_arrow_schema())
     kept = []
     for rg in range(meta.num_row_groups):
         ok = True
         for col, op, val in preds:
-            li = name_to_leaf.get(col)
-            if li is None or op not in _PRED_OPS:
+            if col not in leaves:
                 continue  # nested/unknown column: cannot prune on it
-            st = meta.row_group(rg).column(li).statistics
-            if st is None or not st.has_min_max:
+            st = meta.row_group(rg).column(leaves[col][0]).statistics
+            if st is None:
                 continue
-            try:
-                if not _PRED_OPS[op](st.min, st.max, val):
-                    ok = False
-                    break
-            except TypeError:  # incomparable types: no pruning
-                continue
+            lo, hi = (st.min, st.max) if st.has_min_max else (None, None)
+            nulls = st.null_count if st.has_null_count else None
+            if not P.may_match(op, val, lo, hi, nulls,
+                               meta.row_group(rg).num_rows):
+                ok = False
+                break
         if ok:
             kept.append(rg)
     return kept
@@ -1059,9 +982,8 @@ def read_row_group_page_pruned(path: str, km, rg: int, ranges: list,
     the exact range.  Row-aligned leaves (max_rep == 0, one level entry
     per row — what our writer paginates) decode page-granular; nested
     leaves decode their whole chunk once (cached) and slice, which is
-    exact because ranges are row ranges.  Requires footer='kernels'
-    metadata (``km``) — pyarrow's Python API does not expose the index
-    offsets."""
+    exact because ranges are row ranges.  ``km`` is our parsed footer
+    — pyarrow's Python API does not expose the index offsets."""
     from .parquet_footer import parse_offset_index
 
     n_rows = km.row_groups[rg].num_rows
@@ -1178,85 +1100,54 @@ def read_row_group_page_pruned(path: str, km, rg: int, ranges: list,
 def read_parquet_via_kernels(path: str,
                              columns: list[str] | None = None,
                              row_groups: list[int] | None = None,
-                             pf=None, footer: str = "pyarrow",
                              filesystem=None, km=None,
                              verify_crc: bool = False
                              ) -> pa.Table:
-    """Decode a whole parquet file through our kernels: thrift page
-    reader + bit-level value kernels + general record assembly.
+    """Decode a whole parquet file through our kernels only: thrift
+    footer (`parquet_footer.py`), thrift page reader, bit-level value
+    kernels and general record assembly — no pyarrow anywhere on the
+    path (large_list canonicalizes to list; parquet cannot express the
+    difference).
 
     ``columns`` prunes at the column-chunk level — unselected leaves'
     pages are never read or decoded (scan pruning, same contract as
     ``pq.read_table(columns=...)``).  ``row_groups`` restricts decode
     to the listed row groups (pair with
-    ``prune_row_groups_by_stats``).  ``pf`` reuses an already-open
-    ``pq.ParquetFile`` so callers that pre-read the footer (pruning)
-    parse it once.  ``footer="kernels"`` parses the footer through our
-    own thrift kernels too (`parquet_footer.py`) — the FULLY
-    self-hosted read: no pyarrow anywhere on the path (large_list
-    canonicalizes to list; parquet cannot express the difference)).
+    ``prune_row_groups_by_stats_kernels``).  ``km`` reuses an
+    already-parsed `KernelFileMetaData` so callers that pre-read the
+    footer (pruning) parse it once.
 
     ``filesystem`` (any pyarrow FileSystem) makes footer and chunk
     reads ranged GETs through it — the reference's
-    ``remoteParquetFile`` pattern.  ``km`` reuses an already-parsed
-    `KernelFileMetaData` (the footer='kernels' twin of ``pf``).
+    ``remoteParquetFile`` pattern.
 
     ``verify_crc=True`` checks each page's stored CRC-32 (PageHeader
     field 4, written by our writer always and by pyarrow under
     ``write_page_checksum=True``) against the page body before
     decoding and raises on mismatch; pages without a stored CRC pass
     (same opt-in contract as parquet-cpp's checksum verification)."""
-    if footer == "kernels":
-        if pf is not None:
-            raise ValueError(
-                "pf (a pyarrow ParquetFile) cannot combine with "
-                "footer='kernels' — the pre-parsed footer would be "
-                "silently discarded")
-        if km is None:
-            from .parquet_footer import read_footer_via_kernels
+    if km is None:
+        from .parquet_footer import read_footer_via_kernels
 
-            km = read_footer_via_kernels(path, filesystem=filesystem)
-        schema = km.schema
-        n_leaves_total = len(km.leaves)
-        n_row_groups = len(km.row_groups)
-        rg_rows = [r.num_rows for r in km.row_groups]
-        total_rows = km.num_rows
+        km = read_footer_via_kernels(path, filesystem=filesystem)
+    schema = km.schema
+    n_leaves_total = len(km.leaves)
+    rg_rows = [r.num_rows for r in km.row_groups]
 
-        def read_chunk(rg: int, ci: int):
-            leaf, cc = km.leaves[ci], km.row_groups[rg].columns[ci]
-            codec = _page_codec(cc.codec)
-            # falsy-or, not is-None: older parquet-mr/Impala write
-            # dictionary_page_offset=0 for "no dictionary page"
-            start = cc.dictionary_page_offset or cc.data_page_offset
-            chunk = _read_range(path, start, cc.total_compressed_size,
-                                filesystem)
-            rep, dfl, vals = decode_column_chunk_pages(
-                chunk, cc.num_values, leaf.physical, leaf.max_rep,
-                leaf.max_def, codec=codec,
-                type_length=leaf.type_length, verify_crc=verify_crc)
-            return rep, dfl, vals, leaf.max_rep, leaf.max_def
-    elif footer == "pyarrow":
-        if km is not None:
-            raise ValueError(
-                "km (a KernelFileMetaData) cannot combine with "
-                "footer='pyarrow' — the pre-parsed footer would be "
-                "silently discarded")
-        f = pf if pf is not None else pq.ParquetFile(
-            path if filesystem is None else _fs_input(path, filesystem))
-        schema = f.schema_arrow
-        n_leaves_total = f.metadata.num_columns
-        n_row_groups = f.num_row_groups
-        rg_rows = [f.metadata.row_group(rg).num_rows
-                   for rg in range(n_row_groups)]
-        total_rows = f.metadata.num_rows
+    def read_chunk(rg: int, ci: int):
+        leaf, cc = km.leaves[ci], km.row_groups[rg].columns[ci]
+        # falsy-or, not is-None: older parquet-mr/Impala write
+        # dictionary_page_offset=0 for "no dictionary page"
+        start = cc.dictionary_page_offset or cc.data_page_offset
+        chunk = _read_range(path, start, cc.total_compressed_size,
+                            filesystem)
+        rep, dfl, vals = decode_column_chunk_pages(
+            chunk, cc.num_values, leaf.physical, leaf.max_rep,
+            leaf.max_def, codec=_page_codec(cc.codec),
+            type_length=leaf.type_length, verify_crc=verify_crc)
+        return (np.asarray(rep, dtype=np.int64),
+                np.asarray(dfl, dtype=np.int64), vals, leaf.max_def)
 
-        def read_chunk(rg: int, ci: int):
-            return read_column_chunk_values(path, rg, ci, pf=f,
-                                            filesystem=filesystem,
-                                            verify_crc=verify_crc)
-    else:
-        raise ValueError(f"footer must be 'pyarrow' or 'kernels', "
-                         f"got {footer!r}")
     if columns is not None:
         missing = set(columns) - set(schema.names)
         if missing:
@@ -1277,17 +1168,11 @@ def read_parquet_via_kernels(path: str,
             raise ValueError(
                 f"column {name}: arrow type {field.type} implies leaves "
                 f"{idxs} but the footer has only {n_leaves_total}")
-        parts = []
-        for rg in (range(n_row_groups) if row_groups is None
-                   else row_groups):
-            leaves = []
-            for ci in idxs:
-                rep, dfl, vals, _mr, max_def = read_chunk(rg, ci)
-                leaves.append((np.asarray(rep, dtype=np.int64),
-                               np.asarray(dfl, dtype=np.int64), vals,
-                               max_def))
-            parts.append(assemble_record_tree(field, leaves,
-                                              rg_rows[rg]))
+        parts = [assemble_record_tree(field,
+                                      [read_chunk(rg, ci) for ci in idxs],
+                                      rg_rows[rg])
+                 for rg in (range(len(rg_rows)) if row_groups is None
+                            else row_groups)]
         if not parts:  # zero-row-group file (pyarrow writes these)
             cols[name] = pa.array([], type=field.type)
         else:
@@ -1297,7 +1182,7 @@ def read_parquet_via_kernels(path: str,
         if not columns:
             # 0-column projection preserves the row count, matching
             # pq.read_table(columns=[])
-            nr = (total_rows if row_groups is None else
+            nr = (km.num_rows if row_groups is None else
                   sum(rg_rows[rg] for rg in row_groups))
             return pa.table({"__n": pa.nulls(nr)}).drop_columns(["__n"])
         return pa.table({c: cols[c] for c in columns})

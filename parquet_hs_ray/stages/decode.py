@@ -16,55 +16,10 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..format import blob_schema, decode_table
+from ..predicates import OPS
+from ..predicates import mask as predicate_mask
 from ..state import deletes as dvs
 from ..state import manifest as mf
-
-
-def predicate_mask(t: pa.Table, preds):
-    """Boolean Arrow mask for a normalized predicate conjunction over
-    ``t`` (shared by DecoderStage and delete_rows)."""
-    import pyarrow.compute as pc
-
-    mask = None
-    for col, op, v in preds:
-        c = t[col]
-        if op == "is_null":
-            part = pc.is_null(c)
-        elif op == "is_not_null":
-            part = pc.is_valid(c)
-        elif op == "contains":
-            # list-column element membership: one flattened compare +
-            # offset searchsorted, no per-row Python
-            import numpy as np
-
-            arr = c.combine_chunks()
-            if pa.types.is_fixed_size_list(arr.type):
-                # .values (not .flatten()) keeps null slots' storage,
-                # so the reshape stays row-aligned; null rows then
-                # mask to False like SQL list_contains(NULL, v)
-                w = arr.type.list_size
-                vals = arr.values.to_numpy(zero_copy_only=False)
-                vals = vals[arr.offset * w:(arr.offset + len(arr)) * w]
-                bools = (vals == v).reshape(-1, w).any(axis=1)
-                bools &= pc.is_valid(arr).to_numpy(zero_copy_only=False)
-            else:
-                offs = arr.offsets.to_numpy()
-                vals = arr.values.to_numpy(zero_copy_only=False)
-                hit_pos = np.flatnonzero(vals == v)
-                rows = np.searchsorted(offs, hit_pos, side="right") - 1
-                bools = np.zeros(len(arr), dtype=bool)
-                bools[rows] = True
-            part = pa.array(bools)
-        elif op == "in":
-            part = pc.is_in(c, value_set=pa.array(list(v)))
-        else:
-            m = {"==": pc.equal, "<": pc.less, "<=": pc.less_equal,
-                 ">": pc.greater, ">=": pc.greater_equal}.get(op)
-            part = m(c, v) if m else pc.and_(pc.greater_equal(c, v[0]),
-                                             pc.less_equal(c, v[1]))
-        mask = part if mask is None else pc.and_(mask, part)
-    return mask
-
 
 
 class DecoderStage:
@@ -186,11 +141,11 @@ class DecoderStage:
                 pred_cols = sorted({p[0] for p in self.predicate})
                 if sch is not None:
                     # evolved store: a predicate on a column this blob
-                    # predates sees all-NULL — equality/range/is_not_null
-                    # match nothing (prune), is_null constrains nothing
+                    # predates sees all-NULL — only ops NULL satisfies
+                    # (is_null) keep the partition, and constrain nothing
                     missing = [p for p in self.predicate
                                if p[0] not in sch.names]
-                    if any(p[1] != "is_null" for p in missing):
+                    if not all(OPS[p[1]].matches_null for p in missing):
                         if out_schema is None:
                             out_schema = self._out_schema(blob, int(pid))
                         continue

@@ -56,15 +56,16 @@ def read_slice(path: str, row_start: int, row_count: int, columns=None, filesyst
 def attach_bloom_stats(entry: dict, tbl: pa.Table) -> None:
     """Attach per-column Bloom filters to a manifest entry: point-equality
     pruning stats min/max can't provide on high-cardinality columns
-    (state/bloomstats.py). Shared by the encode and compact jobs."""
+    (``sources.bloom.build_manifest_bloom``). Shared by the encode and
+    compact jobs."""
     if not tbl.num_rows:
         return
-    from ..state import bloomstats as bst
+    from ..sources.bloom import build_manifest_bloom
 
     for name in tbl.column_names:
         st = entry["columns"].get(name)
         if st is not None:
-            bl = bst.build_column_bloom(tbl[name])
+            bl = build_manifest_bloom(tbl[name])
             if bl is not None:
                 st["bloom"] = bl
 

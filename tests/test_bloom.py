@@ -98,7 +98,7 @@ def test_bloom_write_parse_prune(bloom_file):
     target = int(t["uid"][123].as_py())
     keep = prune_row_groups_by_bloom(km, [("uid", "==", target)], p)
     assert 1 <= len(keep) <= 3
-    got = read_parquet_via_kernels(p, row_groups=keep, footer="kernels")
+    got = read_parquet_via_kernels(p, row_groups=keep)
     assert got.filter(pc.equal(got["uid"], target)).num_rows == 1
     # string probe
     tg = t["tag"][999].as_py()

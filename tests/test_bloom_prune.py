@@ -1,7 +1,9 @@
-"""Per-partition Bloom filters (state/bloomstats.py): point-equality
+"""Per-partition manifest Bloom filters (``sources.bloom``, the same
+split-block filter and xxh64 as the Parquet read path): point-equality
 partition pruning that min/max stats cannot provide on high-cardinality
-columns. Kernel determinism + e2e prune-proof (pruned blobs deleted)."""
+columns. Filter properties + e2e prune-proof (pruned blobs deleted)."""
 
+import base64
 import os
 
 import numpy as np
@@ -9,57 +11,87 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from parquet_hs_ray.state import bloomstats as bst
+from parquet_hs_ray.sources.bloom import (build_manifest_bloom,
+                                          manifest_bloom_may_contain)
 from parquet_hs_ray.state import manifest as mf
+
+
+def _has(bloom, v) -> bool:
+    return manifest_bloom_may_contain(bloom, [v])
 
 
 def test_bloom_kernel_membership_and_fpr():
     # integers: every member hits, non-members mostly miss
     vals = pa.chunked_array([np.arange(0, 5000, 5, dtype=np.int64)])
-    bl = bst.build_column_bloom(vals)
-    assert bl is not None and bl["kind"] == "int"
+    bl = build_manifest_bloom(vals)
+    assert bl is not None and bl["kind"] == "int" and bl["v"] == 2
     for v in (0, 5, 4995):
-        assert bst.might_contain(bl, v)
+        assert _has(bl, v)
     probes = np.arange(1, 100_001, 7)  # none divisible by 5 when %5 != 0
     probes = probes[probes % 5 != 0]
-    fp = sum(bst.might_contain(bl, int(v)) for v in probes[:2000])
+    fp = sum(_has(bl, int(v)) for v in probes[:2000])
     assert fp / 2000 < 0.02, f"false-positive rate too high: {fp / 2000}"
 
     # strings
     svals = pa.array([f"doc-{i:06d}" for i in range(0, 3000, 3)])
-    sb = bst.build_column_bloom(svals)
+    sb = build_manifest_bloom(svals)
     assert sb is not None and sb["kind"] == "str"
-    assert bst.might_contain(sb, "doc-000000")
-    assert bst.might_contain(sb, "doc-002997")
-    fp = sum(bst.might_contain(sb, f"doc-{i:06d}")
+    assert _has(sb, "doc-000000")
+    assert _has(sb, "doc-002997")
+    fp = sum(_has(sb, f"doc-{i:06d}")
              for i in range(1, 6000, 3))  # all absent
     assert fp / 2000 < 0.02
 
     # type-mismatched probes never prune
-    assert bst.might_contain(bl, "5")
-    assert bst.might_contain(sb, 5)
-    assert bst.might_contain(bl, True)  # bool is not an int key
+    assert _has(bl, "5")
+    assert _has(sb, 5)
+    assert _has(bl, True)  # bool is not an int key
+    # one mismatched member keeps the partition for the whole list
+    assert manifest_bloom_may_contain(bl, [1, "1"])
 
     # nulls contribute nothing; an all-null column's bloom prunes any probe
-    nb = bst.build_column_bloom(pa.array([None, None], type=pa.int64()))
-    assert nb is not None and not bst.might_contain(nb, 0)
+    nb = build_manifest_bloom(pa.array([None, None], type=pa.int64()))
+    assert nb is not None and not _has(nb, 0)
 
     # unsupported types are skipped
-    assert bst.build_column_bloom(pa.array([1.5, 2.5])) is None
-    assert bst.build_column_bloom(
+    assert build_manifest_bloom(pa.array([1.5, 2.5])) is None
+    assert build_manifest_bloom(
         pa.array([[1.5], [2.5]], type=pa.list_(pa.float64()))) is None
 
     # list columns bloom their FLATTENED elements (token `contains` prune)
-    lb = bst.build_column_bloom(pa.array([[1, 2], [3]], type=pa.list_(pa.int32())))
+    lb = build_manifest_bloom(pa.array([[1, 2], [3]], type=pa.list_(pa.int32())))
     assert lb is not None and lb["kind"] == "int"
-    assert bst.might_contain(lb, 2) and bst.might_contain(lb, 3)
-    assert not bst.might_contain(lb, 999)
+    assert _has(lb, 2) and _has(lb, 3)
+    assert not _has(lb, 999)
+
+    # the filter keeps the old per-partition size: 4 KiB at 1,900 keys
+    big = build_manifest_bloom(pa.array(np.arange(1900, dtype=np.int64)))
+    assert len(base64.b64decode(big["b64"])) == 4096
 
 
 def test_bloom_build_is_deterministic():
-    a = bst.build_column_bloom(pa.array(["a", "b", "c"]))
-    b = bst.build_column_bloom(pa.array(["c", "a", "b", "a"]))
+    a = build_manifest_bloom(pa.array(["a", "b", "c"]))
+    b = build_manifest_bloom(pa.array(["c", "a", "b", "a"]))
     assert a == b  # set semantics, order- and multiplicity-independent
+
+
+def test_legacy_manifest_bloom_is_ignored():
+    """A pre-split-block entry (``{"kind", "m", "k", "b64"}``, no
+    ``"v"``) whose all-zero bits would prune every probe is ignored:
+    the partition is kept."""
+    from parquet_hs_ray.pipelines.encode_job import _stats_can_match
+
+    legacy = {"kind": "str", "m": 64, "k": 4,
+              "b64": base64.b64encode(bytes(8)).decode()}
+    assert manifest_bloom_may_contain(legacy, ["doc-1"])
+    entry = {"row_count": 2, "columns": {"doc_id": {
+        "min": "doc-0", "max": "doc-9", "null_count": 0, "bloom": legacy}}}
+    assert _stats_can_match(entry, [("doc_id", "==", "doc-1")])
+    assert _stats_can_match(entry, [("doc_id", "in", ["doc-1", "doc-2"])])
+    # the same entry with a current, empty filter prunes
+    entry["columns"]["doc_id"]["bloom"] = build_manifest_bloom(
+        pa.array([None], pa.string()))
+    assert not _stats_can_match(entry, [("doc_id", "==", "doc-1")])
 
 
 def test_bloom_equality_pruning_e2e(ray_session, tmp_path):

@@ -1,7 +1,7 @@
 """Kernel thrift FOOTER parser: schema tree, logical types, leaf
 rep/def levels and chunk metadata must match pyarrow's footer view on
 every testdata table and on nested files from BOTH writers — making
-read_parquet_via_kernels(footer="kernels") fully self-hosted."""
+read_parquet_via_kernels fully self-hosted."""
 
 import datetime as dt
 import glob
@@ -80,33 +80,30 @@ def test_footer_nested_both_writers(tmp_path):
 
 
 def test_fully_self_hosted_read(tmp_path):
-    """footer='kernels': footer, pages, levels, values AND record
+    """Footer, pages, levels, values AND record
     assembly are all our kernels — bit-equal to pyarrow's read on
     every testdata table and on a kernel-written nested v2 file."""
     for f in sorted(glob.glob(f"{SF}/*.parquet")):
         want = pq.read_table(f).replace_schema_metadata(None)
-        got = read_parquet_via_kernels(f, footer="kernels")
+        got = read_parquet_via_kernels(f)
         assert got.cast(want.schema).equals(want), f
     p = os.path.join(str(tmp_path), "n.parquet")
     write_parquet_via_kernels(NESTED, p, compression="ZSTD",
                               page_version="2.0")
-    got = read_parquet_via_kernels(p, footer="kernels")
+    got = read_parquet_via_kernels(p)
     assert got.cast(NESTED.schema).equals(NESTED)
     # projection / row-group selection / 0-column row count all work
     # off the kernel footer too
-    g2 = read_parquet_via_kernels(p, footer="kernels", columns=["ts"],
-                                  row_groups=[0])
+    g2 = read_parquet_via_kernels(p, columns=["ts"], row_groups=[0])
     assert g2.schema.names == ["ts"] and g2.num_rows == 2
-    g3 = read_parquet_via_kernels(p, footer="kernels", columns=[])
+    g3 = read_parquet_via_kernels(p, columns=[])
     assert g3.num_rows == 2 and g3.num_columns == 0
-    with pytest.raises(ValueError):
-        read_parquet_via_kernels(p, footer="thrift")
 
 
 def test_footer_uint_time_float16(tmp_path):
     """UINT_8/32/64 (wrapped two's-complement), INT_16, TIME_MILLIS/
-    MICROS and FLOAT16 map and decode correctly through both footer
-    paths."""
+    MICROS and FLOAT16 map and decode correctly through the kernel
+    footer."""
     import numpy as np
 
     tbl = pa.table({
@@ -123,7 +120,6 @@ def test_footer_uint_time_float16(tmp_path):
     m = read_footer_via_kernels(p)
     assert m.schema.equals(pq.read_schema(p).remove_metadata())
     want = pq.read_table(p).replace_schema_metadata(None)
-    assert read_parquet_via_kernels(p, footer="kernels").equals(want)
     assert read_parquet_via_kernels(p).equals(want)
 
 
@@ -170,14 +166,6 @@ def test_build_node_logical_only_and_legacy_shapes():
            leaf("key", 6, 0, {6: 0})]
     with pytest.raises(NotImplementedError):
         _build_node(els, 0, 0, 0, [], ())
-
-
-def test_footer_kernels_rejects_pf(tmp_path):
-    p = os.path.join(str(tmp_path), "t.parquet")
-    pq.write_table(pa.table({"x": [1]}), p)
-    with pytest.raises(ValueError):
-        read_parquet_via_kernels(p, footer="kernels",
-                                 pf=pq.ParquetFile(p))
 
 
 def test_footer_rejects_non_parquet(tmp_path):
@@ -453,7 +441,7 @@ def test_page_pruned_read_matches_full(tmp_path):
         write_parquet_via_kernels(tbl, p, compression="SNAPPY",
                                   row_group_size=n, data_page_rows=200)
         km = read_footer_via_kernels(p)
-        full = read_parquet_via_kernels(p, footer="kernels")
+        full = read_parquet_via_kernels(p)
         cut = int(np.quantile(k, 0.1))
         preds = [("k", "<=", cut)]
         ranges = prune_pages_by_index(km, p, 0, preds)

@@ -56,9 +56,8 @@ def test_lz4_both_variants(tmp_path):
     """Both parquet LZ4s: codec id 7 (LZ4_RAW, plain blocks) and the
     deprecated id 5 (Hadoop ``[u32 BE out][u32 BE comp][block]``
     framing).  pyarrow's writer emits id 7 but its Python metadata
-    labels it "LZ4" (and labels true id 5 "UNKNOWN"), so the kernel
-    reader resolves UNKNOWN through our own footer parser and relies on
-    the Hadoop->raw fallback for the mislabel."""
+    labels it "LZ4" (and labels true id 5 "UNKNOWN"); the kernel reader
+    takes the true id from our own footer parser."""
     import os
 
     tbl = pa.table({"x": pa.array(np.arange(20000) % 321),
@@ -72,17 +71,16 @@ def test_lz4_both_variants(tmp_path):
                                   page_version="2.0")
         assert read_parquet_via_kernels(p).equals(tbl)
         assert pq.read_table(p).equals(tbl)
-    # our id-5 file through the PYARROW footer path (the UNKNOWN label)
+    # our id-5 file, which pyarrow's metadata labels UNKNOWN
     p5 = os.path.join(str(tmp_path), "id5.parquet")
     write_parquet_via_kernels(tbl, p5, compression="LZ4")
     assert (pq.ParquetFile(p5).metadata.row_group(0).column(0)
             .compression == "UNKNOWN")
-    assert read_parquet_via_kernels(p5, footer="pyarrow").equals(tbl)
-    # pyarrow-written lz4 (true id 7) through both footer paths
+    assert read_parquet_via_kernels(p5).equals(tbl)
+    # pyarrow-written lz4 (true id 7)
     ppa = os.path.join(str(tmp_path), "pa.parquet")
     pq.write_table(tbl, ppa, compression="lz4")
-    for foot in ("pyarrow", "kernels"):
-        assert read_parquet_via_kernels(ppa, footer=foot).equals(tbl)
+    assert read_parquet_via_kernels(ppa).equals(tbl)
 
 
 def test_long_string_stats_truncate(tmp_path):

@@ -96,7 +96,7 @@ out["full"] = {"sec": round(wall, 2), "rows": rows,
 if ncpu == 8:
     from parquet_hs_ray.sources.parquet_pages import read_parquet_via_kernels
     t0 = time.perf_counter()
-    t = read_parquet_via_kernels(path, footer="kernels")
+    t = read_parquet_via_kernels(path)
     out["single_task"] = {"sec": round(time.perf_counter() - t0, 2),
                           "rows": t.num_rows,
                           "decoded_mb": round(t.nbytes / 2**20, 1)}
