@@ -156,7 +156,7 @@ def main() -> None:
 
     if BENCH_MODE == "scaling":
         t0 = time.perf_counter()
-        ds = decode_dataset(enc_dir, concurrency=max(2, NUM_CPUS - 1))
+        ds = decode_dataset(enc_dir)
         assert ds.count() == rows
         queries["decode_f1"] = time.perf_counter() - t0
         out = {
@@ -184,7 +184,7 @@ def main() -> None:
     decode_times = []
     while True:
         t0 = time.perf_counter()
-        ds = decode_dataset(enc_dir, concurrency=max(2, NUM_CPUS - 1))
+        ds = decode_dataset(enc_dir)
         n_decoded = ds.count()
         decode_times.append(time.perf_counter() - t0)
         assert n_decoded == rows, (n_decoded, rows)

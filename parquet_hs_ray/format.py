@@ -547,21 +547,18 @@ def decode_array(data: bytes, pos: int, t: pa.DataType) -> tuple[pa.Array, int]:
     return arr, pos
 
 
-def encode_table(
-    table: pa.Table, codec_overrides: dict[str, int] | None = None
-) -> tuple[bytes, dict[str, ColumnStats]]:
+def encode_table(table: pa.Table) -> tuple[bytes, dict[str, ColumnStats]]:
     """Encode a table into one blob. Returns (blob, {col: stats})."""
     from .memtune import ensure_process_tuned
 
     ensure_process_tuned()
-    codec_overrides = codec_overrides or {}
     schema_bytes = table.schema.serialize().to_pybytes()
     parts = [MAGIC, VERSION.to_bytes(2, "little"), len(schema_bytes).to_bytes(4, "little"), schema_bytes]
     parts.append(encode_varint(table.num_rows))
     parts.append(encode_varint(table.num_columns))
     stats: dict[str, ColumnStats] = {}
     for name in table.column_names:
-        frame, st = encode_array(table[name], codec_overrides.get(name))
+        frame, st = encode_array(table[name])
         nb = name.encode()
         parts.append(encode_varint(len(nb)))
         parts.append(nb)
@@ -578,6 +575,14 @@ def blob_schema(blob: bytes) -> pa.Schema:
         raise ValueError("bad magic")
     schema_len = int.from_bytes(blob[6:10], "little")
     return pa.ipc.read_schema(pa.py_buffer(blob[10 : 10 + schema_len]))
+
+
+def blob_num_rows(blob: bytes) -> int:
+    """Row count from a blob's header, without decoding any column frame
+    (the varint right after the schema)."""
+    if blob[:4] != MAGIC:
+        raise ValueError("bad magic")
+    return decode_varint(blob, 10 + int.from_bytes(blob[6:10], "little"))[0]
 
 
 def decode_table(blob: bytes, columns: list[str] | None = None) -> pa.Table:

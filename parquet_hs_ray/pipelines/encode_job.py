@@ -2,9 +2,16 @@
 
 Lifecycle (SURVEY.md §3.5): plan (n_tok-pruned scan, skew-aware token
 budget) -> resume-filter on manifest -> control Dataset of partitions ->
-``map_batches(EncoderStage, concurrency=pool)`` actor pool -> blobs +
-per-partition manifest. Decode is the inverse: manifest -> Dataset ->
-``map_batches(DecoderStage)`` -> Arrow tables streaming onward.
+``map_batches(EncoderStage)`` (plain tasks, or an actor pool for big
+jobs) -> blobs + per-partition manifest. Decode is the inverse: manifest
+-> Dataset -> one ``map_batches(DecoderStage)`` -> Arrow tables streaming
+onward.
+
+Partition I/O has one reader and one writer: every blob read goes
+through ``manifest.read_blob`` with its manifest crc32 (a corrupt blob
+fails the job), and every partition that decodes rows goes through
+``DecoderStage``; every blob written goes through
+``stages.encode.write_partition`` (encode, compaction, backfill).
 
 These functions do NOT call ray.init()/shutdown() (driver contract); they
 assume a session exists (Ray Data auto-inits local otherwise).
@@ -13,7 +20,6 @@ assume a session exists (Ray Data auto-inits local otherwise).
 from __future__ import annotations
 
 import glob
-import json
 import os
 
 import ray.data
@@ -85,7 +91,6 @@ def encode_dataset(
     token_budget: int = DEFAULT_TOKEN_BUDGET,
     concurrency: int | None = None,
     resume: bool = True,
-    batch_size: int = 1,
     use_actors: bool | None = None,
     filesystem=None,
     input_filesystem=None,
@@ -165,7 +170,7 @@ def encode_dataset(
                                    "filesystem": filesystem,
                                    "input_filesystem": input_filesystem,
                                    "bloom_stats": bloom_stats},
-            batch_size=batch_size,
+            batch_size=1,
             concurrency=concurrency,
             num_cpus=1,
             batch_format="numpy",
@@ -175,7 +180,7 @@ def encode_dataset(
                              input_filesystem=input_filesystem,
                              bloom_stats=bloom_stats)
         out = ds.map_batches(
-            stage, batch_size=batch_size, num_cpus=1, batch_format="numpy"
+            stage, batch_size=1, num_cpus=1, batch_format="numpy"
         )
     # consume: the stage wrote blobs+manifest; this materializes only the
     # small per-partition metrics rows
@@ -227,15 +232,16 @@ def _union_schema(out_dir: str, done_entries: list[dict], filesystem=None):
 
     from ..format import blob_schema
 
-    probe: dict[tuple, int] = {}
+    probe: dict[tuple, dict] = {}
     for e in done_entries:
         key = tuple(sorted(e.get("columns", {}).keys())) or \
             ("__nostats__", e["partition_id"])
-        probe.setdefault(key, e["partition_id"])
+        probe.setdefault(key, e)
     fields: dict[str, pa.Field] = {}
     order: list[str] = []
-    for pid in probe.values():
-        sch = blob_schema(mf.read_blob(out_dir, pid, filesystem))
+    for e in probe.values():
+        sch = blob_schema(mf.read_blob(out_dir, e["partition_id"], filesystem,
+                                       e.get("checksum_crc32")))
         for f in sch:
             if f.name in fields:
                 if fields[f.name].type != f.type:
@@ -272,7 +278,8 @@ def delete_rows(out_dir: str, predicate, filesystem=None,
         raise ValueError("delete_rows requires a predicate")
     entries = [e for e in mf.load_manifest(out_dir, filesystem)
                if e.get("status") == "done"]
-    items = [{"partition_id": e["partition_id"]}
+    items = [{"partition_id": e["partition_id"],
+              "crc32": e.get("checksum_crc32", -1)}
              for e in entries if _stats_can_match(e, preds)]
     result = {"partitions": len(entries),
               "partitions_scanned": len(items),
@@ -287,9 +294,9 @@ def delete_rows(out_dir: str, predicate, filesystem=None,
 
         pred_cols = sorted({p[0] for p in preds})
         pids, new = [], []
-        for pid in batch["partition_id"]:
+        for pid, crc in zip(batch["partition_id"], batch["crc32"]):
             pid = int(pid)
-            blob = mf.read_blob(out_dir, pid, filesystem)
+            blob = mf.read_blob(out_dir, pid, filesystem, int(crc))
             # only TRUE deletes: the mask fills NULL with False
             mask = P.mask(decode_table(blob, pred_cols), preds)
             idx = np.flatnonzero(mask.to_numpy(zero_copy_only=False))
@@ -308,7 +315,6 @@ def delete_rows(out_dir: str, predicate, filesystem=None,
 
 
 def decode_dataset(out_dir: str, columns: list[str] | None = None,
-                   concurrency: int | None = None, batch_size: int = 1,
                    filesystem=None, predicate=None,
                    target_schema=None, unify_schema: bool = False,
                    aux_families: list[str] | None = None,
@@ -343,8 +349,6 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
     PINNED delete vectors apply (later deletes are ignored), and blob
     crc32s are checked against the snapshot (an immutability violation
     refuses to decode)."""
-    import pyarrow as pa
-
     from ..state import deletes as dvs
 
     preds = P.normalize(predicate)
@@ -380,7 +384,7 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
               "crc32": (snap_crc[e["partition_id"]] if snap_crc is not None
                         else e.get("checksum_crc32", -1))}
              for e in done if _stats_can_match(e, preds)]
-    aux_dirs = []
+    aux: dict[str, dict[int, int]] = {}
     if aux_families:
         from ..format import blob_schema
 
@@ -394,34 +398,22 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
                     f"aux family {fam!r} is missing {len(missing)} of "
                     f"{len(pids)} partitions (e.g. {sorted(missing)[:3]}); "
                     "run backfill_columns to completion first")
-            aux_dirs.append(adir)
+            aux[adir] = {e["partition_id"]: e.get("checksum_crc32", -1)
+                         for e in mf.load_manifest(adir, filesystem)}
             if target_schema is not None and pids:
                 # the adapt step projects to the target — fold the
                 # family's columns in so aux + unify don't silently drop
-                asch = blob_schema(mf.read_blob(adir, min(pids), filesystem))
+                pid = min(pids)
+                asch = blob_schema(mf.read_blob(adir, pid, filesystem, aux[adir][pid]))
                 for f in asch:
                     if f.name not in target_schema.names:
                         target_schema = target_schema.append(f)
-    ds = ray.data.from_items(items)
-    if len(items) >= 256:
-        return ds.map_batches(
-            DecoderStage,
-            fn_constructor_kwargs={"out_dir": out_dir, "columns": columns,
-                                   "filesystem": filesystem, "predicate": preds,
-                                   "target_schema": target_schema,
-                                   "aux_dirs": aux_dirs,
-                                   "deleted_pids": deleted_pids,
-                                   "delete_vectors": delete_vectors},
-            batch_size=batch_size,
-            concurrency=concurrency or 8,
-            num_cpus=1,
-            batch_format="numpy",
-        )
     stage = DecoderStage(out_dir, columns, filesystem=filesystem, predicate=preds,
-                         target_schema=target_schema, aux_dirs=aux_dirs,
+                         target_schema=target_schema, aux=aux,
                          deleted_pids=deleted_pids,
                          delete_vectors=delete_vectors)
-    return ds.map_batches(stage, batch_size=batch_size, num_cpus=1, batch_format="numpy")
+    return ray.data.from_items(items).map_batches(
+        stage, batch_size=1, num_cpus=1, batch_format="numpy")
 
 
 def verify_roundtrip(input_path: str | list[str], out_dir: str,
@@ -432,9 +424,11 @@ def verify_roundtrip(input_path: str | list[str], out_dir: str,
     from ..state import fsio
 
     plan = load_plan(fsio.join(out_dir, "plan.json"), filesystem)
+    crcs = {e["partition_id"]: e.get("checksum_crc32", -1)
+            for e in mf.load_manifest(out_dir, filesystem)}
     items = [
         {"partition_id": p.partition_id, "path": p.path, "row_start": p.row_start,
-         "row_count": p.row_count, "est_tokens": p.est_tokens}
+         "row_count": p.row_count, "crc32": crcs.get(p.partition_id, -1)}
         for p in plan
     ]
 
@@ -447,7 +441,8 @@ def verify_roundtrip(input_path: str | list[str], out_dir: str,
         ok, rows = [], []
         for i in range(len(batch["partition_id"])):
             pid = int(batch["partition_id"][i])
-            decoded = decode_table(mf.read_blob(out_dir, pid, filesystem))
+            decoded = decode_table(mf.read_blob(out_dir, pid, filesystem,
+                                                int(batch["crc32"][i])))
             original = read_slice(str(batch["path"][i]), int(batch["row_start"][i]),
                                   int(batch["row_count"][i]), filesystem=input_filesystem)
             ok.append(tables_bitwise_equal(decoded, original))
@@ -633,7 +628,6 @@ def compact_dataset(src_dir: str, out_dir: str,
     import time
 
     import numpy as np
-    import pyarrow as pa
 
     from ..state import deletes as dvs
 
@@ -669,6 +663,8 @@ def compact_dataset(src_dir: str, out_dir: str,
     done = mf.finished_ids(out_dir, filesystem) if resume else set()
     items = [{"partition_id": gi,
               "src_ids": np.array([e["partition_id"] for e in g], dtype=np.int64),
+              "src_crc32": np.array([e.get("checksum_crc32", -1) for e in g],
+                                    dtype=np.int64),
               "n_tokens": sum(int(e.get("n_tokens") or 0) for e in g),
               "row_count": sum(int(e.get("row_count") or 0) for e in g)}
              for gi, g in enumerate(groups) if gi not in done]
@@ -679,41 +675,29 @@ def compact_dataset(src_dir: str, out_dir: str,
         return result
 
     def compact_group(batch: dict) -> dict:
-        from ..format import decode_table, encode_table
-        from ..stages.encode import attach_bloom_stats
+        from ..stages.encode import write_partition
 
-        def load(pid: int) -> pa.Table:
-            t = decode_table(mf.read_blob(src_dir, pid, src_filesystem))
-            if pid in deleted_pids:
-                dv = dvs.read_delete_vector(src_dir, pid, src_filesystem)
-                if dv is not None and len(dv):
-                    t = t.filter(pa.array(dvs.keep_mask(dv, t.num_rows)))
-            return t
-
+        # the decode stage drops deleted rows: compaction is the vacuum
+        load = DecoderStage(src_dir, filesystem=src_filesystem,
+                            deleted_pids=deleted_pids)
         out = {"partition_id": [], "row_count": [], "encoded_bytes": []}
         for i in range(len(batch["partition_id"])):
             t0 = time.perf_counter()
             gid = int(batch["partition_id"][i])
             src_ids = [int(x) for x in batch["src_ids"][i]]
-            tbl = pa.concat_tables(
-                [load(pid) for pid in src_ids]).combine_chunks()
-            blob, stats = encode_table(tbl)
-            mf.write_blob_atomic(out_dir, gid, blob, filesystem)
+            tbl = load({"partition_id": src_ids,
+                        "crc32": batch["src_crc32"][i]}).combine_chunks()
+            n_tokens = int(batch["n_tokens"][i])
             part = Partition(partition_id=gid, path=f"compact:{src_dir}",
                              row_start=0, row_count=tbl.num_rows,
-                             est_tokens=int(batch["n_tokens"][i]))
-            entry = mf.make_entry(part, blob, raw_bytes=tbl.nbytes,
-                                  n_rows=tbl.num_rows,
-                                  n_tokens=int(batch["n_tokens"][i]),
-                                  col_stats=stats,
-                                  wall_ms=(time.perf_counter() - t0) * 1e3)
-            entry["source_partitions"] = src_ids
-            entry["compacted_from"] = src_dir
-            attach_bloom_stats(entry, tbl)
-            mf.write_entry(out_dir, entry, filesystem)
+                             est_tokens=n_tokens)
+            entry = write_partition(
+                out_dir, part, tbl, n_tokens, filesystem,
+                read_ms=round((time.perf_counter() - t0) * 1e3, 1),
+                source_partitions=src_ids, compacted_from=src_dir)
             out["partition_id"].append(gid)
-            out["row_count"].append(tbl.num_rows)
-            out["encoded_bytes"].append(len(blob))
+            out["row_count"].append(entry["row_count"])
+            out["encoded_bytes"].append(entry["encoded_bytes"])
         return {k: np.asarray(v) for k, v in out.items()}
 
     ds = ray.data.from_items(items)
@@ -750,8 +734,6 @@ def backfill_columns(out_dir: str, family: str, fn, columns: list[str] | None = 
     blob; the family adds bytes proportional to the new columns only."""
     import ray.data as rd
 
-    from ..state import fsio
-
     adir = aux_family_dir(out_dir, family)
     mf.ensure_dirs(adir, filesystem)
     entries = [e for e in mf.load_manifest(out_dir, filesystem)
@@ -765,20 +747,22 @@ def backfill_columns(out_dir: str, family: str, fn, columns: list[str] | None = 
         return result
 
     items = [{"partition_id": e["partition_id"],
-              "row_count": e.get("row_count", -1)} for e in todo]
+              "crc32": e.get("checksum_crc32", -1)} for e in todo]
 
     def one(batch: dict) -> "pd.DataFrame":
         import time
 
         import pandas as pd
 
-        from ..format import decode_table, encode_table
+        from ..format import decode_table
+        from ..stages.encode import write_partition
 
         out_rows = []
         for i in range(len(batch["partition_id"])):
             pid = int(batch["partition_id"][i])
             t0 = time.perf_counter()
-            base = decode_table(mf.read_blob(out_dir, pid, filesystem), columns)
+            base = decode_table(mf.read_blob(out_dir, pid, filesystem,
+                                             int(batch["crc32"][i])), columns)
             new = fn(base)
             if new.num_rows != base.num_rows:
                 raise ValueError(
@@ -790,19 +774,15 @@ def backfill_columns(out_dir: str, family: str, fn, columns: list[str] | None = 
                 raise ValueError(
                     f"backfill fn returned columns shadowing the base "
                     f"schema: {sorted(clash)} — pick distinct names")
-            blob, stats = encode_table(new)
-            mf.write_blob_atomic(adir, pid, blob, filesystem)
-            entry = {"partition_id": pid, "row_count": new.num_rows,
-                     "n_tokens": 0, "raw_bytes": new.nbytes,
-                     "encoded_bytes": len(blob),
-                     "checksum_crc32": __import__("zlib").crc32(blob),
-                     "wall_ms": round((time.perf_counter() - t0) * 1e3, 2),
-                     "columns": {n: {"codec": st.codec}
-                                 for n, st in stats.items()},
-                     "status": "done"}
-            mf.write_entry(adir, entry, filesystem)
+            # aux columns carry no Bloom stats: predicates are
+            # evaluated on base blobs only
+            part = Partition(partition_id=pid, path=mf.blob_path(out_dir, pid),
+                             row_start=0, row_count=new.num_rows, est_tokens=0)
+            entry = write_partition(
+                adir, part, new, 0, filesystem, bloom=False,
+                read_ms=round((time.perf_counter() - t0) * 1e3, 1))
             out_rows.append({"partition_id": pid, "rows": new.num_rows,
-                             "encoded_bytes": len(blob)})
+                             "encoded_bytes": entry["encoded_bytes"]})
         return pd.DataFrame(out_rows)
 
     ds = rd.from_items(items)

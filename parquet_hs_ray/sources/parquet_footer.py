@@ -524,25 +524,14 @@ def read_footer_via_kernels(path: str,
         import os
 
         size = os.path.getsize(path)
-        if size < 12:
-            raise ValueError(f"{path}: too small to be parquet")
-        with open(path, "rb") as fh:
-            fh.seek(size - 8)
-            tail = fh.read(8)
-            if tail[4:] != b"PAR1":
-                raise ValueError(f"{path}: missing PAR1 tail magic")
-            flen = int.from_bytes(tail[:4], "little")
-            if flen + 12 > size:
-                raise ValueError(
-                    f"{path}: footer length {flen} overruns file")
-            fh.seek(size - 8 - flen)
-            blob = fh.read(flen)
-        return parse_footer(blob)
-    from ..state import fsio
+        fh = open(path, "rb")
+    else:
+        from ..state import fsio
 
-    fs, p = fsio.resolve(path, filesystem)
-    with fs.open_input_file(p) as fh:
-        size = fh.size()
+        fs, p = fsio.resolve(path, filesystem)
+        fh, size = fs.open_input_file(p), None
+    with fh:
+        size = fh.size() if size is None else size
         if size < 12:
             raise ValueError(f"{path}: too small to be parquet")
         fh.seek(size - 8)

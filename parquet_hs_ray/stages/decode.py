@@ -1,21 +1,31 @@
-"""Decoder stage: the inverse ``map_batches`` path.
+"""Decoder stage: the inverse ``map_batches`` path, and the one reader of
+blob-store partitions.
 
 Our analogue of the reference's column-chunk streaming decode
 (`sourceColumnChunk`, `/root/reference/src/Parquet/Reader.hs:714-733` →
 `readColumnChunk`/`readPage`, `Stream/Reader.hs:324-372`): one task per
-encoded partition reads the blob and decodes every column frame back into
-one Arrow table — columnar in, columnar out; the reference's row-assembly
-step (Dremel instruction interpreter, `Reader.hs:637-705`) has no analogue
-because Arrow list offsets + validity ARE the assembled representation.
+encoded partition reads the blob (CRC-checked against its manifest entry
+by ``manifest.read_blob``) and decodes every column frame back into one
+Arrow table — columnar in, columnar out; the reference's row-assembly
+step (Dremel instruction interpreter, `Reader.hs:637-705`) has no
+analogue because Arrow list offsets + validity ARE the assembled
+representation.
+
+Every partition takes the same path: row mask (predicate mask AND
+delete-vector keep mask) → decode the projection only if a row survives
+→ filter → append aux families → adapt to the target schema.  The decode
+job, the Parquet export and compaction all run it.
 
 Stateless — plain-function tasks, no actor pool needed (no cross-batch
 state; dictionaries/symbol tables are self-contained in each blob)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..format import blob_schema, decode_table
+from ..format import blob_num_rows, blob_schema, decode_table
 from ..predicates import OPS
 from ..predicates import mask as predicate_mask
 from ..state import deletes as dvs
@@ -30,7 +40,7 @@ class DecoderStage:
     def __init__(self, out_dir: str, columns: list[str] | None = None, filesystem=None,
                  predicate: list | None = None,
                  target_schema: pa.Schema | None = None,
-                 aux_dirs: list | None = None,
+                 aux: dict | None = None,
                  deleted_pids=None, delete_vectors=None):
         from ..memtune import ensure_process_tuned
 
@@ -48,15 +58,18 @@ class DecoderStage:
         # schema evolution: every partition adapts to this schema —
         # missing columns null-pad, order unifies; type conflicts raise
         self.target_schema = target_schema
-        # backfilled column families: same-partition-id mini-stores whose
-        # columns append by ROW POSITION after the base (and after any
-        # predicate filter, applied identically)
-        self.aux_dirs = aux_dirs or []
+        # backfilled column families, {aux store dir: {partition id:
+        # manifest crc32}}: same-partition-id mini-stores whose columns
+        # append by ROW POSITION after the base (and after its row mask,
+        # applied identically)
+        self.aux = aux or {}
+
+    def _aux_blob(self, adir: str, pid: int) -> bytes:
+        return mf.read_blob(adir, pid, self.filesystem, self.aux[adir].get(pid))
 
     def _with_aux(self, pid: int, t: pa.Table, mask) -> pa.Table:
-        for adir in self.aux_dirs:
-            ablob = mf.read_blob(adir, pid, self.filesystem)
-            at = decode_table(ablob)
+        for adir in self.aux:
+            at = decode_table(self._aux_blob(adir, pid))
             if mask is not None:
                 at = at.filter(mask)
             if at.num_rows != t.num_rows:
@@ -94,100 +107,75 @@ class DecoderStage:
             else list(self.target_schema.names)
         return [c for c in wanted if c in sch.names]
 
-    def _out_schema(self, blob: bytes, pid: int | None = None) -> pa.Schema:
+    def _out_schema(self, blob: bytes, pid: int) -> pa.Schema:
         if self.target_schema is not None:
             fields = [self.target_schema.field(c) for c in self.columns] \
                 if self.columns is not None else list(self.target_schema)
             return pa.schema(fields)
         sch = self._pruned_schema(blob_schema(blob))
-        if self.aux_dirs and pid is not None:
+        if self.aux:
             # a fully-pruned batch must still emit the aux columns, or
             # empty and matched batches would disagree on schema
-            for adir in self.aux_dirs:
-                for f in blob_schema(mf.read_blob(adir, pid, self.filesystem)):
+            for adir in self.aux:
+                for f in blob_schema(self._aux_blob(adir, pid)):
                     sch = sch.append(f)
         return sch
 
-    def _mask_of(self, t: pa.Table, preds):
-        return predicate_mask(t, preds)
+    def _delete_vector(self, pid: int):
+        if self.delete_vectors is not None:
+            dv = self.delete_vectors.get(pid)
+        elif pid in self.deleted_pids:
+            dv = dvs.read_delete_vector(self.out_dir, pid, self.filesystem)
+        else:
+            return None
+        return dv if dv is not None and len(dv) else None
+
+    def _row_mask(self, blob: bytes, sch: pa.Schema | None, pid: int):
+        """The rows this partition contributes: the predicate mask ANDed
+        with the delete-vector keep mask, or None when every row stays.
+
+        Predicates decode only their own columns (byte-level frame skip).
+        On an evolved store a predicate on a column this blob predates
+        sees all-NULL: only ops NULL satisfies (is_null) keep rows, and
+        they constrain nothing."""
+        n = blob_num_rows(blob)
+        present = [p for p in self.predicate if sch is None or p[0] in sch.names]
+        if not all(OPS[op].matches_null for c, op, _ in self.predicate
+                   if sch is not None and c not in sch.names):
+            return pa.array(np.zeros(n, dtype=bool))
+        mask = None
+        if present:
+            pt = decode_table(blob, sorted({p[0] for p in present}))
+            mask = predicate_mask(pt, present)
+        dv = self._delete_vector(pid)
+        if dv is not None:
+            keep = pa.array(dvs.keep_mask(dv, n))
+            mask = keep if mask is None else pc.and_(mask, keep)
+        return mask
 
     def __call__(self, batch: dict) -> pa.Table:
-        import zlib
-
-        import pyarrow.compute as pc
-
         crcs = batch.get("crc32")
         tables = []
         out_schema: pa.Schema | None = None
         for i, pid in enumerate(batch["partition_id"]):
-            blob = mf.read_blob(self.out_dir, int(pid), self.filesystem)
-            if crcs is not None and int(crcs[i]) >= 0 and zlib.crc32(blob) != int(crcs[i]):
-                raise ValueError(
-                    f"partition {int(pid)}: blob checksum mismatch (corrupt or "
-                    f"partially written blob; manifest crc32={int(crcs[i])})"
-                )
+            pid = int(pid)
+            blob = mf.read_blob(self.out_dir, pid, self.filesystem,
+                                None if crcs is None else int(crcs[i]))
             sch = blob_schema(blob) if self.target_schema is not None else None
-            if self.delete_vectors is not None:
-                dv = self.delete_vectors.get(int(pid))
-            else:
-                dv = dvs.read_delete_vector(self.out_dir, int(pid),
-                                            self.filesystem) \
-                    if int(pid) in self.deleted_pids else None
-            if dv is not None and not len(dv):
-                dv = None
-            if self.predicate:
-                # two-phase: decode only the predicate columns (byte-level
-                # frame skip), full-decode only partitions with matches
-                pred_cols = sorted({p[0] for p in self.predicate})
-                if sch is not None:
-                    # evolved store: a predicate on a column this blob
-                    # predates sees all-NULL — only ops NULL satisfies
-                    # (is_null) keep the partition, and constrain nothing
-                    missing = [p for p in self.predicate
-                               if p[0] not in sch.names]
-                    if not all(OPS[p[1]].matches_null for p in missing):
-                        if out_schema is None:
-                            out_schema = self._out_schema(blob, int(pid))
-                        continue
-                    pred_cols = sorted({p[0] for p in self.predicate
-                                        if p[0] in sch.names})
-                present_preds = [p for p in self.predicate
-                                 if sch is None or p[0] in sch.names]
-                if pred_cols:
-                    pt = decode_table(blob, pred_cols)
-                    mask = self._mask_of(pt, present_preds)
-                    if dv is not None:
-                        mask = pc.and_(mask, pa.array(
-                            dvs.keep_mask(dv, pt.num_rows)))
-                    n_match = int(pc.sum(mask).as_py() or 0)
-                    if n_match == 0:
-                        if out_schema is None:
-                            out_schema = self._out_schema(blob, int(pid))
-                        continue
-                else:
-                    mask, n_match = None, -1
-                t = decode_table(blob, self._read_cols(sch))
-                if mask is None and dv is not None:
-                    # evolved-store all-is_null fast path decoded no
-                    # predicate columns: the keep mask still applies
-                    mask = pa.array(dvs.keep_mask(dv, t.num_rows))
-                    n_match = int(pc.sum(mask).as_py() or 0)
-                applied = None
-                if mask is not None and n_match != t.num_rows:
-                    t = t.filter(mask)
-                    applied = mask
-                if self.aux_dirs:
-                    t = self._with_aux(int(pid), t, applied)
-                tables.append(self._adapt(t) if sch is not None else t)
-            else:
-                t = decode_table(blob, self._read_cols(sch))
-                applied = None
-                if dv is not None:
-                    applied = pa.array(dvs.keep_mask(dv, t.num_rows))
-                    t = t.filter(applied)
-                if self.aux_dirs:
-                    t = self._with_aux(int(pid), t, applied)
-                tables.append(self._adapt(t) if sch is not None else t)
+            mask = self._row_mask(blob, sch, pid)
+            n_keep = -1 if mask is None else int(pc.sum(mask).as_py() or 0)
+            if n_keep == 0:
+                if out_schema is None:
+                    out_schema = self._out_schema(blob, pid)
+                continue
+            t = decode_table(blob, self._read_cols(sch))
+            if n_keep == t.num_rows:
+                mask = None
+            elif mask is not None:
+                t = t.filter(mask)
+            if self.aux:
+                t = self._with_aux(pid, t, mask)
+            tables.append(self._adapt(t) if sch is not None else t)
         if not tables:
             # every partition in this batch was fully pruned: emit a
             # zero-ROW table with the blob's real schema (never a

@@ -1,13 +1,16 @@
-"""Encoder stage: a stateful actor-pool ``map_batches`` class.
+"""Encoder stage: the ``map_batches`` callable of the encode job, and
+the one partition writer every blob-store job shares.
 
-One batch = one (or a few) partition plan rows; the actor reads its exact
-input slice (row-group-aligned, column-complete), encodes every column via
-the auto-selected codec, writes the blob atomically, and emits the
-manifest row. State held per actor (built once in ``__init__``, reused
-across partitions): nothing model-sized yet, but the actor boundary is
-where per-partition dict/FSST symbol tables live during a call — the
-Ray-idiomatic home of the reference's threaded-through-recursion dictionary
-state (`/root/reference/src/Parquet/Stream/Reader.hs:346-372`).
+One batch = one (or a few) partition plan rows; the stage reads its exact
+input slice (row-group-aligned, column-complete) and hands it to
+``write_partition``, which encodes every column via the auto-selected
+codec, writes the blob atomically and then the manifest entry. The stage
+holds no codec state: dictionaries and FSST symbol tables are built per
+column inside ``encode_table`` and travel inside the blob — the
+self-contained analogue of the reference's threaded-through-recursion
+dictionary state (reference `src/Parquet/Stream/Reader.hs:346-372`).
+It runs as plain tasks or as an actor pool (``encode_dataset(use_actors=)``);
+an actor only amortizes process warm-up across partitions.
 
 Restart-safety: encoding is deterministic (selector uses stride sampling,
 no RNG) and the blob write is temp+rename keyed by partition id, so a
@@ -16,7 +19,6 @@ retried task overwrites with byte-identical content — idempotent.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -28,7 +30,7 @@ from ..plan import Partition
 from ..state import manifest as mf
 
 
-def read_slice(path: str, row_start: int, row_count: int, columns=None, filesystem=None) -> pa.Table:
+def read_slice(path: str, row_start: int, row_count: int, filesystem=None) -> pa.Table:
     """Read exactly rows [row_start, row_start+row_count) of a parquet file
     (local path or URI / explicit pyarrow filesystem), touching only the row
     groups that overlap the range."""
@@ -49,7 +51,7 @@ def read_slice(path: str, row_start: int, row_count: int, columns=None, filesyst
             break
     if not rgs:
         return f.schema_arrow.empty_table()
-    tbl = f.read_row_groups(rgs, columns=columns)
+    tbl = f.read_row_groups(rgs)
     return tbl.slice(row_start - first_base, row_count)
 
 
@@ -70,19 +72,43 @@ def attach_bloom_stats(entry: dict, tbl: pa.Table) -> None:
                 st["bloom"] = bl
 
 
-class EncoderStage:
-    """Callable class for ``map_batches(EncoderStage, concurrency=N)`` over
-    a control dataset of partition plan rows."""
+def write_partition(out_dir: str, part: Partition, tbl: pa.Table, n_tokens: int,
+                    filesystem=None, bloom: bool = True, **lineage) -> dict:
+    """The one partition writer: ``encode_table`` -> atomic blob write ->
+    manifest entry (with Bloom stats unless ``bloom=False``), blob first
+    so a visible entry always has its blob. ``lineage`` adds fields to
+    the entry; a ``read_ms`` among them counts toward ``wall_ms``.
+    Returns the entry, which records ``encode_ms`` and ``write_ms``."""
+    t0 = time.perf_counter()
+    blob, stats = encode_table(tbl)
+    t1 = time.perf_counter()
+    mf.write_blob_atomic(out_dir, part.partition_id, blob, filesystem)
+    t2 = time.perf_counter()
+    entry = mf.make_entry(
+        part, blob, raw_bytes=tbl.nbytes, n_rows=tbl.num_rows, n_tokens=n_tokens,
+        col_stats=stats, wall_ms=lineage.get("read_ms", 0.0) + (t2 - t0) * 1e3,
+    )
+    if bloom:
+        attach_bloom_stats(entry, tbl)
+    entry.update(lineage, encode_ms=round((t1 - t0) * 1e3, 1),
+                 write_ms=round((t2 - t1) * 1e3, 1))
+    mf.write_entry(out_dir, entry, filesystem)
+    return entry
 
-    def __init__(self, out_dir: str, token_col: str | None = "n_tok", columns=None,
+
+class EncoderStage:
+    """Callable class for ``map_batches(EncoderStage, concurrency=N)`` (or
+    an instance, as plain tasks) over a control dataset of partition plan
+    rows."""
+
+    def __init__(self, out_dir: str, token_col: str | None = "n_tok",
                  filesystem=None, input_filesystem=None, bloom_stats: bool = True):
         t0 = time.perf_counter()
         from ..memtune import ensure_process_tuned
 
-        ensure_process_tuned()  # pay the page-fault storm once per actor
+        ensure_process_tuned()  # pay the page-fault storm once per process
         self.out_dir = out_dir
         self.token_col = token_col
-        self.columns = columns
         self.bloom_stats = bloom_stats
         self.filesystem = filesystem  # output (blobs + manifest)
         self.input_filesystem = input_filesystem  # source parquet
@@ -92,33 +118,19 @@ class EncoderStage:
 
     def encode_partition(self, part: Partition) -> dict:
         t0 = time.perf_counter()
-        tbl = read_slice(part.path, part.row_start, part.row_count, self.columns,
-                         self.input_filesystem)
-        t1 = time.perf_counter()
-        blob, stats = encode_table(tbl)
-        t2 = time.perf_counter()
-        mf.write_blob_atomic(self.out_dir, part.partition_id, blob, self.filesystem)
-        t3 = time.perf_counter()
+        tbl = read_slice(part.path, part.row_start, part.row_count,
+                         filesystem=self.input_filesystem)
+        read_ms = round((time.perf_counter() - t0) * 1e3, 1)
         if self.token_col and self.token_col in tbl.column_names:
             col = tbl[self.token_col].combine_chunks()
             n_tokens = int(pa.compute.sum(col).as_py() or 0) if tbl.num_rows else 0
             n_tokens = max(0, n_tokens)
         else:
             n_tokens = 0
-        entry = mf.make_entry(
-            part, blob, raw_bytes=tbl.nbytes, n_rows=tbl.num_rows, n_tokens=n_tokens,
-            col_stats=stats, wall_ms=(time.perf_counter() - t0) * 1e3,
-        )
-        if self.bloom_stats:
-            attach_bloom_stats(entry, tbl)
-        entry["read_ms"] = round((t1 - t0) * 1e3, 1)
-        entry["encode_ms"] = round((t2 - t1) * 1e3, 1)
-        entry["write_ms"] = round((t3 - t2) * 1e3, 1)
-        if self.first:
-            entry["actor_init_ms"] = self.init_ms
-            self.first = False
-        mf.write_entry(self.out_dir, entry, self.filesystem)
-        return entry
+        lineage = {"actor_init_ms": self.init_ms} if self.first else {}
+        self.first = False
+        return write_partition(self.out_dir, part, tbl, n_tokens, self.filesystem,
+                               bloom=self.bloom_stats, read_ms=read_ms, **lineage)
 
     def __call__(self, batch: dict) -> dict:
         out = {"partition_id": [], "row_count": [], "n_tokens": [], "raw_bytes": [],

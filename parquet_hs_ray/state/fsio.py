@@ -89,8 +89,8 @@ def write_atomic(path: str, data: bytes, filesystem: pafs.FileSystem | None = No
     not the default: rename alone already makes the write atomic against
     PROCESS crashes (the kill -9 / resume contract), and a kernel/power
     crash that tears a renamed blob is caught at read time by the
-    manifest's crc32 (the decode stage verifies it and the torn
-    partition re-encodes).  The default matters for throughput:
+    manifest's crc32 (``manifest.read_blob`` verifies it on every read
+    and the torn partition re-encodes).  The default matters for throughput:
     concurrent fsyncs serialize on the journal — measured 34% of the
     encode job's wall on the bench host — and the scale deployment
     writes to object stores, where close() is the commit and fsync

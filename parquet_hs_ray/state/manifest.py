@@ -51,8 +51,18 @@ def write_blob_atomic(out_dir: str, partition_id: int, blob: bytes, filesystem=N
     return path
 
 
-def read_blob(out_dir: str, partition_id: int, filesystem=None) -> bytes:
-    return fsio.read_bytes(blob_path(out_dir, partition_id), filesystem)
+def read_blob(out_dir: str, partition_id: int, filesystem=None,
+              crc32: int | None = None) -> bytes:
+    """The one blob reader. ``crc32`` is the manifest entry's
+    ``checksum_crc32``: when given and >= 0 the blob must match it, so a
+    torn, truncated or bit-flipped blob fails loudly instead of decoding
+    to wrong values (a codec payload flip can decode without error)."""
+    blob = fsio.read_bytes(blob_path(out_dir, partition_id), filesystem)
+    if crc32 is not None and crc32 >= 0 and zlib.crc32(blob) != crc32:
+        raise ValueError(
+            f"partition {partition_id}: blob checksum mismatch (corrupt or "
+            f"partially written blob; manifest crc32={crc32})")
+    return blob
 
 
 def write_entry(out_dir: str, entry: dict, filesystem=None) -> str:

@@ -208,20 +208,87 @@ def test_decode_predicate_prunes_partitions(ray_session, tmp_path):
     assert got.equals(ref)
 
 
-def test_decode_detects_corrupt_blob(ray_session, tmp_path):
-    """A flipped byte in a blob must fail decode loudly via the manifest
-    crc32, not return garbage."""
-    from parquet_hs_ray.pipelines.encode_job import decode_dataset, encode_dataset
+def _frame_span(blob: bytes, col: str) -> tuple[int, int]:
+    """[start, end) of column ``col``'s frame inside a blob."""
+    from parquet_hs_ray.codecs.varint import decode_varint
 
-    src = "/root/testdata/sf0.001/region.parquet"
-    out = str(tmp_path / "enc")
-    encode_dataset(src, out, token_col=None)
-    blob_file = f"{out}/blobs/part-00000000.blob"
+    pos = 10 + int.from_bytes(blob[6:10], "little")
+    _, pos = decode_varint(blob, pos)
+    n_cols, pos = decode_varint(blob, pos)
+    for _ in range(n_cols):
+        nlen, pos = decode_varint(blob, pos)
+        name = blob[pos:pos + nlen].decode()
+        flen, pos = decode_varint(blob, pos + nlen)
+        if name == col:
+            return pos, pos + flen
+        pos += flen
+    raise KeyError(col)
+
+
+def _flip_payload_bit(blob_file: str, col: str) -> None:
+    """Flip one bit mid-payload of ``col``'s frame — a flip the codec
+    decodes WITHOUT error to different values, so only the manifest
+    crc32 can catch it."""
+    from parquet_hs_ray.format import decode_table
+
     data = bytearray(open(blob_file, "rb").read())
-    data[len(data) // 2] ^= 0xFF
+    good = decode_table(bytes(data))
+    lo, hi = _frame_span(bytes(data), col)
+    data[(lo + hi) // 2] ^= 0x01
+    assert not decode_table(bytes(data)).equals(good)  # silently wrong
     open(blob_file, "wb").write(bytes(data))
+
+
+def _corrupt_store(tmp_path):
+    """4-partition store of (k, random int64 x); returns (input dir, store)."""
+    from parquet_hs_ray.pipelines.encode_job import encode_dataset
+
+    src = tmp_path / "src"
+    src.mkdir()
+    rng = np.random.default_rng(5)
+    for f in range(4):
+        k = np.arange(f * 500, (f + 1) * 500, dtype=np.int64)
+        pq.write_table(pa.table({"k": k, "x": rng.integers(0, 1 << 20, 500)}),
+                       str(src / f"part-{f}.parquet"))
+    out = str(tmp_path / "enc")
+    encode_dataset(str(src), out, token_col=None)
+    assert len(mf.load_manifest(out)) == 4
+    return str(src), out
+
+
+_CORRUPT_READERS = ("decode_dataset", "decode_to_parquet", "compact_dataset",
+                    "delete_rows", "backfill_columns", "verify_roundtrip",
+                    "aux_family")
+
+
+@pytest.mark.parametrize("reader", _CORRUPT_READERS)
+def test_decode_detects_corrupt_blob(ray_session, tmp_path, reader):
+    """Every blob reader fails loudly on a flipped payload bit via the
+    manifest crc32 — none decodes it to wrong values, compacts it into a
+    fresh store or writes a delete vector from it."""
+    from parquet_hs_ray.pipelines import encode_job as ej
+
+    src, out = _corrupt_store(tmp_path)
+
+    def backfill():
+        ej.backfill_columns(out, "fam", lambda t: pa.table({"y": t["x"]}))
+
+    if reader == "aux_family":
+        backfill()
+        _flip_payload_bit(mf.blob_path(ej.aux_family_dir(out, "fam"), 0), "y")
+    else:
+        _flip_payload_bit(mf.blob_path(out, 0), "x")
+    run = {
+        "decode_dataset": lambda: ej.decode_dataset(out).to_pandas(),
+        "decode_to_parquet": lambda: ej.decode_to_parquet(out, str(tmp_path / "export")),
+        "compact_dataset": lambda: ej.compact_dataset(out, str(tmp_path / "compact")),
+        "delete_rows": lambda: ej.delete_rows(out, ("k", "==", 7)),
+        "backfill_columns": backfill,
+        "verify_roundtrip": lambda: ej.verify_roundtrip(src, out),
+        "aux_family": lambda: ej.decode_dataset(out, aux_families=["fam"]).to_pandas(),
+    }[reader]
     with pytest.raises(Exception, match="checksum mismatch"):
-        decode_dataset(out).to_pandas()
+        run()
 
 
 def test_encode_append_new_files(ray_session, f1_dir, tmp_path):
@@ -897,17 +964,16 @@ def test_backfill_columns_and_aux_decode(ray_session, f1_dir, tmp_path):
 def test_contains_mask_fixed_size_list_and_nulls():
     """`contains` masks: variable lists with NULL rows and fixed_size_list
     (null slots keep storage — .values stays row-aligned)."""
-    from parquet_hs_ray.stages.decode import DecoderStage
+    from parquet_hs_ray.stages.decode import predicate_mask
 
-    stage = DecoderStage.__new__(DecoderStage)  # kernel-only use
     t1 = pa.table({"x": pa.array([[1, 2], None, [3], []],
                                  pa.list_(pa.int32()))})
-    m1 = stage._mask_of(t1, [("x", "contains", 3)])
+    m1 = predicate_mask(t1, [("x", "contains", 3)])
     assert m1.to_pylist() == [False, False, True, False]
 
     t2 = pa.table({"x": pa.array([[1, 2], [3, 4], None, [5, 3]],
                                  pa.list_(pa.int64(), 2))})
-    m2 = stage._mask_of(t2, [("x", "contains", 3)])
+    m2 = predicate_mask(t2, [("x", "contains", 3)])
     assert m2.to_pylist() == [False, True, False, True]
 
 
