@@ -192,6 +192,28 @@ def _dict_encode_np(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq, inv
 
 
+def _encode_dict_payload(vals: np.ndarray) -> bytes:
+    """Numeric DICT payload: varint cardinality, varint dictionary byte
+    length, the plain dictionary, then hybrid-packed indexes."""
+    uniq, inv = _dict_encode_np(vals)
+    width = bit_width_of(len(uniq) - 1) if len(uniq) > 1 else 0
+    return (
+        encode_varint(len(uniq))
+        + encode_varint(uniq.nbytes)
+        + encode_plain_fixed(uniq)
+        + encode_hybrid_columnar(inv, width)
+    )
+
+
+def _decode_dict_payload(data: bytes, pos: int, dt: np.dtype) -> tuple[np.ndarray, int]:
+    card, pos = decode_varint(data, pos)
+    nbytes, pos = decode_varint(data, pos)
+    uniq = np.frombuffer(data, dtype=dt, count=card, offset=pos)
+    pos += nbytes
+    inv, pos = decode_hybrid_columnar(data, pos, dtype=np.uint32)
+    return uniq[inv], pos
+
+
 def _encode_int_payload(vals: np.ndarray, codec: int) -> bytes:
     if codec == PLAIN:
         return encode_plain_fixed(vals)
@@ -200,15 +222,7 @@ def _encode_int_payload(vals: np.ndarray, codec: int) -> bytes:
     if codec == DELTA:
         return encode_delta(vals)
     if codec == DICT:
-        uniq, inv = _dict_encode_np(vals)
-        width = bit_width_of(len(uniq) - 1) if len(uniq) > 1 else 0
-        idx = encode_hybrid_columnar(inv, width)
-        return (
-            encode_varint(len(uniq))
-            + encode_varint(uniq.nbytes)
-            + encode_plain_fixed(uniq)
-            + idx
-        )
+        return _encode_dict_payload(vals)
     return encode_int(vals, _INT_POLICY[codec])
 
 
@@ -221,12 +235,7 @@ def _decode_int_payload(data: bytes, pos: int, codec: int, dt: np.dtype, n: int)
     if codec == DELTA:
         return decode_delta(data, dt, pos)
     if codec == DICT:
-        card, pos = decode_varint(data, pos)
-        nbytes, pos = decode_varint(data, pos)
-        uniq = np.frombuffer(data, dtype=dt, count=card, offset=pos)
-        pos += nbytes
-        inv, pos = decode_hybrid_columnar(data, pos, dtype=np.uint32)
-        return uniq[inv], pos
+        return _decode_dict_payload(data, pos, dt)
     return decode_int(data, dt, pos)
 
 
@@ -411,14 +420,7 @@ def _encode_float_payload(vals: np.ndarray, codec: int) -> bytes:
     if codec == ALPRD:
         return alp_codec.encode_rd(vals)
     if codec == DICT:
-        uniq, inv = _dict_encode_np(vals)
-        width = bit_width_of(len(uniq) - 1) if len(uniq) > 1 else 0
-        return (
-            encode_varint(len(uniq))
-            + encode_varint(uniq.nbytes)
-            + encode_plain_fixed(uniq)
-            + encode_hybrid_columnar(inv, width)
-        )
+        return _encode_dict_payload(vals)
     return encode_plain_fixed(vals)
 
 
@@ -433,12 +435,7 @@ def _decode_float_payload(data: bytes, pos: int, codec: int, dt: np.dtype, n: in
     if codec == ALPRD:
         return alp_codec.decode_rd(data, pos, dt, n)
     if codec == DICT:
-        card, pos = decode_varint(data, pos)
-        nbytes, pos = decode_varint(data, pos)
-        uniq = np.frombuffer(data, dtype=dt, count=card, offset=pos)
-        pos += nbytes
-        inv, pos = decode_hybrid_columnar(data, pos, dtype=np.uint32)
-        return uniq[inv], pos
+        return _decode_dict_payload(data, pos, dt)
     return decode_plain_fixed(data, dt, n, pos)
 
 

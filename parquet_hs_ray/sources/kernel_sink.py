@@ -186,34 +186,26 @@ def read_sink_manifest(path: str, filesystem=None) -> dict:
     return json.loads(fsio.read_bytes(marker, filesystem))
 
 
-def _decode_row_group(path: str, rg: int, columns, preds, filesystem,
-                      page_index: bool, verify_crc: bool) -> list:
+def _decode_row_group(path: str, rg: int, columns, preds,
+                      filesystem) -> list:
     """Read-task body: decode one planned row group through our kernels
     — only the pages the page index keeps when a predicate allows —
     then apply the EXACT filter and the projection."""
-    from .parquet_pages import read_parquet_via_kernels
+    from .parquet_footer import prune_pages_by_index
+    from .parquet_pages import read_row_group_page_pruned
 
     km = _cached_km(path, filesystem)
     # the filter needs its columns decoded even when projected away
     read_cols = columns
     if preds and columns is not None:
         read_cols = columns + [c for c, _, _ in preds if c not in columns]
-    ranges = None
-    if preds and page_index:
-        from .parquet_footer import prune_pages_by_index
-
-        ranges = prune_pages_by_index(km, path, rg, preds,
-                                      filesystem=filesystem)
-    if ranges is not None:
-        from .parquet_pages import read_row_group_page_pruned
-
-        t = read_row_group_page_pruned(
-            path, km, rg, ranges, columns=read_cols,
-            filesystem=filesystem, verify_crc=verify_crc)
-    else:
-        t = read_parquet_via_kernels(
-            path, columns=read_cols, row_groups=[rg],
-            filesystem=filesystem, km=km, verify_crc=verify_crc)
+    ranges = (prune_pages_by_index(km, path, rg, preds,
+                                   filesystem=filesystem)
+              if preds else None)
+    if ranges is None:
+        ranges = [(0, km.row_groups[rg].num_rows)]
+    t = read_row_group_page_pruned(path, km, rg, ranges, columns=read_cols,
+                                   filesystem=filesystem)
     if preds:
         t = t.filter(P.mask(t, preds))
         if columns is not None:
@@ -227,12 +219,10 @@ class KernelParquetDatasource(Datasource):
     ``_decode_row_group``.  ``empty`` is the 0-row projected table a
     read whose plan kept nothing returns, as its single task."""
 
-    def __init__(self, work: list, empty, columns, preds, filesystem,
-                 page_index: bool, verify_crc: bool):
+    def __init__(self, work: list, empty, columns, preds, filesystem):
         self._work = work
         self._empty = empty
-        self._decode_args = (columns, preds, filesystem, page_index,
-                             verify_crc)
+        self._decode_args = (columns, preds, filesystem)
 
     def get_name(self) -> str:
         return "KernelParquet"
@@ -255,8 +245,6 @@ class KernelParquetDatasource(Datasource):
 
 def read_parquet_kernels(path: str, columns: list[str] | None = None,
                          predicate=None, filesystem=None,
-                         concurrency=None, page_index: bool = True,
-                         bloom: bool = True, verify_crc: bool = False,
                          footer: str = "kernels"):
     """Distributed parquet READ through our kernels: the inverse of
     ``write_parquet_kernels`` — returns a lazy ``ray.data.Dataset``.
@@ -288,20 +276,20 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
     decoded, then the EXACT filter is applied to the decoded rows —
     pushdown as pruning, not as semantics.
 
-    ``page_index`` (default on): inside each surviving row group a
-    predicate also prunes at PAGE granularity through the
-    ColumnIndex/OffsetIndex structures when the file carries them (our
-    writer emits them; parquet-format PageIndex.md) — only pages whose
-    row ranges may match are read and decoded.
-
-    ``bloom`` (default on): ``==`` and ``in`` predicates also probe
-    each candidate row group's split-block bloom filter when the file
-    carries one (`bloom.py`; our writer emits them under
-    ``bloom_filters=``) — the unsorted-high-cardinality case where
-    min/max statistics prune nothing — and then its dictionary page,
-    which is definitive when PageEncodingStats prove every data page
-    dictionary-encoded.  One-sided: a missing or foreign filter or
-    dictionary keeps the row group.
+    Pruning always runs and is one-sided: it never changes the rows.
+    Inside each surviving row group a predicate also prunes at PAGE
+    granularity through the ColumnIndex/OffsetIndex structures when the
+    file carries them (our writer emits them; parquet-format
+    PageIndex.md) — only pages whose row ranges may match are read and
+    decoded.  ``==`` and ``in`` predicates also probe each candidate row
+    group's split-block bloom filter when the file carries one
+    (`bloom.py`; our writer emits them under ``bloom_filters=``) — the
+    unsorted-high-cardinality case where min/max statistics prune
+    nothing — and then its dictionary page, which is definitive when
+    PageEncodingStats prove every data page dictionary-encoded.  A
+    missing or foreign filter or dictionary keeps the row group.  Every
+    page's stored CRC-32 is checked as it decodes; a corrupt page
+    raises.
 
     ``filesystem`` (any pyarrow FileSystem, e.g.
     ``state.httpfs.http_range_filesystem``) makes every footer and
@@ -386,27 +374,25 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
     work = []
     for p, km in zip(files, kms):
         if preds:
+            from .bloom import prune_row_groups_by_bloom
             from .parquet_footer import prune_row_groups_by_stats_kernels
+            from .parquet_pages import prune_row_groups_by_dict
 
             rgs = prune_row_groups_by_stats_kernels(km, preds)
-            if bloom:
-                # split-block bloom probes (bloom.py): row groups whose
-                # filter PROVES every member of a membership predicate
-                # absent are dropped even when min/max could not prune
-                # (the unsorted high-cardinality case); one-sided
-                from .bloom import prune_row_groups_by_bloom
-                from .parquet_pages import prune_row_groups_by_dict
-
-                rgs = prune_row_groups_by_bloom(
-                    km, preds, p, filesystem=filesystem,
-                    candidates=list(rgs))
-                # dictionary-membership pruning: definitive where
-                # PageEncodingStats prove all-dict data pages — catches
-                # bloom false positives AND files written with no
-                # blooms at all (pyarrow/DuckDB defaults)
-                rgs = prune_row_groups_by_dict(
-                    km, preds, p, filesystem=filesystem,
-                    candidates=list(rgs))
+            # split-block bloom probes (bloom.py): row groups whose
+            # filter PROVES every member of a membership predicate
+            # absent are dropped even when min/max could not prune
+            # (the unsorted high-cardinality case); one-sided
+            rgs = prune_row_groups_by_bloom(
+                km, preds, p, filesystem=filesystem,
+                candidates=list(rgs))
+            # dictionary-membership pruning: definitive where
+            # PageEncodingStats prove all-dict data pages — catches
+            # bloom false positives AND files written with no
+            # blooms at all (pyarrow/DuckDB defaults)
+            rgs = prune_row_groups_by_dict(
+                km, preds, p, filesystem=filesystem,
+                candidates=list(rgs))
         else:
             rgs = range(len(km.row_groups))
         work.extend((p, rg, km.row_groups[rg].total_byte_size)
@@ -418,6 +404,5 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
             filesystem=filesystem, km=kms[0])
     # one block per read task => one block per surviving row group
     return ray.data.read_datasource(
-        KernelParquetDatasource(work, empty, columns, preds, filesystem,
-                                page_index, verify_crc),
-        concurrency=concurrency, override_num_blocks=max(1, len(work)))
+        KernelParquetDatasource(work, empty, columns, preds, filesystem),
+        override_num_blocks=max(1, len(work)))

@@ -56,6 +56,8 @@ reference errors on:
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pyarrow as pa
 
@@ -510,11 +512,31 @@ def _decode_levels_v2(buf: bytes, pos: int, byte_len: int, n: int,
     return vals.astype(np.uint32), pos + byte_len
 
 
+def _read_page(chunk: bytes, pos: int, codec) -> tuple[dict, bytes, int]:
+    """The page at ``chunk[pos:]`` -> (header, body, next pos).  Checks
+    the page's stored CRC-32 (PageHeader field 4: our writer always
+    stores one, pyarrow under ``write_page_checksum=True``) over the
+    stored body and raises on mismatch; a page without one passes.
+    V1 data and dictionary pages come back decompressed — v2 pages
+    compress only their values section, which the caller handles."""
+    header, pos = _read_compact_struct(chunk, pos)
+    ptype, page_len = header[1], header[3]  # compressed_page_size
+    body = chunk[pos : pos + page_len]
+    if 4 in header and zlib.crc32(body) != header[4] & 0xFFFFFFFF:
+        raise ValueError(
+            f"page CRC-32 mismatch (page type {ptype}, "
+            f"{page_len} stored bytes) — corrupt page")
+    if codec is not None and ptype in (_PAGE_DICT, _PAGE_DATA):
+        body = codec.decompress(body, header[2]).to_pybytes()
+    return header, body, pos + page_len
+
+
 def decode_column_chunk_pages(chunk: bytes, n_total: int, physical: str,
                               max_rep: int, max_def: int, codec=None,
-                              type_length: int = 0,
-                              verify_crc: bool = False):
+                              type_length: int = 0):
     """Page loop over one column chunk's raw bytes -> (rep, def, values).
+    Every page that stores a CRC-32 is checked before it decodes
+    (`_read_page`).
     V1 level encodings come from the DataPageHeader
     (definition_level_encoding = field 3, repetition_level_encoding =
     field 4 of parquet-format's thrift DataPageHeader) — RLE or the
@@ -530,21 +552,8 @@ def decode_column_chunk_pages(chunk: bytes, n_total: int, physical: str,
     reps, defs, values = [], [], []
     seen = 0
     while seen < n_total:
-        header, pos = _read_compact_struct(chunk, pos)
+        header, body, pos = _read_page(chunk, pos, codec)
         ptype = header[1]
-        page_len = header[3]  # compressed_page_size
-        body = chunk[pos : pos + page_len]
-        pos += page_len
-        if verify_crc and 4 in header:
-            import zlib
-
-            if zlib.crc32(body) & 0xFFFFFFFF != header[4] & 0xFFFFFFFF:
-                raise ValueError(
-                    f"page CRC-32 mismatch (page type {ptype}, "
-                    f"{page_len} stored bytes) — corrupt page")
-        if codec is not None and ptype in (_PAGE_DICT, _PAGE_DATA):
-            # V1 pages (and dict pages) compress the WHOLE body
-            body = codec.decompress(body, header[2]).to_pybytes()
         if ptype == _PAGE_DICT:
             dph = header[7]
             dictionary, _ = _decode_plain_values(body, 0, dph[1], physical,
@@ -806,31 +815,14 @@ def assemble_record_tree(field: pa.Field, leaves: list,
     return out
 
 
-def assemble_optional_list_chain(rep, dfl, values, depth: int,
-                                 n_records: int, value_type=pa.int64()):
-    """Dremel inverse for a chain of ``depth`` OPTIONAL+REPEATED list
-    levels over an OPTIONAL leaf (Spark 3-level list encoding — the
-    shape of the reference's golden fixture).  Retained as the named
-    reference-parity entry point; now a special case of
-    :func:`_construct_node` (level-l slot iff ``rep <= l`` and
-    ``def >= 2l``; value non-null iff ``def >= 2l+1``)."""
-    t = value_type
-    for _ in range(depth):
-        t = pa.list_(t)
-    leaves = [(np.asarray(rep, dtype=np.int64),
-               np.asarray(dfl, dtype=np.int64), values, 2 * depth + 1)]
-    out = _construct_node(t, True, 0, 0, 0, leaves)
-    assert len(out) == n_records, (len(out), n_records)
-    return out
-
-
 def read_chunk_dictionary(path: str, km, rg: int, ci: int,
                           filesystem=None):
     """Decode ONLY one column chunk's dictionary page (the region
     ``[dictionary_page_offset, data_page_offset)`` — one small ranged
     read, no data pages touched), or None when the chunk has no
     dictionary.  Returns the plain-decoded dictionary values
-    (np array or ByteArrayValues)."""
+    (np array or ByteArrayValues).  A page that fails its CRC also
+    answers None, so the row group is kept and its decode raises."""
     cc = km.row_groups[rg].columns[ci]
     start = cc.dictionary_page_offset
     if not start:
@@ -841,13 +833,9 @@ def read_chunk_dictionary(path: str, km, rg: int, ci: int,
     leaf = km.leaves[ci]
     raw = _read_range(path, start, length, filesystem)
     try:
-        header, pos = _read_compact_struct(raw, 0)
+        header, body, _ = _read_page(raw, 0, _page_codec(cc.codec))
         if header[1] != _PAGE_DICT:
             return None
-        body = raw[pos:pos + header[3]]
-        codec = _page_codec(cc.codec)
-        if codec is not None:
-            body = codec.decompress(body, header[2]).to_pybytes()
         vals, _ = _decode_plain_values(body, 0, header[7][1],
                                        leaf.physical, leaf.type_length)
         return vals
@@ -967,53 +955,101 @@ def prune_row_groups_by_stats(meta, preds: list) -> list[int]:
     return kept
 
 
-def read_row_group_page_pruned(path: str, km, rg: int, ranges: list,
-                               columns: list[str] | None = None,
-                               filesystem=None,
-                               verify_crc: bool = False) -> pa.Table:
-    """Decode ONLY the pages of row group ``rg`` overlapping the given
-    half-open row ``ranges`` (from ``prune_pages_by_index``), through
-    our kernels — the page-granular step below row-group pruning.
-
-    Per selected column and range: the OffsetIndex locates the run of
-    pages covering the range; one ranged read fetches the dictionary
-    page (if any) plus that contiguous page run; the standard page-loop
-    decoder runs on the spliced bytes and the assembled rows slice to
-    the exact range.  Row-aligned leaves (max_rep == 0, one level entry
-    per row — what our writer paginates) decode page-granular; nested
-    leaves decode their whole chunk once (cached) and slice, which is
-    exact because ranges are row ranges.  ``km`` is our parsed footer
-    — pyarrow's Python API does not expose the index offsets."""
-    from .parquet_footer import parse_offset_index
-
-    n_rows = km.row_groups[rg].num_rows
-    for a, b in ranges:
-        if not (0 <= a < b <= n_rows):
-            raise ValueError(f"bad row range ({a}, {b}) for a row group "
-                             f"of {n_rows} rows")
+def _projection(km, columns: "list[str] | None") -> list:
+    """``(name, field, leaf indices)`` per selected top-level column, in
+    schema order.  Footer leaves are contiguous in depth-first schema
+    order, so each top-level field owns the next ``_leaf_count(type)``
+    leaf indices — no name parsing (column names may themselves contain
+    dots)."""
     schema = km.schema
     if columns is not None:
         missing = set(columns) - set(schema.names)
         if missing:
             raise KeyError(f"columns not in schema: {sorted(missing)}")
+    out = []
+    next_leaf = 0
+    for name in schema.names:
+        field = schema.field(name)
+        k = _leaf_count(field.type)
+        idxs = list(range(next_leaf, next_leaf + k))
+        next_leaf += k
+        if columns is not None and name not in columns:
+            continue
+        if idxs and idxs[-1] >= len(km.leaves):
+            raise ValueError(
+                f"column {name}: arrow type {field.type} implies leaves "
+                f"{idxs} but the footer has only {len(km.leaves)}")
+        out.append((name, field, idxs))
+    return out
 
-    oidx_cache: dict = {}
+
+def _table(cols: dict, columns: "list[str] | None", n_rows: int
+           ) -> pa.Table:
+    """The decoded ``cols`` in ``columns`` order; a 0-column projection
+    keeps the row count, matching ``pq.read_table(columns=[])``."""
+    if columns is None:
+        return pa.table(cols)
+    if not columns:
+        return pa.table({"__n": pa.nulls(n_rows)}).drop_columns(["__n"])
+    return pa.table({c: cols[c] for c in columns})
+
+
+def read_row_group_page_pruned(path: str, km, rg: int, ranges: list,
+                               columns: list[str] | None = None,
+                               filesystem=None) -> pa.Table:
+    """Decode row group ``rg`` through our kernels — the one row-group
+    decoder.  ``ranges`` are half-open row ranges (from
+    ``prune_pages_by_index``); ``[(0, num_rows)]`` is the plain
+    whole-row-group read, which reads each selected leaf's chunk in one
+    ranged read and never touches the page index.
+
+    Otherwise, per selected column and range: the OffsetIndex locates
+    the run of pages covering the range; one ranged read fetches the
+    dictionary page (if any) plus that contiguous page run; the page
+    loop decodes the spliced bytes and the assembled rows slice to the
+    exact range.  Row-aligned leaves (max_rep == 0, one level entry per
+    row — what our writer paginates) decode page-granular; nested or
+    unindexed leaves decode their whole chunk once and slice, which is
+    exact because ranges are row ranges.  ``km`` is our parsed footer
+    — pyarrow's Python API does not expose the index offsets."""
+    from .parquet_footer import parse_offset_index
+
+    n_rows = km.row_groups[rg].num_rows
+    whole = [tuple(r) for r in ranges] == [(0, n_rows)]
+    if not whole:
+        for a, b in ranges:
+            if not (0 <= a < b <= n_rows):
+                raise ValueError(f"bad row range ({a}, {b}) for a row "
+                                 f"group of {n_rows} rows")
+    fields = _projection(km, columns)
 
     def offset_index(ci: int):
-        if ci not in oidx_cache:
-            cc = km.row_groups[rg].columns[ci]
-            oidx_cache[ci] = (None if cc.offset_index_offset is None
-                              else parse_offset_index(_read_range(
-                                  path, cc.offset_index_offset,
-                                  cc.offset_index_length, filesystem)))
-        return oidx_cache[ci]
+        cc = km.row_groups[rg].columns[ci]
+        return (None if cc.offset_index_offset is None
+                else parse_offset_index(_read_range(
+                    path, cc.offset_index_offset, cc.offset_index_length,
+                    filesystem)))
 
-    def decode_run(ci: int, a: int, b: int):
-        """(values rows [ra, rb) covering [a, b), ra) for leaf ci."""
+    def decode(ci: int, raw: bytes, n_values: int):
+        """Leaf ``ci``'s (rep, def, values, max_def) from its raw pages."""
         leaf, cc = km.leaves[ci], km.row_groups[rg].columns[ci]
-        codec = _page_codec(cc.codec)
-        oidx = offset_index(ci)
-        chunk_start = cc.dictionary_page_offset or cc.data_page_offset
+        rep, dfl, vals = decode_column_chunk_pages(
+            raw, n_values, leaf.physical, leaf.max_rep, leaf.max_def,
+            codec=_page_codec(cc.codec), type_length=leaf.type_length)
+        return (np.asarray(rep, np.int64), np.asarray(dfl, np.int64),
+                vals, leaf.max_def)
+
+    def decode_chunk(ci: int):
+        cc = km.row_groups[rg].columns[ci]
+        # falsy-or, not is-None: older parquet-mr/Impala write
+        # dictionary_page_offset=0 for "no dictionary page"
+        start = cc.dictionary_page_offset or cc.data_page_offset
+        return decode(ci, _read_range(path, start, cc.total_compressed_size,
+                                      filesystem), cc.num_values)
+
+    def decode_run(ci: int, oidx, a: int, b: int):
+        """(leaf streams of rows [ra, rb) covering [a, b), ra)."""
+        cc = km.row_groups[rg].columns[ci]
         dict_span = (b"" if not cc.dictionary_page_offset else
                      _read_range(path, cc.dictionary_page_offset,
                                  cc.data_page_offset
@@ -1032,82 +1068,43 @@ def read_row_group_page_pruned(path: str, km, rg: int, ranges: list,
             path, oidx[p0].offset,
             oidx[p1].offset + oidx[p1].compressed_page_size
             - oidx[p0].offset, filesystem)
-        rep, dfl, vals = decode_column_chunk_pages(
-            dict_span + span, rb - ra, leaf.physical, leaf.max_rep,
-            leaf.max_def, codec=codec, type_length=leaf.type_length,
-            verify_crc=verify_crc)
-        return (np.asarray(rep, np.int64), np.asarray(dfl, np.int64),
-                vals, leaf.max_def), ra, rb
+        return decode(ci, dict_span + span, rb - ra), ra
 
-    full_cache: dict = {}
-
-    def decode_full(ci: int):
-        if ci not in full_cache:
-            leaf, cc = km.leaves[ci], km.row_groups[rg].columns[ci]
-            codec = _page_codec(cc.codec)
-            start = cc.dictionary_page_offset or cc.data_page_offset
-            chunk = _read_range(path, start, cc.total_compressed_size,
-                                filesystem)
-            rep, dfl, vals = decode_column_chunk_pages(
-                chunk, cc.num_values, leaf.physical, leaf.max_rep,
-                leaf.max_def, codec=codec, type_length=leaf.type_length,
-                verify_crc=verify_crc)
-            full_cache[ci] = (np.asarray(rep, np.int64),
-                              np.asarray(dfl, np.int64), vals,
-                              leaf.max_def)
-        return full_cache[ci]
-
-    full_field_cache: dict = {}
     cols = {}
-    next_leaf = 0
-    for name in schema.names:
-        field = schema.field(name)
-        k = _leaf_count(field.type)
-        idxs = list(range(next_leaf, next_leaf + k))
-        next_leaf += k
-        if columns is not None and name not in columns:
-            continue
-        # page-granular only when every leaf is row-aligned AND indexed
-        row_aligned = (k == 1 and km.leaves[idxs[0]].max_rep == 0
-                       and km.leaves[idxs[0]].max_def <= 1
-                       and offset_index(idxs[0]) is not None)
-        parts = []
-        for a, b in ranges:
-            if row_aligned:
-                leaves, ra, _ = decode_run(idxs[0], a, b)
+    for name, field, idxs in fields:
+        leaf = km.leaves[idxs[0]] if len(idxs) == 1 else None
+        # page-granular only when the one leaf is row-aligned AND indexed
+        oidx = (offset_index(idxs[0]) if not whole and leaf is not None
+                and leaf.max_rep == 0 and leaf.max_def <= 1 else None)
+        if not ranges:
+            parts = [pa.array([], type=field.type)]
+        elif oidx is not None:
+            parts = []
+            for a, b in ranges:
+                leaves, ra = decode_run(idxs[0], oidx, a, b)
                 arr = assemble_record_tree(field, [leaves],
                                            leaves[0].shape[0])
                 parts.append(arr.slice(a - ra, b - a))
-            else:
-                if name not in full_field_cache:
-                    leaves = [decode_full(ci) for ci in idxs]
-                    full_field_cache[name] = assemble_record_tree(
-                        field, leaves, n_rows)
-                parts.append(full_field_cache[name].slice(a, b - a))
-        if not parts:
-            cols[name] = pa.array([], type=field.type)
         else:
-            cols[name] = (pa.concat_arrays(parts) if len(parts) > 1
-                          else parts[0])
-    if columns is not None:
-        if not columns:
-            nr = sum(b - a for a, b in ranges)
-            return pa.table({"__n": pa.nulls(nr)}).drop_columns(["__n"])
-        return pa.table({c: cols[c] for c in columns})
-    return pa.table(cols)
+            arr = assemble_record_tree(
+                field, [decode_chunk(ci) for ci in idxs], n_rows)
+            parts = [arr] if whole else [arr.slice(a, b - a)
+                                         for a, b in ranges]
+        cols[name] = pa.concat_arrays(parts) if len(parts) > 1 else parts[0]
+    return _table(cols, columns, sum(b - a for a, b in ranges))
 
 
 def read_parquet_via_kernels(path: str,
                              columns: list[str] | None = None,
                              row_groups: list[int] | None = None,
-                             filesystem=None, km=None,
-                             verify_crc: bool = False
-                             ) -> pa.Table:
+                             filesystem=None, km=None) -> pa.Table:
     """Decode a whole parquet file through our kernels only: thrift
     footer (`parquet_footer.py`), thrift page reader, bit-level value
     kernels and general record assembly — no pyarrow anywhere on the
     path (large_list canonicalizes to list; parquet cannot express the
-    difference).
+    difference).  Each row group decodes through
+    ``read_row_group_page_pruned`` with its whole-row-group range, and
+    each column concatenates to one chunk.
 
     ``columns`` prunes at the column-chunk level — unselected leaves'
     pages are never read or decoded (scan pruning, same contract as
@@ -1121,69 +1118,22 @@ def read_parquet_via_kernels(path: str,
     reads ranged GETs through it — the reference's
     ``remoteParquetFile`` pattern.
 
-    ``verify_crc=True`` checks each page's stored CRC-32 (PageHeader
-    field 4, written by our writer always and by pyarrow under
-    ``write_page_checksum=True``) against the page body before
-    decoding and raises on mismatch; pages without a stored CRC pass
-    (same opt-in contract as parquet-cpp's checksum verification)."""
+    Every page's stored CRC-32 is checked (`_read_page`); pages
+    without one pass."""
     if km is None:
         from .parquet_footer import read_footer_via_kernels
 
         km = read_footer_via_kernels(path, filesystem=filesystem)
-    schema = km.schema
-    n_leaves_total = len(km.leaves)
-    rg_rows = [r.num_rows for r in km.row_groups]
-
-    def read_chunk(rg: int, ci: int):
-        leaf, cc = km.leaves[ci], km.row_groups[rg].columns[ci]
-        # falsy-or, not is-None: older parquet-mr/Impala write
-        # dictionary_page_offset=0 for "no dictionary page"
-        start = cc.dictionary_page_offset or cc.data_page_offset
-        chunk = _read_range(path, start, cc.total_compressed_size,
-                            filesystem)
-        rep, dfl, vals = decode_column_chunk_pages(
-            chunk, cc.num_values, leaf.physical, leaf.max_rep,
-            leaf.max_def, codec=_page_codec(cc.codec),
-            type_length=leaf.type_length, verify_crc=verify_crc)
-        return (np.asarray(rep, dtype=np.int64),
-                np.asarray(dfl, dtype=np.int64), vals, leaf.max_def)
-
-    if columns is not None:
-        missing = set(columns) - set(schema.names)
-        if missing:
-            raise KeyError(f"columns not in schema: {sorted(missing)}")
-    # footer leaves are contiguous in depth-first schema order, so each
-    # top-level field owns the next _leaf_count(type) leaf indices — no
-    # name parsing (column names may themselves contain dots)
-    cols = {}
-    next_leaf = 0
-    for name in schema.names:
-        field = schema.field(name)
-        k = _leaf_count(field.type)
-        idxs = list(range(next_leaf, next_leaf + k))
-        next_leaf += k
-        if columns is not None and name not in columns:
-            continue
-        if idxs and idxs[-1] >= n_leaves_total:
-            raise ValueError(
-                f"column {name}: arrow type {field.type} implies leaves "
-                f"{idxs} but the footer has only {n_leaves_total}")
-        parts = [assemble_record_tree(field,
-                                      [read_chunk(rg, ci) for ci in idxs],
-                                      rg_rows[rg])
-                 for rg in (range(len(rg_rows)) if row_groups is None
-                            else row_groups)]
-        if not parts:  # zero-row-group file (pyarrow writes these)
-            cols[name] = pa.array([], type=field.type)
-        else:
-            cols[name] = (pa.concat_arrays(parts) if len(parts) > 1
-                          else parts[0])
-    if columns is not None:
-        if not columns:
-            # 0-column projection preserves the row count, matching
-            # pq.read_table(columns=[])
-            nr = (km.num_rows if row_groups is None else
-                  sum(rg_rows[rg] for rg in row_groups))
-            return pa.table({"__n": pa.nulls(nr)}).drop_columns(["__n"])
-        return pa.table({c: cols[c] for c in columns})
-    return pa.table(cols)
+    rgs = range(len(km.row_groups)) if row_groups is None else row_groups
+    parts = [read_row_group_page_pruned(
+        path, km, rg, [(0, km.row_groups[rg].num_rows)], columns=columns,
+        filesystem=filesystem) for rg in rgs]
+    if not parts:  # zero-row-group file (pyarrow writes these)
+        return _table({name: pa.array([], type=field.type)
+                       for name, field, _ in _projection(km, columns)},
+                      columns, 0)
+    if len(parts) == 1:
+        return parts[0]
+    if columns is not None and not columns:
+        return _table({}, columns, sum(t.num_rows for t in parts))
+    return pa.concat_tables(parts).combine_chunks()

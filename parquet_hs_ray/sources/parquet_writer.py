@@ -31,6 +31,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..codecs.rle_hybrid import encode_hybrid
+from ..codecs.varint import encode_varint, zigzag_encode
 
 # thrift compact type ids
 _CT_BOOL_TRUE = 1
@@ -64,26 +65,6 @@ def _crc32_signed(*parts: bytes) -> int:
     return c - (1 << 32) if c >= (1 << 31) else c
 
 
-def _uvarint(v: int) -> bytes:
-    out = bytearray()
-    while True:
-        b = v & 0x7F
-        v >>= 7
-        if v:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return bytes(out)
-
-
-def _zigzag(v: int) -> int:
-    return (v << 1) ^ (v >> 63) if v >= 0 else ((-v) << 1) - 1
-
-
-def _ivarint(v: int) -> bytes:
-    return _uvarint(_zigzag(v))
-
-
 class _Struct:
     """Thrift compact-protocol struct writer (field-id delta headers)."""
 
@@ -91,7 +72,8 @@ class _Struct:
         self._fields: list[tuple[int, int, bytes]] = []
 
     def i32(self, fid: int, v: int) -> "_Struct":
-        self._fields.append((fid, _CT_I32, _ivarint(int(v))))
+        self._fields.append(
+            (fid, _CT_I32, encode_varint(zigzag_encode(int(v)))))
         return self
 
     def bool_(self, fid: int, v: bool) -> "_Struct":
@@ -101,12 +83,13 @@ class _Struct:
         return self
 
     def i64(self, fid: int, v: int) -> "_Struct":
-        self._fields.append((fid, _CT_I64, _ivarint(int(v))))
+        self._fields.append(
+            (fid, _CT_I64, encode_varint(zigzag_encode(int(v)))))
         return self
 
     def binary(self, fid: int, v: bytes | str) -> "_Struct":
         b = v.encode() if isinstance(v, str) else v
-        self._fields.append((fid, _CT_BINARY, _uvarint(len(b)) + b))
+        self._fields.append((fid, _CT_BINARY, encode_varint(len(b)) + b))
         return self
 
     def struct(self, fid: int, s: "_Struct") -> "_Struct":
@@ -116,12 +99,13 @@ class _Struct:
     def list_i32(self, fid: int, vals: list[int]) -> "_Struct":
         self._fields.append((fid, _CT_LIST,
                              _list_header(len(vals), _CT_I32)
-                             + b"".join(_ivarint(v) for v in vals)))
+                             + b"".join(encode_varint(zigzag_encode(v))
+                                        for v in vals)))
         return self
 
     def list_binary(self, fid: int, vals: "list[str | bytes]") -> "_Struct":
         bs = [v.encode() if isinstance(v, str) else v for v in vals]
-        body = b"".join(_uvarint(len(b)) + b for b in bs)
+        body = b"".join(encode_varint(len(b)) + b for b in bs)
         self._fields.append((fid, _CT_LIST,
                              _list_header(len(vals), _CT_BINARY) + body))
         return self
@@ -136,7 +120,8 @@ class _Struct:
     def list_i64(self, fid: int, vals: list[int]) -> "_Struct":
         self._fields.append((fid, _CT_LIST,
                              _list_header(len(vals), _CT_I64)
-                             + b"".join(_ivarint(v) for v in vals)))
+                             + b"".join(encode_varint(zigzag_encode(v))
+                                        for v in vals)))
         return self
 
     def list_struct(self, fid: int, vals: list["_Struct"]) -> "_Struct":
@@ -154,7 +139,7 @@ class _Struct:
                 out.append((delta << 4) | ctype)
             else:
                 out.append(ctype)
-                out += _ivarint(fid)
+                out += encode_varint(zigzag_encode(fid))
             out += payload
             last = fid
         out.append(0)  # STOP
@@ -164,7 +149,7 @@ class _Struct:
 def _list_header(n: int, elem_ctype: int) -> bytes:
     if n < 15:
         return bytes([(n << 4) | elem_ctype])
-    return bytes([0xF0 | elem_ctype]) + _uvarint(n)
+    return bytes([0xF0 | elem_ctype]) + encode_varint(n)
 
 
 def _walk_leaves(name: str, t: pa.DataType, nullable: bool,
@@ -350,7 +335,6 @@ def _delta_bp_encode(vals: np.ndarray, bits: int = 64,
     spec).  ``max_bytes`` aborts with None once the stream exceeds it
     (the caller is about to lose a size comparison anyway)."""
     from ..codecs.bitpack import pack_bits_le
-    from ..codecs.varint import encode_varint, zigzag_encode
 
     n = len(vals)
     if bits == 32:

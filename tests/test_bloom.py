@@ -136,10 +136,6 @@ def test_bloom_distributed_read_prunes(bloom_file, ray_session):
                               predicate=("uid", "==", 10**13)).materialize()
     assert ep.count() == 0
     assert ep.schema().names == ["uid"]
-    # bloom=False still answers correctly (stats-only path)
-    same = read_parquet_kernels(p, predicate=("uid", "==", target),
-                                bloom=False).take_all()
-    assert len(same) == 1 and same[0]["uid"] == target
 
 
 def test_bloom_validation_errors():

@@ -436,10 +436,10 @@ def test_kernel_read_over_http_is_ranged(ray_session, tmp_path):
 
 
 def test_distributed_read_verify_crc(tmp_path, ray_session):
-    """verify_crc= threads through the distributed read (full, pruned
-    and page-pruned paths); a corrupted part file fails the read
-    loudly instead of decoding garbage (the specific error depends on
-    whether the flipped byte lands in a page header or page body)."""
+    """The distributed read checks stored page CRCs on its full, pruned
+    and page-pruned paths; a corrupted part file fails the read loudly
+    instead of decoding garbage (the specific error depends on whether
+    the flipped byte lands in a page header or page body)."""
     import glob
 
     import ray
@@ -448,15 +448,14 @@ def test_distributed_read_verify_crc(tmp_path, ray_session):
     d = str(tmp_path / "crc_sink")
     write_parquet_kernels(ray.data.read_parquet(src).repartition(2), d,
                           compression="SNAPPY", data_page_rows=512)
-    assert read_parquet_kernels(d, verify_crc=True).count() == 6000
+    assert read_parquet_kernels(d).count() == 6000
+    want = pq.read_table(src).filter(
+        pa.compute.less_equal(pa.compute.field("l_orderkey"), 500))
     assert read_parquet_kernels(
-        d, predicate=("l_orderkey", "<=", 500),
-        verify_crc=True).count() == \
-        read_parquet_kernels(
-            d, predicate=("l_orderkey", "<=", 500)).count()
+        d, predicate=("l_orderkey", "<=", 500)).count() == want.num_rows
     f = sorted(glob.glob(d + "/*.parquet"))[0]
     blob = bytearray(open(f, "rb").read())
     blob[6000] ^= 0xFF
     open(f, "wb").write(bytes(blob))
     with pytest.raises(Exception):
-        read_parquet_kernels(d, verify_crc=True).materialize()
+        read_parquet_kernels(d).materialize()

@@ -411,14 +411,19 @@ def test_page_index_parse_matches_pyarrow_written():
         assert checked_pages > 12  # real pagination happened
 
 
-def test_page_pruned_read_matches_full(tmp_path):
+def test_page_pruned_read_matches_full(tmp_path, monkeypatch):
     """Kernel-written paginated file: page pruning decodes strictly
     fewer rows than the row group and the exact filter result equals
-    the full decode's — on sorted AND unsorted layouts, with nulls,
-    strings and a nested fallback column present."""
+    the full decode's — on sorted AND unsorted layouts, v1 AND v2
+    pages, with nulls, strings and a nested fallback column present.
+    The whole-row-group range is the plain read: it equals
+    ``read_parquet_via_kernels(row_groups=[rg])``, issues one ranged
+    read per selected leaf and never reads the page index; an empty
+    projection keeps the row count."""
     import numpy as np
     import pyarrow.compute as pc
 
+    from parquet_hs_ray.sources import parquet_pages
     from parquet_hs_ray.sources.parquet_footer import (
         prune_pages_by_index)
     from parquet_hs_ray.sources.parquet_pages import (
@@ -426,7 +431,8 @@ def test_page_pruned_read_matches_full(tmp_path):
 
     rng = np.random.default_rng(9)
     n = 4000
-    for layout in ("sorted", "unsorted"):
+    for layout, pv in (("sorted", "1.0"), ("unsorted", "1.0"),
+                       ("sorted", "2.0")):
         k = rng.integers(0, 10**6, n)
         if layout == "sorted":
             k = np.sort(k)
@@ -437,11 +443,17 @@ def test_page_pruned_read_matches_full(tmp_path):
             "lst": pa.array([[i] * (i % 3) for i in range(n)],
                             pa.list_(pa.int64())),
         })
-        p = os.path.join(str(tmp_path), f"{layout}.parquet")
+        p = os.path.join(str(tmp_path), f"{layout}_{pv}.parquet")
         write_parquet_via_kernels(tbl, p, compression="SNAPPY",
-                                  row_group_size=n, data_page_rows=200)
+                                  row_group_size=n, data_page_rows=200,
+                                  page_version=pv)
         km = read_footer_via_kernels(p)
         full = read_parquet_via_kernels(p)
+        assert full.cast(tbl.schema).equals(tbl)
+        assert read_row_group_page_pruned(p, km, 0, [(0, n)]).equals(
+            read_parquet_via_kernels(p, row_groups=[0]))
+        assert read_row_group_page_pruned(
+            p, km, 0, [(0, n)], columns=[]).shape == (n, 0)
         cut = int(np.quantile(k, 0.1))
         preds = [("k", "<=", cut)]
         ranges = prune_pages_by_index(km, p, 0, preds)
@@ -453,6 +465,8 @@ def test_page_pruned_read_matches_full(tmp_path):
             got = t.filter(pc.less_equal(t["k"], cut))
             want = full.filter(pc.less_equal(full["k"], cut))
             assert got.cast(want.schema).equals(want)
+            assert read_row_group_page_pruned(
+                p, km, 0, ranges, columns=[]).shape == (covered, 0)
         else:
             # random layout: every page straddles the cut — pruning
             # legitimately keeps everything (None) or nearly so; if it
@@ -463,12 +477,33 @@ def test_page_pruned_read_matches_full(tmp_path):
                 want = full.filter(pc.less_equal(full["k"], cut))
                 assert got.cast(want.schema).equals(want)
 
+    # ranged reads of a whole-row-group decode: one per selected leaf,
+    # in schema order, each starting at its chunk, none at an index
+    # structure
+    reads = []
+    orig = parquet_pages._read_range
+
+    def counting(path, start, length, filesystem=None):
+        reads.append(start)
+        return orig(path, start, length, filesystem)
+
+    monkeypatch.setattr(parquet_pages, "_read_range", counting)
+    cols = km.row_groups[0].columns
+    for sel, leaves in ((None, [0, 1, 2]), (["lst", "k"], [0, 2])):
+        reads.clear()
+        read_row_group_page_pruned(p, km, 0, [(0, n)], columns=sel)
+        assert reads == [cols[ci].dictionary_page_offset
+                         or cols[ci].data_page_offset for ci in leaves]
+    # a page-pruned read does consult the OffsetIndex
+    reads.clear()
+    read_row_group_page_pruned(p, km, 0, ranges, columns=["k"])
+    assert cols[0].offset_index_offset in reads
+
 
 def test_distributed_read_uses_page_index(ray_session, tmp_path):
     """read_parquet_kernels with a predicate over a
     paginated kernel-sink store: page pruning produces blocks smaller
-    than whole row groups and the result hash-equals the page_index=False
-    path."""
+    than whole row groups and the result equals pyarrow's filter."""
     import ray
 
     from parquet_hs_ray.sources.kernel_sink import (
@@ -482,15 +517,10 @@ def test_distributed_read_uses_page_index(ray_session, tmp_path):
                           row_group_size=1 << 20, data_page_rows=100)
     cut = src["o_orderkey"][200].as_py()
     pred = ("o_orderkey", "<=", cut)
-    res = {}
-    for pi in (True, False):
-        d = read_parquet_kernels(out, columns=["o_orderkey", "o_custkey"],
-                                 predicate=pred,
-                                 page_index=pi).materialize()
-        t = pa.concat_tables(ray.get(d.to_arrow_refs()))
-        res[pi] = t.sort_by("o_orderkey")
-    assert res[True].equals(res[False])
+    d = read_parquet_kernels(out, columns=["o_orderkey", "o_custkey"],
+                             predicate=pred).materialize()
+    got = pa.concat_tables(ray.get(d.to_arrow_refs())).sort_by("o_orderkey")
     want = src.filter(
         pa.compute.less_equal(src["o_orderkey"], cut)).select(
             ["o_orderkey", "o_custkey"]).sort_by("o_orderkey")
-    assert res[True].cast(want.schema).equals(want)
+    assert got.cast(want.schema).equals(want)

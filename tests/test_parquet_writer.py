@@ -124,9 +124,9 @@ def test_long_string_stats_truncate(tmp_path):
 
 def test_page_crc_checksums(tmp_path):
     """The writer stores CRC-32 on every page (PageHeader field 4);
-    pyarrow's opt-in verification accepts our files, our opt-in
-    verification accepts pyarrow's, and a flipped byte raises instead
-    of decoding garbage."""
+    pyarrow's opt-in verification accepts our files, our reader (which
+    always checks stored CRCs) accepts pyarrow's, and a flipped byte
+    raises instead of decoding garbage."""
     import os
 
     tbl = pa.table({"x": pa.array(np.arange(30000) % 777),
@@ -136,19 +136,80 @@ def test_page_crc_checksums(tmp_path):
         write_parquet_via_kernels(tbl, p, compression="SNAPPY",
                                   page_version=pv, row_group_size=9000)
         assert pq.read_table(p, page_checksum_verification=True).equals(tbl)
-        assert read_parquet_via_kernels(p, verify_crc=True).equals(tbl)
+        assert read_parquet_via_kernels(p).equals(tbl)
     ppa = os.path.join(str(tmp_path), "pa.parquet")
     pq.write_table(tbl, ppa, write_page_checksum=True)
-    assert read_parquet_via_kernels(ppa, verify_crc=True).equals(tbl)
-    # flip one byte mid-pages: verify_crc raises; default read stays
-    # permissive (parquet-cpp's contract)
+    assert read_parquet_via_kernels(ppa).equals(tbl)
+    # flip one byte mid-pages: the read raises
     pc = os.path.join(str(tmp_path), "corrupt.parquet")
     write_parquet_via_kernels(tbl, pc, compression="UNCOMPRESSED")
     data = bytearray(open(pc, "rb").read())
     data[4000] ^= 0xFF
     open(pc, "wb").write(bytes(data))
     with pytest.raises(ValueError, match="CRC-32 mismatch"):
-        read_parquet_via_kernels(pc, verify_crc=True)
+        read_parquet_via_kernels(pc)
+
+
+def _flip_last_body_byte(path: str, page_offset: int) -> None:
+    """Flip the last stored byte of the page at ``page_offset`` — a
+    value byte, never a header byte."""
+    from parquet_hs_ray.sources.parquet_pages import _read_compact_struct
+
+    data = bytearray(open(path, "rb").read())
+    header, body_at = _read_compact_struct(bytes(data), page_offset)
+    assert 4 in header  # the writer stored a CRC for this page
+    data[body_at + header[3] - 1] ^= 0x01
+    open(path, "wb").write(bytes(data))
+
+
+def test_page_crc_mismatch_raises_on_every_kernel_read(tmp_path,
+                                                       ray_session):
+    """One flipped value byte in a CRC-carrying UNCOMPRESSED file must
+    raise from both kernel decoders and the distributed read, on a full
+    scan and on a page-pruned lookup — never return wrong rows.  A
+    corrupt dictionary page keeps its row group (pruning stays
+    one-sided) and the decode then raises."""
+    import os
+
+    from parquet_hs_ray.sources.kernel_sink import read_parquet_kernels
+    from parquet_hs_ray.sources.parquet_footer import (
+        prune_pages_by_index, read_footer_via_kernels)
+    from parquet_hs_ray.sources.parquet_pages import (
+        prune_row_groups_by_dict, read_row_group_page_pruned)
+
+    n = 4000
+    tbl = pa.table({"k": pa.array(np.arange(n, dtype=np.int64)),
+                    "v": pa.array(np.arange(n, dtype=np.int64) * 7919)})
+    p = os.path.join(str(tmp_path), "plain.parquet")
+    write_parquet_via_kernels(tbl, p, compression="UNCOMPRESSED",
+                              row_group_size=n, data_page_rows=500,
+                              use_dictionary=False)
+    assert read_parquet_via_kernels(p).equals(tbl)
+    km = read_footer_via_kernels(p)
+    _flip_last_body_byte(p, km.row_groups[0].columns[1].data_page_offset)
+    preds = [("k", "<=", 10)]
+    ranges = prune_pages_by_index(km, p, 0, preds)
+    assert ranges is not None and ranges[0][0] == 0
+    with pytest.raises(ValueError, match="CRC-32 mismatch"):
+        read_parquet_via_kernels(p)
+    for rr in ([(0, n)], ranges):
+        with pytest.raises(ValueError, match="CRC-32 mismatch"):
+            read_row_group_page_pruned(p, km, 0, rr)
+    for kw in ({}, {"columns": ["v"], "predicate": preds}):
+        with pytest.raises(Exception, match="CRC-32 mismatch"):
+            read_parquet_kernels(p, **kw).materialize()
+
+    pd_ = os.path.join(str(tmp_path), "dict.parquet")
+    write_parquet_via_kernels(
+        pa.table({"s": pa.array([f"s{i % 50:03d}" for i in range(n)])}),
+        pd_, compression="UNCOMPRESSED", row_group_size=n)
+    km = read_footer_via_kernels(pd_)
+    _flip_last_body_byte(pd_,
+                         km.row_groups[0].columns[0].dictionary_page_offset)
+    absent = [("s", "==", "s0105")]  # inside min/max, not in the dict
+    assert prune_row_groups_by_dict(km, absent, pd_) == [0]
+    with pytest.raises(Exception, match="CRC-32 mismatch"):
+        read_parquet_kernels(pd_, predicate=absent).materialize()
 
 
 def test_hadoop_lz4_raw_block_fallback():

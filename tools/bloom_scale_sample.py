@@ -5,10 +5,12 @@ NOTHING), per-chunk blooms written by the kernel writer.
 
 Measures, in one fresh Ray session (num_cpus=32):
 - full distributed kernel read of the file (the no-predicate floor);
-- point lookup with bloom=True: decode tasks should be ~1 (+ rare FPs)
-  of ~92 row groups;
-- the same lookup with bloom=False: stats cannot prune (unsorted), so
-  every row group decodes — the 100 TB-relevant delta;
+- point lookup: decode tasks should be ~1 (+ rare FPs) of ~92 row
+  groups;
+- the row groups statistics alone keep for the same lookup
+  (``prune_row_groups_by_stats_kernels``): stats cannot prune
+  (unsorted), so without the bloom every row group would decode — the
+  100 TB-relevant delta;
 - an absent-key lookup: 0 row groups decode (sentinel block only).
 
 Usage: python tools/bloom_scale_sample.py [--rows N] [--out out.json]
@@ -38,6 +40,8 @@ def main() -> None:
     import ray
 
     from parquet_hs_ray.sources.kernel_sink import read_parquet_kernels
+    from parquet_hs_ray.sources.parquet_footer import (
+        prune_row_groups_by_stats_kernels, read_footer_via_kernels)
     from parquet_hs_ray.sources.parquet_writer import write_parquet_via_kernels
 
     if not ray.is_initialized():
@@ -61,10 +65,9 @@ def main() -> None:
     n_rg = -(-n // args.row_group_size)
     probe = int(uid[123_456])
 
-    def lookup(pred, bloom):
+    def lookup(pred):
         t0 = time.perf_counter()
-        mt = read_parquet_kernels(p, predicate=pred,
-                                  bloom=bloom).materialize()
+        mt = read_parquet_kernels(p, predicate=pred).materialize()
         return (round(time.perf_counter() - t0, 3), mt.num_blocks(),
                 mt.count())
 
@@ -78,14 +81,13 @@ def main() -> None:
         res["full_read_sec"] = round(time.perf_counter() - full_t0, 3)
     assert full_n == n
     for _ in range(2):
-        w, b, c = lookup(("uid", "==", probe), bloom=True)
+        w, b, c = lookup(("uid", "==", probe))
     res.update(lookup_bloom_sec=w, lookup_bloom_blocks=b)
     assert c == 1
-    for _ in range(2):
-        w2, b2, c2 = lookup(("uid", "==", probe), bloom=False)
-    res.update(lookup_nobloom_sec=w2, lookup_nobloom_blocks=b2)
-    assert c2 == 1
-    wa, ba, ca = lookup(("uid", "==", n + 999), bloom=True)
+    res["lookup_stats_only_row_groups"] = len(
+        prune_row_groups_by_stats_kernels(read_footer_via_kernels(p),
+                                          [("uid", "==", probe)]))
+    wa, ba, ca = lookup(("uid", "==", n + 999))
     res.update(lookup_absent_sec=wa, lookup_absent_blocks=ba)
     assert ca == 0
     shutil.rmtree(d, ignore_errors=True)
