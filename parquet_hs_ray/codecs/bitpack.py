@@ -14,8 +14,16 @@ the reference golden vectors:
 All kernels are numpy-vectorized and dtype-native: a uint32 input is packed
 without widening to 64-bit (tokens are int32 — halving memory traffic on
 the hot path). Byte-aligned widths (8/16/24/...) take a byte-slicing fast
-path that never expands to a bit matrix. Wide inputs are processed in
-bounded chunks so peak memory stays ~tens of MB regardless of array size.
+path that never expands to a bit matrix.
+
+Packing expands values to a bit matrix and packs it, in bounded chunks so
+peak memory stays ~tens of MB regardless of array size. Unpacking uses the
+group-of-8 layout (Lemire & Boytsov, "Decoding billions of integers per
+second through vectorization"): 8 values of ``width`` bits are exactly
+``width`` bytes, so value *j* of every group sits at the same byte and bit
+offset, and each of the 8 output columns is one strided word load, shift
+and mask over all groups, written straight into the target dtype. Payloads
+too small to amortize the eight column passes use the bit matrix instead.
 """
 
 from __future__ import annotations
@@ -24,8 +32,11 @@ import numpy as np
 
 from .varint import decode_varint, encode_varint
 
-# Chunk size (in values) for the bit-matrix path.
+# Chunk size (in values) for the packing bit matrix.
 _CHUNK = 1 << 22
+# Unpack payloads below this many bits use the bit matrix: the strided
+# kernel's eight column passes cost more than the matrix at this size.
+_SMALL_BITS = 8192
 
 
 def _as_unsigned(values: np.ndarray, width: int) -> np.ndarray:
@@ -71,7 +82,12 @@ def pack_bits_le(values: np.ndarray, width: int) -> bytes:
 def unpack_bits_le(
     data: bytes, width: int, n_values: int, pos: int = 0, dtype=np.uint64
 ) -> tuple[np.ndarray, int]:
-    """Inverse of :func:`pack_bits_le`. Returns (array of ``dtype``, new_pos)."""
+    """Inverse of :func:`pack_bits_le`. Returns (array of ``dtype``, new_pos).
+
+    Byte-aligned widths are a byte copy; a payload of fewer than
+    ``_SMALL_BITS`` bits goes through the bit matrix, whose cost grows
+    with the bit count but has no per-column overhead; larger payloads
+    take the group-of-8 strided kernel (:func:`_unpack_strided`)."""
     dtype = np.dtype(dtype)
     if width > dtype.itemsize * 8:
         raise ValueError(f"width {width} does not fit dtype {dtype}")
@@ -89,19 +105,41 @@ def unpack_bits_le(
         padded = np.zeros((n_values, itemsize), dtype=np.uint8)
         padded[:, :nb] = raw.reshape(n_values, nb)
         return padded.view(dtype).reshape(n_values), pos + nbytes
-    out = np.empty(n_values, dtype=dtype)
-    bytes_per_chunk = (_CHUNK * width) // 8
-    done = 0
-    for s in range(0, nbytes, bytes_per_chunk):
-        chunk = raw[s : s + bytes_per_chunk]
-        bits = np.unpackbits(chunk, bitorder="little").reshape(-1, width)
-        m = len(bits)
+    if n_values * width < _SMALL_BITS:
+        bits = np.unpackbits(raw, bitorder="little").reshape(n_values, width)
         row_bytes = np.packbits(bits, axis=1, bitorder="little")
-        widened = np.zeros((m, itemsize), dtype=np.uint8)
+        widened = np.zeros((n_values, itemsize), dtype=np.uint8)
         widened[:, : row_bytes.shape[1]] = row_bytes
-        out[done : done + m] = widened.view(dtype).reshape(m)
-        done += m
-    return out, pos + nbytes
+        return widened.view(dtype).reshape(n_values), pos + nbytes
+    src = np.zeros(nbytes + 8, dtype=np.uint8)  # a word load may read 8 bytes past the payload
+    src[:nbytes] = raw
+    return _unpack_strided(src, width, n_values, dtype), pos + nbytes
+
+
+def _unpack_strided(src: np.ndarray, width: int, n_values: int, dtype: np.dtype) -> np.ndarray:
+    """Group-of-8 strided unpack (Lemire & Boytsov's layout): a group of 8
+    values is exactly ``width`` bytes, so value *j* of every group starts
+    at the same byte ``(j*width) >> 3`` and bit ``(j*width) & 7``.  Each
+    of the 8 output columns is one strided little-endian word load over
+    all groups, a shift and a mask, written straight into ``dtype``.  A
+    value that spans 9 bytes (width > 56 at a non-zero shift) ORs in the
+    9th byte.  ``src`` holds the payload plus at least 8 readable bytes."""
+    groups = n_values // 8
+    udt = np.dtype(f"<u{dtype.itemsize}")
+    out = np.empty((groups, 8), dtype=udt)
+    mask = udt.type((1 << width) - 1)
+    for j in range(8):
+        bit = j * width
+        byte, shift = bit >> 3, bit & 7
+        wdt = udt if shift + width <= 8 * udt.itemsize else np.dtype("<u8")
+        col = out[:, j]
+        word = np.ndarray(groups, wdt, src, byte, (width,))
+        np.right_shift(word, wdt.type(shift), out=col, casting="unsafe")
+        if shift + width > 64:
+            top = np.ndarray(groups, np.uint8, src, byte + 8, (width,))
+            np.bitwise_or(col, top.astype(udt) << udt.type(64 - shift), out=col)
+        np.bitwise_and(col, mask, out=col)
+    return out.reshape(n_values).view(dtype)
 
 
 def decode_bple(data: bytes, width: int, scaled_run_len: int, pos: int = 0) -> tuple[np.ndarray, int]:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bitpack import _as_unsigned, pack_bits_le, unpack_bits_le
+from .hybrid_columnar import _ragged_indices
 from .varint import decode_varint, encode_varint
 
 _RLE_MIN_RUN = 16  # shortest equal-value run worth an RLE run of its own
@@ -109,29 +110,59 @@ def decode_hybrid(
     """Decode a multi-run RLE/BP hybrid stream of exactly ``n_values``
     values. Spec-correct superset of reference ``decodeRLEBPHybrid``
     (`Decoder.hs:119-135`); the final bit-packed group's zero padding is
-    truncated (matching the reference's ``take num_values``)."""
+    truncated (matching the reference's ``take num_values``).
+
+    One Python walk reads the run headers: RLE runs fill by slice
+    assignment, bit-packed runs only record their payload span.  The
+    spans are then joined and unpacked in ONE :func:`unpack_bits_le`
+    call at the stream's width and scattered into place, so a level
+    stream with a bit-packed group at every row boundary costs one
+    unpack, not one per group.  A run whose bytes pass the end of
+    ``data`` raises ``ValueError`` naming the byte offset."""
     out = np.empty(n_values, dtype=dtype)
     filled = 0
     nb = _fixed_width_bytes(width)
+    end = len(data)
+    bp_out: list[int] = []  # per bit-packed run: first output slot,
+    bp_in: list[int] = []  # payload byte offset,
+    bp_groups: list[int] = []  # and groups of 8 values
     while filled < n_values:
         header, pos = decode_varint(data, pos)
         if header & 1:
             groups = header >> 1
-            vals, pos = unpack_bits_le(data, width, 8 * groups, pos, dtype=out.dtype)
-            take = min(8 * groups, n_values - filled)
-            out[filled : filled + take] = vals[:take]
-            filled += take
+            nbytes = groups * width
+            if nbytes > end - pos:
+                raise ValueError(
+                    f"RLE/BP hybrid stream: bit-packed run at byte {pos} needs "
+                    f"{nbytes} payload bytes, {end - pos} remain")
+            bp_out.append(filled)
+            bp_in.append(pos)
+            bp_groups.append(groups)
+            filled = min(filled + 8 * groups, n_values)
+            pos += nbytes
         else:
             run = header >> 1
-            if width == 0:
-                value = 0
-            else:
-                value = int.from_bytes(data[pos : pos + nb], "little")
-                pos += nb
+            if nb > end - pos:
+                raise ValueError(
+                    f"RLE/BP hybrid stream: RLE run value at byte {pos} needs "
+                    f"{nb} bytes, {end - pos} remain")
+            value = int.from_bytes(data[pos : pos + nb], "little")
+            pos += nb
             if run > n_values - filled:
                 raise ValueError("RLE run overruns n_values")
             out[filled : filled + run] = value
             filled += run
+    if len(bp_out) == 1:
+        vals, _ = unpack_bits_le(data, width, 8 * bp_groups[0], bp_in[0], dtype=out.dtype)
+        take = min(len(vals), n_values - bp_out[0])
+        out[bp_out[0] : bp_out[0] + take] = vals[:take]
+    elif bp_out:
+        payload = b"".join(data[p : p + g * width] for p, g in zip(bp_in, bp_groups))
+        vals, _ = unpack_bits_le(payload, width, 8 * sum(bp_groups), 0, dtype=out.dtype)
+        starts = np.asarray(bp_out, dtype=np.int64)
+        lens = 8 * np.asarray(bp_groups, dtype=np.int64)
+        lens[-1] = min(lens[-1], n_values - starts[-1])  # only the last run truncates
+        out[_ragged_indices(starts, lens)] = vals[: int(lens.sum())]
     return out, pos
 
 

@@ -152,25 +152,33 @@ _ENC_DELTA_BP, _ENC_DELTA_LEN_BA, _ENC_DELTA_BA = 5, 6, 7
 _ENC_BYTE_STREAM_SPLIT = 9
 
 
+def _level_dtype(max_level: int) -> np.dtype:
+    """The narrowest dtype a level stream decodes into: assembly compares
+    and scans 1-byte levels for any schema nested under 255 levels."""
+    return np.dtype(np.uint8 if max_level < 256 else np.uint16)
+
+
 def _decode_levels(buf: bytes, pos: int, n: int, max_level: int,
                    encoding: int = _ENC_RLE) -> tuple[np.ndarray, int]:
     """Level stream: absent (max_level==0) -> zeros (`fill_level_default`,
     Stream/Reader.hs:122-125); else a u32-LE length prefix followed by the
     header-declared encoding — RLE/BP hybrid runs or deprecated BIT_PACKED
     (big-endian groups-of-8, `decodeLevel`, Stream/Reader.hs:264-282; the
-    D4 kernel). Unknown level encodings raise, mirroring the reference."""
+    D4 kernel). Unknown level encodings raise, mirroring the reference.
+    Levels come back as ``_level_dtype(max_level)``."""
+    dtype = _level_dtype(max_level)
     if max_level == 0:
-        return np.zeros(n, dtype=np.uint32), pos
+        return np.zeros(n, dtype=dtype), pos
     width = int(max_level).bit_length()
     ln = int.from_bytes(buf[pos : pos + 4], "little")
     pos += 4
     if encoding == _ENC_RLE:
-        vals, used = decode_hybrid(buf, width, n, pos)
+        vals, used = decode_hybrid(buf, width, n, pos, dtype=dtype)
     elif encoding == _ENC_BIT_PACKED:
         from ..codecs.bitpack import decode_bpbe
 
         vals, used = decode_bpbe(buf, width, pos)
-        vals = vals[:n]  # groups of 8 may overshoot num_values
+        vals = vals[:n].astype(dtype)  # groups of 8 may overshoot num_values
     else:
         raise ValueError(
             f"unsupported level encoding {encoding} (only RLE and BIT_PACKED, "
@@ -178,7 +186,7 @@ def _decode_levels(buf: bytes, pos: int, n: int, max_level: int,
         )
     if used - pos > ln:
         raise ValueError("level stream overran its length prefix")
-    return vals.astype(np.uint32), pos + ln
+    return vals, pos + ln
 
 
 class ByteArrayValues:
@@ -327,9 +335,12 @@ def _decode_delta_binary_packed(buf: bytes, pos: int, n: int
     then per block a zigzag min_delta + one bit-width byte per miniblock
     + LSB-bit-packed deltas.  The reference declares the enum
     (`/root/reference/src/Parquet/Types/Enums.hs:70-79`) but never
-    implements it — this decode is a strict superset.  Vectorized: each
-    miniblock unpacks via the shared ``unpack_bits_le`` kernel and the
+    implements it — this decode is a strict superset.  Vectorized: one
+    Python walk reads the block headers and skips the payloads; the
+    miniblocks of each distinct bit width unpack in ONE
+    ``unpack_bits_le`` call, ``min_delta`` adds per miniblock and the
     prefix sum is one ``np.cumsum``."""
+    from ..codecs.hybrid_columnar import _ragged_indices
     from ..codecs.varint import decode_varint, zigzag_decode
 
     block_size, pos = decode_varint(buf, pos)
@@ -340,37 +351,51 @@ def _decode_delta_binary_packed(buf: bytes, pos: int, n: int
     if total < n:
         raise ValueError(
             f"delta stream declares {total} values, page needs {n}")
-    per_mini = block_size // n_mini
-    if per_mini % 8:
-        raise ValueError("miniblock size must be a multiple of 8")
-    deltas = []
+    per_mini = block_size // n_mini if n_mini else 0
+    if per_mini <= 0 or per_mini % 8:
+        raise ValueError("miniblock size must be a positive multiple of 8")
+    widths = bytearray()  # per present miniblock: its bit width,
+    starts, min_deltas = [], []  # payload offset and block's min_delta
     remaining = total - 1
     while remaining > 0:
         zz, pos = decode_varint(buf, pos)
         min_delta = zigzag_decode(zz)
-        widths = np.frombuffer(buf, dtype=np.uint8, count=n_mini, offset=pos)
-        pos += n_mini
-        for mi in range(n_mini):
-            if remaining <= 0:
-                # trailing miniblocks of the last block are ABSENT once
-                # all values are produced (writers may also emit them;
-                # the count-derived break matches both)
-                break
-            w = int(widths[mi])
-            vals, pos = unpack_bits_le(buf, w, per_mini, pos,
-                                       dtype=np.uint64)
-            take = min(per_mini, remaining)
-            deltas.append(vals[:take].astype(np.int64) + min_delta)
-            remaining -= take
-    if deltas:
-        d = np.concatenate(deltas)
-        out = np.empty(len(d) + 1, dtype=np.int64)
-        out[0] = first
-        np.cumsum(d, out=out[1:])
-        out[1:] += first
-    else:
-        out = np.array([first], dtype=np.int64) if total else \
-            np.empty(0, dtype=np.int64)
+        # trailing miniblocks of the last block are ABSENT once all
+        # values are produced (writers may also emit them; the
+        # count-derived cut matches both)
+        present = min(n_mini, -(-remaining // per_mini))
+        ws = buf[pos:pos + present]
+        at, pos = pos, pos + n_mini
+        for w in ws:
+            starts.append(pos)
+            pos += w * per_mini // 8
+        if len(ws) < present or pos > len(buf):
+            raise ValueError(
+                f"DELTA_BINARY_PACKED block at byte {at} overruns the "
+                f"{len(buf)}-byte page")
+        widths += ws
+        min_deltas += [min_delta] * present
+        remaining -= present * per_mini
+    if not starts:
+        out = np.array([first] if total else [], dtype=np.int64)
+        return out[:n], pos
+    w = np.frombuffer(bytes(widths), dtype=np.uint8).astype(np.int64)
+    nbytes = w * per_mini // 8
+    starts = np.asarray(starts, dtype=np.int64)
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    deltas = np.empty((len(w), per_mini), dtype=np.uint64)
+    for width in np.unique(w).tolist():
+        sel = np.flatnonzero(w == width)
+        payload = raw[_ragged_indices(starts[sel], nbytes[sel])]
+        vals, _ = unpack_bits_le(payload, width, per_mini * len(sel),
+                                 dtype=np.uint64)
+        deltas[sel] = vals.reshape(len(sel), per_mini)
+    d = deltas.view(np.int64) + np.asarray(min_deltas, np.int64)[:, None]
+    d = d.reshape(-1)[:total - 1]
+    out = np.empty(total, dtype=np.int64)
+    out[0] = first
+    np.cumsum(d, out=out[1:])
+    out[1:] += first
     return out[:n], pos
 
 
@@ -503,13 +528,14 @@ def _decode_levels_v2(buf: bytes, pos: int, byte_len: int, n: int,
     """V2 level stream: NO u32 length prefix (the byte length lives in
     DataPageHeaderV2 fields 5/6), always RLE/BP hybrid, and absent
     entirely (byte_len 0) when max_level == 0."""
+    dtype = _level_dtype(max_level)
     if max_level == 0:
-        return np.zeros(n, dtype=np.uint32), pos + byte_len
+        return np.zeros(n, dtype=dtype), pos + byte_len
     width = int(max_level).bit_length()
-    vals, used = decode_hybrid(buf, width, n, pos)
+    vals, used = decode_hybrid(buf, width, n, pos, dtype=dtype)
     if used - pos > byte_len:
         raise ValueError("v2 level stream overran its declared byte length")
-    return vals.astype(np.uint32), pos + byte_len
+    return vals, pos + byte_len
 
 
 def _read_page(chunk: bytes, pos: int, codec) -> tuple[dict, bytes, int]:
@@ -609,7 +635,8 @@ def decode_column_chunk_pages(chunk: bytes, n_total: int, physical: str,
             # (data page v2 writes them this way): u32 byte length then
             # the RLE/BP hybrid at bit-width 1
             rle_len = int.from_bytes(body[p:p + 4], "little")
-            bits, used = decode_hybrid(body, 1, n_present, p + 4)
+            bits, used = decode_hybrid(body, 1, n_present, p + 4,
+                                       dtype=np.uint8)
             if used - (p + 4) > rle_len:
                 raise ValueError("boolean RLE stream overran its length")
             vals = bits.astype(bool)
@@ -642,19 +669,24 @@ def decode_column_chunk_pages(chunk: bytes, n_total: int, physical: str,
                 raise ValueError("PLAIN_DICTIONARY page without dictionary page")
             width = body[p]
             p += 1
-            idx, p = decode_hybrid(body, width, n_present, p)
+            if width > 32:  # dictionaries hold < 2**31 entries
+                raise ValueError(f"dictionary index bit width {width} > 32")
+            idx, p = decode_hybrid(body, width, n_present, p,
+                                   dtype=np.uint32)
             if isinstance(dictionary, ByteArrayValues):
-                vals = dictionary.take(idx.astype(np.int64))
+                vals = dictionary.take(idx)
             else:
-                vals = dictionary[idx.astype(np.int64)]
+                vals = dictionary[idx]
         else:
             raise ValueError(f"unsupported value encoding {enc}")
         reps.append(rep)
         defs.append(dfl)
         values.append(vals)
         seen += n_vals
-    rep = np.concatenate(reps) if reps else np.empty(0, np.uint32)
-    dfl = np.concatenate(defs) if defs else np.empty(0, np.uint32)
+    rep = (np.concatenate(reps) if reps
+           else np.empty(0, _level_dtype(max_rep)))
+    dfl = (np.concatenate(defs) if defs
+           else np.empty(0, _level_dtype(max_def)))
     if values and isinstance(values[0], ByteArrayValues):
         vals = ByteArrayValues.concat(values)
     else:
@@ -687,7 +719,20 @@ def _leaf_values_to_arrow(values, t: pa.DataType) -> pa.Array:
         out[:, :8] = v.view(np.uint8).reshape(len(v), 8)
         out[v < 0, 8:] = 0xFF
         return pa.Array.from_buffers(t, len(v), [None, pa.py_buffer(out)])
+    if isinstance(values, np.ndarray) and values.dtype == _storage_dtype(t):
+        return pa.array(values, type=t)
     return pa.array(values if isinstance(values, list) else values.tolist(), t)
+
+
+def _storage_dtype(t: pa.DataType) -> "np.dtype | None":
+    """The ndarray dtype Arrow stores type ``t`` as — an ndarray of it
+    converts without boxing each value; None for types without one."""
+    if (pa.types.is_integer(t) or pa.types.is_floating(t)
+            or pa.types.is_boolean(t)):
+        return np.dtype(t.to_pandas_dtype())
+    if pa.types.is_temporal(t) and t.bit_width in (32, 64):
+        return np.dtype(f"<i{t.bit_width // 8}")
+    return None
 
 
 def _leaf_count(t: pa.DataType) -> int:
@@ -706,8 +751,8 @@ def _construct_node(t: pa.DataType, nullable: bool, r: int, d_slot: int,
     """General Dremel inverse over one schema-tree node.
 
     ``leaves`` is the depth-first list of this subtree's parquet leaf
-    streams, each ``(rep, def, values, max_def)`` (rep/def int64 arrays
-    over the whole stream; values present-only).  ``r`` is the node's
+    streams, each ``(rep, def, values, max_def)`` (rep/def unsigned level
+    arrays over the whole stream; values present-only).  ``r`` is the node's
     repetition level; ``d_slot`` the definition level at which a stream
     position materializes a SLOT of this node (for struct children this
     equals the struct's own d_slot — Arrow struct children carry an
@@ -727,7 +772,7 @@ def _construct_node(t: pa.DataType, nullable: bool, r: int, d_slot: int,
     - a leaf value exists iff ``def == max_def``, consumed in stream
       order.
 
-    Everything is vectorized (flatnonzero / searchsorted / add.at); no
+    Everything is vectorized (flatnonzero / searchsorted); no
     per-record interpreter.  Supports arbitrary interleavings of
     structs, lists, large_lists and maps over any supported leaf type.
     """
@@ -761,11 +806,14 @@ def _construct_node(t: pa.DataType, nullable: bool, r: int, d_slot: int,
             child = _construct_node(vf.type, vf.nullable, r + 1, d_def + 1,
                                     d_def + 1, leaves)
         child_slots = np.flatnonzero((rep0 <= r + 1) & (dfl0 >= d_def + 1))
-        counts = np.zeros(len(slots), dtype=np.int64)
-        if len(child_slots):
-            parent = np.searchsorted(slots, child_slots, side="right") - 1
-            np.add.at(counts, parent, 1)
-        off_np = np.concatenate([[0], np.cumsum(counts)])
+        # a child slot belongs to the last slot at or before it, so slot
+        # i's offset is the number of child slots before it: one binary
+        # search per slot into the (far longer) child slots
+        if len(child_slots) and (not len(slots)
+                                 or child_slots[0] < slots[0]):
+            raise ValueError(f"{t} element before the stream's first slot")
+        off_np = np.append(np.searchsorted(child_slots, slots),
+                           len(child_slots))
         if pa.types.is_map(t):
             # null maps via offsets-with-nulls (MapArray has no mask=):
             # a null at offsets[i] marks entry i null (i < n)
@@ -803,8 +851,7 @@ def _construct_node(t: pa.DataType, nullable: bool, r: int, d_slot: int,
         return arr
     idx = np.full(n, -1, dtype=np.int64)
     idx[present] = np.arange(taken)
-    return arr.take(pa.array([int(i) if i >= 0 else None for i in idx],
-                             pa.int64()))
+    return arr.take(pa.array(idx, mask=idx < 0))
 
 
 def assemble_record_tree(field: pa.Field, leaves: list,
@@ -1036,8 +1083,7 @@ def read_row_group_page_pruned(path: str, km, rg: int, ranges: list,
         rep, dfl, vals = decode_column_chunk_pages(
             raw, n_values, leaf.physical, leaf.max_rep, leaf.max_def,
             codec=_page_codec(cc.codec), type_length=leaf.type_length)
-        return (np.asarray(rep, np.int64), np.asarray(dfl, np.int64),
-                vals, leaf.max_def)
+        return rep, dfl, vals, leaf.max_def
 
     def decode_chunk(ci: int):
         cc = km.row_groups[rg].columns[ci]
