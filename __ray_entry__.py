@@ -109,7 +109,7 @@ def _encode_job_f1(sf_dir: str):
     from parquet_hs_ray.state import manifest as mf
 
     src, out = _f1_out_dir(sf_dir)
-    encode_dataset(src, out, token_budget=500_000, concurrency=4)
+    encode_dataset(src, out, token_budget=500_000)
     entries = mf.load_manifest(out)
     # deterministic manifest fields only (promoted to a hash oracle in
     # r5 per the r4 verdict: the skew-aware plan puts one partition per
@@ -132,7 +132,7 @@ def _decode_f1(sf_dir: str):
     from parquet_hs_ray.pipelines.encode_job import decode_dataset, encode_dataset
 
     src, out = _f1_out_dir(sf_dir)
-    encode_dataset(src, out, token_budget=500_000, concurrency=4)
+    encode_dataset(src, out, token_budget=500_000)
     return decode_dataset(out)
 
 
@@ -260,7 +260,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from parquet_hs_ray.pipelines.encode_job import decode_dataset, encode_dataset
 
         src, out = _f1_out_dir(sf)
-        encode_dataset(src, out, token_budget=500_000, concurrency=4)
+        encode_dataset(src, out, token_budget=500_000)
         return decode_dataset(out, predicate=("tokens", "contains", 777))
 
     q["decode_f1_contains"] = decode_f1_contains
@@ -276,7 +276,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                                          encode_dataset)
 
         src, out = _f1_out_dir(sf)
-        encode_dataset(src, out, token_budget=500_000, concurrency=4)
+        encode_dataset(src, out, token_budget=500_000)
 
         def fn(base: "pa.Table") -> "pa.Table":
             arr = base["tokens"].combine_chunks()
@@ -308,7 +308,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # deletes are monotone on a persisted store; start fresh so the
         # survivor set matches the oracle exactly on every driver run
         shutil.rmtree(out, ignore_errors=True)
-        encode_dataset(src, out, token_budget=500_000, concurrency=4)
+        encode_dataset(src, out, token_budget=500_000)
         delete_rows(out, ("n_tok", ">", 900))
         delete_rows(out, ("source", "==", "web"))
         return decode_dataset(out)
@@ -328,7 +328,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         src, out = _f1_out_dir(sf)
         out = out + "_snap"
         shutil.rmtree(out, ignore_errors=True)
-        encode_dataset(src, out, token_budget=500_000, concurrency=4)
+        encode_dataset(src, out, token_budget=500_000)
         delete_rows(out, ("n_tok", ">", 900))
         snaps.create_snapshot(out, "v1")
         delete_rows(out, ("source", "==", "web"))   # must be invisible
@@ -342,7 +342,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from parquet_hs_ray.pipelines.encode_job import decode_dataset, encode_dataset
 
         src, out = _f1_out_dir(sf)
-        encode_dataset(src, out, token_budget=500_000, concurrency=4)
+        encode_dataset(src, out, token_budget=500_000)
         return decode_dataset(
             out, predicate=("source", "in", ["wiki", "news", "papers"]))
 

@@ -108,8 +108,7 @@ def main() -> None:
     shutil.rmtree(enc_dir, ignore_errors=True)
     warm_dir = enc_dir + "_warm"
     shutil.rmtree(warm_dir, ignore_errors=True)
-    encode_dataset(src, warm_dir, token_budget=2_000_000,
-                   concurrency=max(2, NUM_CPUS - 1), use_actors=False)
+    encode_dataset(src, warm_dir, token_budget=2_000_000)
     shutil.rmtree(warm_dir, ignore_errors=True)
 
     queries: dict[str, float] = {}
@@ -138,8 +137,7 @@ def main() -> None:
     while True:
         shutil.rmtree(enc_dir, ignore_errors=True)
         t0 = time.perf_counter()
-        encode_dataset(src, enc_dir, token_budget=2_000_000,
-                       concurrency=max(2, NUM_CPUS - 1), use_actors=False)
+        encode_dataset(src, enc_dir, token_budget=2_000_000)
         pass_times.append(time.perf_counter() - t0)
         if tokens is None:
             tokens = mf.summary(enc_dir)["tokens"]

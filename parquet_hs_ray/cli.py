@@ -117,7 +117,6 @@ def main(argv=None):
     enc.add_argument("--out", required=True)
     enc.add_argument("--token-col", default="n_tok")
     enc.add_argument("--token-budget", type=int, default=4_000_000)
-    enc.add_argument("--concurrency", type=int, default=None)
     enc.add_argument("--force", action="store_true", help="wipe output dir first")
     enc.add_argument("--no-resume", action="store_true")
     enc.add_argument("--no-bloom", action="store_true",
@@ -303,7 +302,7 @@ def main(argv=None):
             tc = args.token_col if args.token_col not in ("", "none") else None
             res = encode_dataset(
                 args.input, args.out, token_col=tc, token_budget=args.token_budget,
-                concurrency=args.concurrency, resume=not args.no_resume,
+                resume=not args.no_resume,
                 bloom_stats=not args.no_bloom,
             )
             print(json.dumps(res))

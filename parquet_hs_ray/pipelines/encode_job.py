@@ -2,10 +2,16 @@
 
 Lifecycle (SURVEY.md §3.5): plan (n_tok-pruned scan, skew-aware token
 budget) -> resume-filter on manifest -> control Dataset of partitions ->
-``map_batches(EncoderStage)`` (plain tasks, or an actor pool for big
-jobs) -> blobs + per-partition manifest. Decode is the inverse: manifest
--> Dataset -> one ``map_batches(DecoderStage)`` -> Arrow tables streaming
-onward.
+``map_batches(encode_partitions)`` -> blobs + per-partition manifest.
+Decode is the inverse: manifest -> Dataset -> one
+``map_batches(DecoderStage)`` -> Arrow tables streaming onward.
+
+Every job has one Ray shape: a control Dataset of partition rows and one
+plain-task ``map_batches`` over it, one partition per batch
+(``batch_size=1, num_cpus=1, batch_format="numpy"``). The stage is
+passed as a callable (an instance or a ``functools.partial``), never
+through ``fn_kwargs``: the benchmark's in-process replay
+(``perfbench/tracing.py``) calls the callable as given.
 
 Partition I/O has one reader and one writer: every blob read goes
 through ``manifest.read_blob`` with its manifest crc32 (a corrupt blob
@@ -19,6 +25,7 @@ assume a session exists (Ray Data auto-inits local otherwise).
 
 from __future__ import annotations
 
+import functools
 import glob
 import os
 
@@ -26,6 +33,9 @@ import ray.data
 
 from .. import predicates as P
 from ..plan import DEFAULT_TOKEN_BUDGET, Partition, build_plan, load_plan, save_plan
+from ..stages.decode import DecoderStage
+from ..stages.encode import encode_partitions
+from ..state import manifest as mf
 
 
 def tables_bitwise_equal(a, b) -> bool:
@@ -56,9 +66,6 @@ def tables_bitwise_equal(a, b) -> bool:
         elif not ca.equals(cb):
             return False
     return True
-from ..stages.decode import DecoderStage
-from ..stages.encode import EncoderStage
-from ..state import manifest as mf
 
 
 def _expand_paths(input_path: str | list[str], filesystem=None) -> list[str]:
@@ -89,9 +96,7 @@ def encode_dataset(
     out_dir: str,
     token_col: str | None = "n_tok",
     token_budget: int = DEFAULT_TOKEN_BUDGET,
-    concurrency: int | None = None,
     resume: bool = True,
-    use_actors: bool | None = None,
     filesystem=None,
     input_filesystem=None,
     append: bool = False,
@@ -105,11 +110,9 @@ def encode_dataset(
     also simply be URIs) — on a multi-node cluster the output MUST be on
     shared storage.
 
-    ``use_actors``: None = auto. Encoding state is per-partition (symbol
-    tables are rebuilt deterministically), so the stage is valid both as an
-    actor pool and as plain tasks. Actors win when each amortizes its
-    process warm-up over many partitions (real-scale jobs); tasks win for
-    small jobs because Ray REUSES warm worker processes across stages."""
+    Each partition is one plain task: encoding holds no state across
+    partitions (symbol tables are rebuilt deterministically per blob),
+    and Ray reuses warm worker processes across tasks."""
     from ..state import fsio
 
     paths = _expand_paths(input_path, input_filesystem)
@@ -154,34 +157,11 @@ def encode_dataset(
          "row_count": p.row_count, "est_tokens": p.est_tokens}
         for p in todo
     ]
-    ds = ray.data.from_items(items)
-    import ray as _ray
-
-    cpus = int(_ray.available_resources().get("CPU", 4))
-    if use_actors is None:
-        use_actors = len(items) >= cpus * 16
-    if use_actors:
-        if concurrency is None:
-            concurrency = max(2, min(cpus - 1, len(items) // 4 or 1))
-        concurrency = max(1, min(concurrency, len(items)))
-        out = ds.map_batches(
-            EncoderStage,
-            fn_constructor_kwargs={"out_dir": out_dir, "token_col": token_col,
-                                   "filesystem": filesystem,
-                                   "input_filesystem": input_filesystem,
-                                   "bloom_stats": bloom_stats},
-            batch_size=1,
-            concurrency=concurrency,
-            num_cpus=1,
-            batch_format="numpy",
-        )
-    else:
-        stage = EncoderStage(out_dir, token_col, filesystem=filesystem,
-                             input_filesystem=input_filesystem,
-                             bloom_stats=bloom_stats)
-        out = ds.map_batches(
-            stage, batch_size=1, num_cpus=1, batch_format="numpy"
-        )
+    stage = functools.partial(encode_partitions, out_dir=out_dir, token_col=token_col,
+                              filesystem=filesystem, input_filesystem=input_filesystem,
+                              bloom_stats=bloom_stats)
+    out = ray.data.from_items(items).map_batches(
+        stage, batch_size=1, num_cpus=1, batch_format="numpy")
     # consume: the stage wrote blobs+manifest; this materializes only the
     # small per-partition metrics rows
     metrics = out.to_pandas()
@@ -254,8 +234,7 @@ def _union_schema(out_dir: str, done_entries: list[dict], filesystem=None):
     return pa.schema([fields[n] for n in order])
 
 
-def delete_rows(out_dir: str, predicate, filesystem=None,
-                concurrency: int | None = None) -> dict:
+def delete_rows(out_dir: str, predicate, filesystem=None) -> dict:
     """Row-level DELETE over an encoded store, without rewriting blobs.
 
     Rows where ``predicate`` (same grammar as ``decode_dataset``)
@@ -307,8 +286,7 @@ def delete_rows(out_dir: str, predicate, filesystem=None,
         return {"partition_id": np.asarray(pids), "new": np.asarray(new)}
 
     res = ray.data.from_items(items).map_batches(
-        scan, batch_size=4, num_cpus=1, batch_format="numpy",
-        concurrency=concurrency).to_pandas()
+        scan, batch_size=1, num_cpus=1, batch_format="numpy").to_pandas()
     result["partitions_changed"] = int((res["new"] > 0).sum())
     result["rows_newly_deleted"] = int(res["new"].sum())
     return result
@@ -450,7 +428,8 @@ def verify_roundtrip(input_path: str | list[str], out_dir: str,
         return {"partition_id": batch["partition_id"],
                 "ok": np.asarray(ok), "rows": np.asarray(rows)}
 
-    res = ray.data.from_items(items).map_batches(check, batch_format="numpy").to_pandas()
+    res = ray.data.from_items(items).map_batches(
+        check, batch_size=1, num_cpus=1, batch_format="numpy").to_pandas()
     bad = res[~res["ok"]]
     summary = {"partitions": len(res), "rows": int(res["rows"].sum()),
                "mismatched_partitions": int(len(bad))}
@@ -605,11 +584,11 @@ def compact_dataset(src_dir: str, out_dir: str,
       Weights are manifest ``n_tokens``; datasets encoded without a
       token column fall back to ``raw_bytes`` (then the budget is in
       raw Arrow bytes — documented, not mixed).
-    - each group decodes its source blobs (one task per group, streaming
-      actor-pool-free map), concatenates, and RE-ENCODES the merged
-      chunk: the codec selector re-runs on the bigger chunk, so
-      dictionaries/symbol tables amortize and runs lengthen — compaction
-      usually SHRINKS total bytes, never changes decoded values.
+    - each group decodes its source blobs (one plain task per group),
+      concatenates, and RE-ENCODES the merged chunk: the codec selector
+      re-runs on the bigger chunk, so dictionaries/symbol tables amortize
+      and runs lengthen — compaction usually SHRINKS total bytes, never
+      changes decoded values.
     - the source is never mutated; the output manifest entry carries
       ``source_partitions`` + ``compacted_from`` lineage, fresh
       per-column stats and Bloom filters.
@@ -715,7 +694,7 @@ def aux_family_dir(out_dir: str, family: str) -> str:
 
 
 def backfill_columns(out_dir: str, family: str, fn, columns: list[str] | None = None,
-                     filesystem=None, concurrency: int | None = None) -> dict:
+                     filesystem=None) -> dict:
     """Add derived columns to an encoded store WITHOUT re-encoding it —
     the 100 TB backfill: computing a quality score over an already-encoded
     corpus must not rewrite the corpus.
@@ -732,8 +711,6 @@ def backfill_columns(out_dir: str, family: str, fn, columns: list[str] | None = 
 
     Scale shape: one task per partition, each reading exactly one base
     blob; the family adds bytes proportional to the new columns only."""
-    import ray.data as rd
-
     adir = aux_family_dir(out_dir, family)
     mf.ensure_dirs(adir, filesystem)
     entries = [e for e in mf.load_manifest(out_dir, filesystem)
@@ -785,10 +762,8 @@ def backfill_columns(out_dir: str, family: str, fn, columns: list[str] | None = 
                              "encoded_bytes": entry["encoded_bytes"]})
         return pd.DataFrame(out_rows)
 
-    ds = rd.from_items(items)
-    kw = {"concurrency": concurrency} if concurrency else {}
-    stats_rows = ds.map_batches(one, batch_size=1, num_cpus=1,
-                                batch_format="numpy", **kw).to_pandas()
+    stats_rows = ray.data.from_items(items).map_batches(
+        one, batch_size=1, num_cpus=1, batch_format="numpy").to_pandas()
     result["rows"] = int(stats_rows["rows"].sum())
     result["encoded_bytes"] = int(stats_rows["encoded_bytes"].sum())
     return result

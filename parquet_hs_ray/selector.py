@@ -32,12 +32,11 @@ CODEC_NAMES = {0: "plain", 1: "dict", 2: "rle", 3: "bitpack", 4: "for",
                10: "front"}
 
 # a dictionary larger than this is never attempted (scale guard: the dict is
-# per-column-chunk state held by the encoder actor)
+# per-column-chunk state built inside the encode task)
 _DICT_MAX_CARD = 1 << 16
 
 # deterministic tie-break: run-aware codecs first
-_TIE_PRIORITY = {"for": 0, "rle": 1, "dict": 2, "bitpack": 3, "pfor": 4,
-                 "delta": 5, "front": 6, "fsst": 7, "plain": 8}
+_TIE_PRIORITY = {"for": 0, "dict": 1, "pfor": 2, "delta": 3, "plain": 4}
 
 
 def _sample(values: np.ndarray) -> np.ndarray:
@@ -82,7 +81,12 @@ def _run_stats(sample: np.ndarray) -> tuple[int, float]:
 
 
 def select_int_codec(values: np.ndarray) -> tuple[int, ColumnStats]:
-    """Pick PLAIN / DICT / RLE / BITPACK / FOR for an integer array."""
+    """Pick PLAIN / DICT / FOR / PFOR / DELTA for an integer array.
+
+    FOR frames each run as RLE or bit-packed, whichever is smaller, so its
+    estimate is never above a pure-RLE or pure-BITPACK one and it wins
+    ties: those two are reachable only through
+    ``encode_array(codec_override=)``."""
     n = len(values)
     stats = ColumnStats(n=n)
     if n == 0:
@@ -108,8 +112,6 @@ def select_int_codec(values: np.ndarray) -> tuple[int, ColumnStats]:
     est_rle_runs = run_ratio * n * (4 + fw)  # word + value per run
     est_bp = n * width_for / 8
     est["for"] = min(est_bp, est_rle_runs) + 10
-    est["rle"] = est_rle_runs + 10
-    est["bitpack"] = est_bp + 10
     from .codecs.pfor import estimate_pfor
 
     est["pfor"] = estimate_pfor(sample, n)
@@ -125,7 +127,7 @@ def select_int_codec(values: np.ndarray) -> tuple[int, ColumnStats]:
     choice = min(est, key=lambda k: (est[k], _TIE_PRIORITY[k]))
     stats.predicted = {k: int(v) for k, v in est.items()}
     stats.codec = choice
-    return {"plain": PLAIN, "dict": DICT, "rle": RLE, "bitpack": BITPACK, "for": FOR, "pfor": PFOR, "delta": DELTA}[choice], stats
+    return {"plain": PLAIN, "dict": DICT, "for": FOR, "pfor": PFOR, "delta": DELTA}[choice], stats
 
 
 def select_float_codec(values: np.ndarray) -> tuple[int, ColumnStats]:

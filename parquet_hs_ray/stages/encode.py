@@ -1,16 +1,15 @@
 """Encoder stage: the ``map_batches`` callable of the encode job, and
 the one partition writer every blob-store job shares.
 
-One batch = one (or a few) partition plan rows; the stage reads its exact
+One batch = one partition plan row; ``encode_partitions`` reads its exact
 input slice (row-group-aligned, column-complete) and hands it to
 ``write_partition``, which encodes every column via the auto-selected
 codec, writes the blob atomically and then the manifest entry. The stage
-holds no codec state: dictionaries and FSST symbol tables are built per
-column inside ``encode_table`` and travel inside the blob — the
-self-contained analogue of the reference's threaded-through-recursion
-dictionary state (reference `src/Parquet/Stream/Reader.hs:346-372`).
-It runs as plain tasks or as an actor pool (``encode_dataset(use_actors=)``);
-an actor only amortizes process warm-up across partitions.
+is a plain function run as plain tasks: dictionaries and FSST symbol
+tables are built per column inside ``encode_table`` and travel inside
+the blob — the self-contained analogue of the reference's
+threaded-through-recursion dictionary state (reference
+`src/Parquet/Stream/Reader.hs:346-372`) — so nothing outlives a batch.
 
 Restart-safety: encoding is deterministic (selector uses stride sampling,
 no RNG) and the blob write is temp+rename keyed by partition id, so a
@@ -96,55 +95,33 @@ def write_partition(out_dir: str, part: Partition, tbl: pa.Table, n_tokens: int,
     return entry
 
 
-class EncoderStage:
-    """Callable class for ``map_batches(EncoderStage, concurrency=N)`` (or
-    an instance, as plain tasks) over a control dataset of partition plan
-    rows."""
-
-    def __init__(self, out_dir: str, token_col: str | None = "n_tok",
-                 filesystem=None, input_filesystem=None, bloom_stats: bool = True):
-        t0 = time.perf_counter()
-        from ..memtune import ensure_process_tuned
-
-        ensure_process_tuned()  # pay the page-fault storm once per process
-        self.out_dir = out_dir
-        self.token_col = token_col
-        self.bloom_stats = bloom_stats
-        self.filesystem = filesystem  # output (blobs + manifest)
-        self.input_filesystem = input_filesystem  # source parquet
-        self.init_ms = round((time.perf_counter() - t0) * 1e3, 1)
-        self.first = True
-        mf.ensure_dirs(out_dir, filesystem)
-
-    def encode_partition(self, part: Partition) -> dict:
+def encode_partitions(batch: dict, out_dir: str, token_col: str | None = "n_tok",
+                      filesystem=None, input_filesystem=None,
+                      bloom_stats: bool = True) -> dict:
+    """``map_batches`` callable of the encode job, bound to its options
+    with ``functools.partial``: read each plan row's input slice (from
+    ``input_filesystem``) and write it through ``write_partition`` (to
+    ``filesystem``). Returns the per-partition metrics rows."""
+    out = {"partition_id": [], "row_count": [], "n_tokens": [], "raw_bytes": [],
+           "encoded_bytes": [], "wall_ms": []}
+    for i in range(len(batch["partition_id"])):
+        part = Partition(
+            partition_id=int(batch["partition_id"][i]),
+            path=str(batch["path"][i]),
+            row_start=int(batch["row_start"][i]),
+            row_count=int(batch["row_count"][i]),
+            est_tokens=int(batch["est_tokens"][i]),
+        )
         t0 = time.perf_counter()
         tbl = read_slice(part.path, part.row_start, part.row_count,
-                         filesystem=self.input_filesystem)
+                         filesystem=input_filesystem)
         read_ms = round((time.perf_counter() - t0) * 1e3, 1)
-        if self.token_col and self.token_col in tbl.column_names:
-            col = tbl[self.token_col].combine_chunks()
-            n_tokens = int(pa.compute.sum(col).as_py() or 0) if tbl.num_rows else 0
-            n_tokens = max(0, n_tokens)
-        else:
-            n_tokens = 0
-        lineage = {"actor_init_ms": self.init_ms} if self.first else {}
-        self.first = False
-        return write_partition(self.out_dir, part, tbl, n_tokens, self.filesystem,
-                               bloom=self.bloom_stats, read_ms=read_ms, **lineage)
-
-    def __call__(self, batch: dict) -> dict:
-        out = {"partition_id": [], "row_count": [], "n_tokens": [], "raw_bytes": [],
-               "encoded_bytes": [], "wall_ms": []}
-        n = len(batch["partition_id"])
-        for i in range(n):
-            part = Partition(
-                partition_id=int(batch["partition_id"][i]),
-                path=str(batch["path"][i]),
-                row_start=int(batch["row_start"][i]),
-                row_count=int(batch["row_count"][i]),
-                est_tokens=int(batch["est_tokens"][i]),
-            )
-            e = self.encode_partition(part)
-            for k in out:
-                out[k].append(e[k])
-        return {k: np.asarray(v) for k, v in out.items()}
+        n_tokens = 0
+        if token_col and token_col in tbl.column_names and tbl.num_rows:
+            col = tbl[token_col].combine_chunks()
+            n_tokens = max(0, int(pa.compute.sum(col).as_py() or 0))
+        e = write_partition(out_dir, part, tbl, n_tokens, filesystem,
+                            bloom=bloom_stats, read_ms=read_ms)
+        for k in out:
+            out[k].append(e[k])
+    return {k: np.asarray(v) for k, v in out.items()}

@@ -37,7 +37,7 @@ def _encoded(f1_dir, tmp_path, name="enc"):
     from parquet_hs_ray.pipelines.encode_job import encode_dataset
 
     out = str(tmp_path / name)
-    encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    encode_dataset(f1_dir, out, token_budget=300_000)
     return out
 
 

@@ -60,7 +60,7 @@ def test_encode_decode_verify_resume(ray_session, f1_dir, tmp_path):
     from parquet_hs_ray.pipelines.encode_job import decode_dataset, encode_dataset, verify_roundtrip
 
     out = str(tmp_path / "enc")
-    res = encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    res = encode_dataset(f1_dir, out, token_budget=300_000)
     assert res["planned"] == res["encoded"] + res["skipped_finished"]
     assert res["rows"] == 3000
     assert res["encoded_bytes"] > 0
@@ -81,7 +81,7 @@ def test_encode_decode_verify_resume(ray_session, f1_dir, tmp_path):
     os.remove(mf.blob_path(out, victim))
     blob_before = {p["partition_id"]: os.path.getmtime(mf.blob_path(out, p["partition_id"]))
                    for p in plan if p["partition_id"] != victim}
-    res2 = encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    res2 = encode_dataset(f1_dir, out, token_budget=300_000)
     assert res2["encoded"] == 1
     assert res2["skipped_finished"] == len(plan) - 1
     for pid, mtime in blob_before.items():
@@ -94,12 +94,12 @@ def test_retry_idempotent_blob(ray_session, f1_dir, tmp_path):
     from parquet_hs_ray.pipelines.encode_job import encode_dataset
 
     out = str(tmp_path / "enc")
-    encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    encode_dataset(f1_dir, out, token_budget=300_000)
     pid = 0
     with open(mf.blob_path(out, pid), "rb") as f:
         before = f.read()
     os.remove(mf.entry_path(out, pid))
-    encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    encode_dataset(f1_dir, out, token_budget=300_000)
     with open(mf.blob_path(out, pid), "rb") as f:
         after = f.read()
     assert before == after
@@ -111,7 +111,7 @@ def test_encode_generic_table_without_ntok(ray_session, tmp_path):
 
     out = str(tmp_path / "enc_li")
     res = encode_dataset("/root/testdata/sf0.001/lineitem.parquet", out,
-                         token_col=None, concurrency=2)
+                         token_col=None)
     assert res["rows"] == pq.ParquetFile("/root/testdata/sf0.001/lineitem.parquet").metadata.num_rows
     assert verify_roundtrip(None, out)["mismatched_partitions"] == 0
 
@@ -120,21 +120,27 @@ def test_decode_column_pruning(ray_session, f1_dir, tmp_path):
     from parquet_hs_ray.pipelines.encode_job import decode_dataset, encode_dataset
 
     out = str(tmp_path / "enc")
-    encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    encode_dataset(f1_dir, out, token_budget=300_000)
     ds = decode_dataset(out, columns=["n_tok", "source"])
     tbl = pa.concat_tables([pa.table(b) for b in ds.iter_batches(batch_format="pyarrow")])
     assert set(tbl.column_names) == {"n_tok", "source"}
     assert tbl.num_rows == 3000
 
 
-def test_encode_actor_pool_mode(ray_session, f1_dir, tmp_path):
-    """Force the actor-pool path (the default at real scale)."""
+def test_encode_many_partitions_one_task_path(ray_session, f1_dir, tmp_path):
+    """A job of >= 16 partitions per CPU (64 on the 4-CPU session) runs on
+    the same plain-task path as a small one, and no entry carries
+    actor-only lineage."""
     from parquet_hs_ray.pipelines.encode_job import encode_dataset, verify_roundtrip
 
-    out = str(tmp_path / "enc_actors")
-    res = encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2, use_actors=True)
+    out = str(tmp_path / "enc_many")
+    res = encode_dataset(f1_dir, out, token_budget=30_000)
+    assert res["encoded"] == res["planned"] >= 64
     assert res["rows"] == 3000
     assert verify_roundtrip(f1_dir, out)["mismatched_partitions"] == 0
+    entries = mf.load_manifest(out)
+    assert len(entries) == res["planned"]
+    assert not any("actor_init_ms" in e for e in entries)
 
 
 def test_verify_handles_nan_floats(ray_session, tmp_path):
@@ -149,7 +155,7 @@ def test_verify_handles_nan_floats(ray_session, tmp_path):
     path = str(tmp_path / "nan.parquet")
     pq.write_table(tbl, path)
     out = str(tmp_path / "enc_nan")
-    encode_dataset(path, out, token_col=None, concurrency=2)
+    encode_dataset(path, out, token_col=None)
     assert verify_roundtrip(None, out)["mismatched_partitions"] == 0
 
 
@@ -157,9 +163,9 @@ def test_encode_rejects_stale_plan_for_different_input(ray_session, f1_dir, tmp_
     from parquet_hs_ray.pipelines.encode_job import encode_dataset
 
     out = str(tmp_path / "enc_stale")
-    encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    encode_dataset(f1_dir, out, token_budget=300_000)
     with pytest.raises(ValueError, match="different input"):
-        encode_dataset("/root/testdata/sf0.001/lineitem.parquet", out, token_col=None, concurrency=2)
+        encode_dataset("/root/testdata/sf0.001/lineitem.parquet", out, token_col=None)
 
 
 def test_decode_predicate_prunes_partitions(ray_session, tmp_path):
@@ -297,7 +303,7 @@ def test_encode_append_new_files(ray_session, f1_dir, tmp_path):
     from parquet_hs_ray.pipelines.encode_job import decode_dataset, encode_dataset
 
     out = str(tmp_path / "enc")
-    res1 = encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    res1 = encode_dataset(f1_dir, out, token_budget=300_000)
     n1 = res1["planned"]
 
     extra_dir = str(tmp_path / "extra")
@@ -306,10 +312,10 @@ def test_encode_append_new_files(ray_session, f1_dir, tmp_path):
 
     # without append: rejected
     with pytest.raises(ValueError, match="different input"):
-        encode_dataset(all_files, out, token_budget=300_000, concurrency=2)
+        encode_dataset(all_files, out, token_budget=300_000)
 
     mtimes = {p: os.path.getmtime(mf.blob_path(out, p)) for p in range(n1)}
-    res2 = encode_dataset(all_files, out, token_budget=300_000, concurrency=2, append=True)
+    res2 = encode_dataset(all_files, out, token_budget=300_000, append=True)
     assert res2["planned"] > n1 and res2["skipped_finished"] == n1
     for p, t in mtimes.items():
         assert os.path.getmtime(mf.blob_path(out, p)) == t  # untouched
@@ -370,7 +376,7 @@ def test_decode_to_parquet_resumable(ray_session, f1_dir, tmp_path):
     from parquet_hs_ray.pipelines.encode_job import decode_to_parquet, encode_dataset
 
     out = str(tmp_path / "enc")
-    encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    encode_dataset(f1_dir, out, token_budget=300_000)
     dest = str(tmp_path / "export")
     r1 = decode_to_parquet(out, dest)
     assert r1["written"] == r1["partitions"] > 1 and r1["skipped_finished"] == 0
@@ -478,7 +484,7 @@ def test_decode_to_parquet_partition_cols(ray_session, f1_dir, tmp_path):
     from parquet_hs_ray.pipelines.encode_job import decode_to_parquet, encode_dataset
 
     out = str(tmp_path / "enc")
-    encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    encode_dataset(f1_dir, out, token_budget=300_000)
     dest = str(tmp_path / "export")
     r1 = decode_to_parquet(out, dest, partition_cols=["source"])
     assert r1["written"] == r1["partitions"] > 1
@@ -698,9 +704,9 @@ def test_schema_evolution_decode(ray_session, tmp_path):
     pq.write_table(t.append_column("lang", langs), f"{d2}/part_v2.parquet")
 
     out = str(tmp_path / "enc")
-    encode_dataset(d1, out, token_budget=100_000, concurrency=2)
+    encode_dataset(d1, out, token_budget=100_000)
     allf = sorted(glob.glob(f"{d1}/*.parquet") + glob.glob(f"{d2}/*.parquet"))
-    encode_dataset(allf, out, token_budget=100_000, concurrency=2, append=True)
+    encode_dataset(allf, out, token_budget=100_000, append=True)
 
     df = decode_dataset(out, unify_schema=True).to_pandas()
     assert "lang" in df.columns and len(df) == 600 + t.num_rows
@@ -727,7 +733,7 @@ def test_schema_evolution_decode(ray_session, tmp_path):
     pq.write_table(t.append_column("lang", pa.array(
         np.arange(t.num_rows, dtype=np.int64))), f"{d3}/part_v3.parquet")
     encode_dataset(sorted(allf + glob.glob(f"{d3}/*.parquet")), out,
-                   token_budget=100_000, concurrency=2, append=True)
+                   token_budget=100_000, append=True)
     # v2 and v3 share a column-NAME set, so the driver probe sees only
     # one of them; the drifted blob is refused at decode time instead
     with pytest.raises(Exception, match="type conflict"):
@@ -752,9 +758,9 @@ def test_schema_evolution_export_and_cli(ray_session, tmp_path):
         np.arange(t.num_rows, dtype=np.int64))), f"{d2}/p.parquet")
 
     out = str(tmp_path / "enc")
-    encode_dataset(d1, out, token_budget=80_000, concurrency=2)
+    encode_dataset(d1, out, token_budget=80_000)
     allf = sorted(glob.glob(f"{d1}/*.parquet") + glob.glob(f"{d2}/*.parquet"))
-    encode_dataset(allf, out, token_budget=80_000, concurrency=2, append=True)
+    encode_dataset(allf, out, token_budget=80_000, append=True)
 
     dest = str(tmp_path / "export")
     res = decode_to_parquet(out, dest, unify_schema=True)
@@ -774,7 +780,7 @@ def test_manifest_compaction(ray_session, f1_dir, tmp_path):
     from parquet_hs_ray.state.manifest import compact_manifest
 
     out = str(tmp_path / "enc")
-    encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    encode_dataset(f1_dir, out, token_budget=300_000)
     before = sorted(mf.load_manifest(out), key=lambda e: e["partition_id"])
     n = len(before)
 
@@ -786,14 +792,14 @@ def test_manifest_compaction(ray_session, f1_dir, tmp_path):
     assert after == before
 
     # resume over a compacted manifest: everything skips
-    res2 = encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    res2 = encode_dataset(f1_dir, out, token_budget=300_000)
     assert res2["skipped_finished"] == n and res2["encoded"] == 0
     assert decode_dataset(out).count() == 3000
 
     # delete one blob -> that partition re-encodes, loose entry overrides
     victim = before[0]["partition_id"]
     os.remove(mf.blob_path(out, victim))
-    res3 = encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    res3 = encode_dataset(f1_dir, out, token_budget=300_000)
     assert res3["encoded"] == 1
     assert len(mf.load_manifest(out)) == n       # dedup by partition_id
 
@@ -922,7 +928,7 @@ def test_backfill_columns_and_aux_decode(ray_session, f1_dir, tmp_path):
                                                      encode_dataset)
 
     out = str(tmp_path / "enc")
-    encode_dataset(f1_dir, out, token_budget=150_000, concurrency=2)
+    encode_dataset(f1_dir, out, token_budget=150_000)
 
     def fn(base: pa.Table) -> pa.Table:
         arr = base["tokens"].combine_chunks()
@@ -990,7 +996,7 @@ def test_backfill_with_unify_schema_keeps_family(ray_session, tmp_path):
     d1 = str(tmp_path / "v1")
     write_dataset(d1, 400, seed=9, n_files=2)
     out = str(tmp_path / "enc")
-    encode_dataset(d1, out, token_budget=80_000, concurrency=2)
+    encode_dataset(d1, out, token_budget=80_000)
 
     def fn(base: pa.Table) -> pa.Table:
         return pa.table({"flag": pa.array(

@@ -37,7 +37,7 @@ def test_snapshot_pins_deletes_and_appends(ray_session, f1_dir, tmp_path):
                                                      encode_dataset)
 
     out = str(tmp_path / "enc")
-    encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    encode_dataset(f1_dir, out, token_budget=300_000)
     src = _source_table(f1_dir)
 
     delete_rows(out, ("n_tok", ">", 900))
@@ -50,8 +50,7 @@ def test_snapshot_pins_deletes_and_appends(ray_session, f1_dir, tmp_path):
     write_dataset(extra_dir, 200, seed=7, n_files=1)
     all_files = sorted(glob.glob(f"{f1_dir}/*.parquet")) + \
         sorted(glob.glob(f"{extra_dir}/*.parquet"))
-    encode_dataset(all_files, out, token_budget=300_000, concurrency=2,
-                   append=True)
+    encode_dataset(all_files, out, token_budget=300_000, append=True)
 
     # live view sees both deletes and the appended rows
     live = decode_dataset(out).count()
@@ -72,7 +71,7 @@ def test_snapshot_refuses_mutated_blob(ray_session, f1_dir, tmp_path):
     from parquet_hs_ray.pipelines.encode_job import decode_dataset, encode_dataset
 
     out = str(tmp_path / "enc2")
-    encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    encode_dataset(f1_dir, out, token_budget=300_000)
     snaps.create_snapshot(out, "pin")
 
     pid = mf.load_manifest(out)[0]["partition_id"]
@@ -91,7 +90,7 @@ def test_snapshot_missing_partition_raises(ray_session, f1_dir, tmp_path):
     from parquet_hs_ray.pipelines.encode_job import decode_dataset, encode_dataset
 
     out = str(tmp_path / "enc3")
-    encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    encode_dataset(f1_dir, out, token_budget=300_000)
     snaps.create_snapshot(out, "pin")
     pid = mf.load_manifest(out)[0]["partition_id"]
     os.remove(mf.entry_path(out, pid))
@@ -103,7 +102,7 @@ def test_unknown_snapshot_raises(ray_session, f1_dir, tmp_path):
     from parquet_hs_ray.pipelines.encode_job import decode_dataset, encode_dataset
 
     out = str(tmp_path / "enc4")
-    encode_dataset(f1_dir, out, token_budget=300_000, concurrency=2)
+    encode_dataset(f1_dir, out, token_budget=300_000)
     with pytest.raises(FileNotFoundError):
         decode_dataset(out, snapshot="nope")
     with pytest.raises(ValueError, match="bad snapshot name"):

@@ -2,7 +2,9 @@
 
 The tracer wraps package functions by ``(module, function)`` name; a
 refactor that renames or moves one would make its per-layer metric read
-0 without any error. No Ray needed."""
+0 without any error. The traced run also replays the blob-store jobs
+through ``LocalDataset``, which has only the slice of the Ray Data API
+those jobs use. No Ray needed."""
 
 import importlib
 import importlib.util
@@ -52,3 +54,28 @@ def test_decoder_calls_traced_predicate_mask(tmp_path, monkeypatch):
     stage = decode.DecoderStage(out, predicate=[("k", ">=", 5)])
     got = stage({"partition_id": [0], "crc32": [entry["checksum_crc32"]]})
     assert calls and got["k"].to_pylist() == [5, 6, 7, 8, 9]
+
+
+def test_blob_jobs_replay_in_process(tmp_path):
+    """``encode_dataset`` and ``decode_dataset`` run end to end under the
+    traced replay: a job that starts using a Ray API ``LocalDataset``
+    lacks (``fn_kwargs``, ``.count()``, actors) fails here rather than
+    in a ``--trace 1`` benchmark run."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from parquet_hs_ray.pipelines.encode_job import decode_dataset, encode_dataset
+    from parquet_hs_ray.sources.synth import write_dataset
+
+    tracing = _tracing()
+    files = write_dataset(str(tmp_path / "src"), 200, seed=3, n_files=2)
+    src = pa.concat_tables(pq.read_table(f) for f in sorted(files))
+    out = str(tmp_path / "enc")
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        res = encode_dataset(str(tmp_path / "src"), out, token_budget=20_000)
+        got = pa.concat_tables(decode_dataset(out).iter_batches())
+    assert res["encoded"] == res["planned"] >= 2
+    assert got.sort_by("doc_id").equals(src.sort_by("doc_id"))
+    names = {sp["name"] for sp in tracer.spans}
+    assert {"stages.encode.read_slice", "state.manifest.read_blob"} <= names
