@@ -896,8 +896,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def kernel_read_dataset(sf):
         # the DISTRIBUTED kernel READ path: kernel-sink a table, then
         # read the directory back as a ray.data.Dataset decoded by OUR
-        # footer/page/level/assembly kernels (one read task per row
-        # group) with column-chunk pruning. Fully self-hosted IO both
+        # footer/page/level/assembly kernels (one read task per CPU
+        # slot) with column-chunk pruning. Fully self-hosted IO both
         # directions.
         import os
         import tempfile

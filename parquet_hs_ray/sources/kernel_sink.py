@@ -148,13 +148,12 @@ def write_parquet_kernels(ds, path: str, compression: str = "SNAPPY",
     return read_sink_manifest(path, filesystem)
 
 
-# process-local parsed-footer cache: the driver's read planning and
-# the decode tasks in each worker reuse one KernelFileMetaData per file
-# instead of re-parsing the footer per read and per ROW GROUP (a
-# 92-row-group file would otherwise parse its footer 92 times across
-# its decode tasks).  Keyed by (path, size, mtime_ns) so an overwritten
-# file re-parses; bounded; local paths only (remote filesystems skip
-# the cache — no cheap validity key).
+# driver-side parsed-footer cache: repeated reads of the same files
+# (a lookup per key) parse each footer once.  Decode tasks never read a
+# footer: each ``ReadTask`` carries the parsed footers of its files.
+# Keyed by (path, size, mtime_ns) so an overwritten file re-parses;
+# bounded; local paths only (remote filesystems skip the cache — no
+# cheap validity key).
 _KM_CACHE: dict = {}
 
 
@@ -186,15 +185,14 @@ def read_sink_manifest(path: str, filesystem=None) -> dict:
     return json.loads(fsio.read_bytes(marker, filesystem))
 
 
-def _decode_row_group(path: str, rg: int, columns, preds,
-                      filesystem) -> list:
-    """Read-task body: decode one planned row group through our kernels
-    — only the pages the page index keeps when a predicate allows —
-    then apply the EXACT filter and the projection."""
+def _decode_row_group(path: str, km, rg: int, columns, preds,
+                      filesystem):
+    """Decode one planned row group of ``path`` (parsed footer ``km``)
+    through our kernels — only the pages the page index keeps when a
+    predicate allows — then apply the EXACT filter and the projection."""
     from .parquet_footer import prune_pages_by_index
     from .parquet_pages import read_row_group_page_pruned
 
-    km = _cached_km(path, filesystem)
     # the filter needs its columns decoded even when projected away
     read_cols = columns
     if preds and columns is not None:
@@ -210,17 +208,32 @@ def _decode_row_group(path: str, rg: int, columns, preds,
         t = t.filter(P.mask(t, preds))
         if columns is not None:
             t = t.select(columns)
-    return [t]
+    return t
+
+
+def _decode_run(run: list, kms: dict, columns, preds, filesystem):
+    """Read-task body: decode a run of ``(path, rg, bytes)`` one row
+    group at a time, yielding one table per row group, so a task holds
+    at most one decoded row group beyond Ray's output buffer."""
+    for path, rg, _ in run:
+        yield _decode_row_group(path, kms[path], rg, columns, preds,
+                                filesystem)
 
 
 class KernelParquetDatasource(Datasource):
-    """A planned kernel read as a Ray Data source: one ``ReadTask`` per
-    surviving ``(path, row_group, bytes)`` in ``work``, each running
-    ``_decode_row_group``.  ``empty`` is the 0-row projected table a
-    read whose plan kept nothing returns, as its single task."""
+    """A planned kernel read as a Ray Data source.  ``work`` is the
+    surviving ``(path, row_group, bytes)`` triples in plan order and
+    ``kms`` maps each path to its parsed footer.  ``get_read_tasks(n)``
+    splits ``work`` into ``min(n, len(work))`` contiguous runs of
+    near-equal row-group counts; each ``ReadTask`` carries its files'
+    footers and streams its run through ``_decode_run``.  ``empty`` is
+    the 0-row projected table a read whose plan kept nothing returns,
+    as its single task."""
 
-    def __init__(self, work: list, empty, columns, preds, filesystem):
+    def __init__(self, work: list, kms: dict, empty, columns, preds,
+                 filesystem):
         self._work = work
+        self._kms = kms
         self._empty = empty
         self._decode_args = (columns, preds, filesystem)
 
@@ -236,11 +249,23 @@ class KernelParquetDatasource(Datasource):
             return [ReadTask(lambda: [empty], BlockMetadata(
                 num_rows=0, size_bytes=0, exec_stats=None,
                 input_files=None))]
-        return [ReadTask(
-            functools.partial(_decode_row_group, p, rg, *self._decode_args),
-            BlockMetadata(num_rows=None, size_bytes=nbytes,
-                          exec_stats=None, input_files=[p]))
-            for p, rg, nbytes in self._work]
+        # the first len % n runs take one extra row group, as
+        # np.array_split does in Ray's own ParquetDatasource
+        n = max(1, min(parallelism, len(self._work)))
+        q, r = divmod(len(self._work), n)
+        tasks, start = [], 0
+        for i in range(n):
+            run = self._work[start:start + q + (i < r)]
+            start += len(run)
+            files = list(dict.fromkeys(p for p, _, _ in run))
+            tasks.append(ReadTask(
+                functools.partial(_decode_run, run,
+                                  {p: self._kms[p] for p in files},
+                                  *self._decode_args),
+                BlockMetadata(num_rows=None,
+                              size_bytes=sum(b for _, _, b in run),
+                              exec_stats=None, input_files=files)))
+        return tasks
 
 
 def read_parquet_kernels(path: str, columns: list[str] | None = None,
@@ -249,18 +274,21 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
     """Distributed parquet READ through our kernels: the inverse of
     ``write_parquet_kernels`` — returns a lazy ``ray.data.Dataset``.
 
-    The driver plans the read: it parses each file's footer through our
-    thrift kernels (`parquet_footer.py`) and prunes row groups against
-    ``predicate`` — statistics, then split-block bloom filters, then
-    dictionary pages.  The plan becomes one ``KernelParquetDatasource``
-    with one read task per SURVIVING row group, so the read is a single
-    Ray Data execution, started when the dataset is consumed.  The
-    row-group seam — not the file — is the unit of parallelism and of
-    per-task memory, so one multi-GB file decodes as many bounded tasks
-    instead of a single task holding the whole decoded table.  Blocks
-    stream out with backpressure; the driver holds footers, never data.
-    A read whose plan keeps no row group returns 0 rows with the
-    projected schema, taken from the footer the driver parsed.
+    The driver plans the read (``plan_read``): it parses each file's
+    footer through our thrift kernels (`parquet_footer.py`) and prunes
+    row groups against ``predicate`` — statistics, then split-block
+    bloom filters, then dictionary pages.  The plan becomes one
+    ``KernelParquetDatasource`` read as a single Ray Data execution,
+    started when the dataset is consumed.  It runs min(surviving row
+    groups, cluster CPU slots) read tasks, each over a contiguous run
+    of row groups that it decodes and streams out one row group at a
+    time, so one multi-GB file still fans out across the CPU slots and
+    no task holds more than one decoded row group plus Ray's output
+    buffer.  Each task carries the parsed footers of its files, so
+    decode tasks never read a footer.  Blocks stream out with
+    backpressure; the driver holds footers, never data.  A read whose
+    plan keeps no row group returns 0 rows with the projected schema,
+    taken from the footer the driver parsed.
 
     ``path`` is a single parquet file, a directory, or an explicit
     list of files.  A directory holding a ``_kernel_manifest.json``
@@ -304,7 +332,24 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
             f"got {footer!r}")
     import ray
 
-    from ..state import fsio
+    source = plan_read(path, columns=columns, predicate=predicate,
+                       filesystem=filesystem)
+    if not ray.is_initialized():
+        ray.init()
+    # one read task per CPU slot, never more than there are row groups:
+    # Ray's autodetect would ask for 2x CPUs and then split a short
+    # read's output into extra blocks
+    n = max(1, min(len(source._work),
+                   int(ray.cluster_resources().get("CPU", 1))))
+    return ray.data.read_datasource(source, override_num_blocks=n)
+
+
+def plan_read(path, columns: list[str] | None = None, predicate=None,
+              filesystem=None) -> KernelParquetDatasource:
+    """The driver half of ``read_parquet_kernels``, Ray-free: resolve
+    the files, parse each footer once, validate ``columns`` and
+    ``predicate`` against it, and prune row groups by statistics, then
+    split-block bloom filters, then dictionary pages."""
     from .parquet_pages import read_parquet_via_kernels
 
     def _isdir(p: str) -> bool:
@@ -332,7 +377,8 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
             if not files:  # committed EMPTY write: 0-row dataset
                 import pyarrow as pa
 
-                return ray.data.from_arrow(pa.table({}))
+                return KernelParquetDatasource([], {}, pa.table({}),
+                                               columns, [], filesystem)
         elif any(n.startswith("part-") for n in listing):
             # sink-shaped dir without a commit marker: aborted write
             raise FileNotFoundError(
@@ -348,8 +394,8 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
         raise FileNotFoundError(f"no parquet files under {path}")
 
     preds = P.normalize(predicate)
-    # one footer parse per file per read: validation, pruning and the
-    # empty-result schema all use these
+    # one footer parse per file per read: validation, pruning, the
+    # empty-result schema and the decode tasks all use these
     kms = [_cached_km(p, filesystem) for p in files]
     if columns is not None or preds:
         # fail fast on the driver, not as a deferred per-task RayTaskError
@@ -402,7 +448,5 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
         empty = read_parquet_via_kernels(
             files[0], columns=columns, row_groups=[],
             filesystem=filesystem, km=kms[0])
-    # one block per read task => one block per surviving row group
-    return ray.data.read_datasource(
-        KernelParquetDatasource(work, empty, columns, preds, filesystem),
-        override_num_blocks=max(1, len(work)))
+    return KernelParquetDatasource(work, dict(zip(files, kms)), empty,
+                                   columns, preds, filesystem)

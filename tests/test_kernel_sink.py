@@ -305,9 +305,9 @@ def test_decode_to_parquet_kernel_writer(ray_session, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_kernel_read_row_group_granularity(ray_session, tmp_path):
-    """One multi-row-group FILE decodes as one task per ROW GROUP —
-    block count equals row-group count, so a single huge file never
-    decodes in a single task holding the whole table."""
+    """One multi-row-group FILE fans out across the CPU slots — one read
+    task per slot (4 in ``ray_session``), never more than there are row
+    groups — so a single huge file never decodes in a single task."""
     from parquet_hs_ray.sources.kernel_sink import read_parquet_kernels
 
     src = pq.read_table(f"{SF}/lineitem.parquet").replace_schema_metadata(
@@ -315,9 +315,9 @@ def test_kernel_read_row_group_granularity(ray_session, tmp_path):
     p = str(tmp_path / "one_file.parquet")
     pq.write_table(src, p, row_group_size=1000, store_schema=False)
     n_rgs = pq.read_metadata(p).num_row_groups
-    assert n_rgs > 1
+    assert n_rgs > 4
     ds = read_parquet_kernels(p).materialize()
-    assert ds.num_blocks() == n_rgs
+    assert ds.num_blocks() == min(n_rgs, 4)
     got = pa.Table.from_batches(
         ds.to_arrow_refs() and
         [b for ref in ds.to_arrow_refs()
@@ -459,3 +459,130 @@ def test_distributed_read_verify_crc(tmp_path, ray_session):
     open(f, "wb").write(bytes(blob))
     with pytest.raises(Exception):
         read_parquet_kernels(d).materialize()
+
+
+# ---------------------------------------------------------------------------
+# Read-task fan-out: min(surviving row groups, CPU slots) tasks, each
+# streaming a contiguous run one row group at a time with its files'
+# footers bound in.  Ray-free: every task is called in-process.
+# ---------------------------------------------------------------------------
+
+def test_read_tasks_split_work_into_runs(tmp_path, monkeypatch):
+    """``get_read_tasks(p)`` cuts the plan's ``work`` into
+    ``min(p, len(work))`` contiguous runs of near-equal length, each
+    task carrying its run's footers, bytes and files."""
+    from parquet_hs_ray.sources import kernel_sink
+    from parquet_hs_ray.sources.kernel_sink import (
+        KernelParquetDatasource, plan_read)
+    from parquet_hs_ray.sources.parquet_writer import (
+        write_parquet_via_kernels)
+
+    files = [f"f{i}.parquet" for i in range(3)]
+    kms = {f: f"km-of-{f}" for f in files}
+    work = [(f, rg, 100 * i + rg) for i, f in enumerate(files)
+            for rg in range(5)]
+    nbytes = {(f, rg): b for f, rg, b in work}
+
+    def fake_decode(path, km, rg, columns, preds, filesystem):
+        assert km == kms[path]  # the task's own footer, never re-read
+        return pa.table({"path": [path], "rg": [rg]})
+
+    monkeypatch.setattr(kernel_sink, "_decode_row_group", fake_decode)
+    src = KernelParquetDatasource(work, kms, None, None, [], None)
+    for p in (1, 2, 4, 15, 64):
+        tasks = src.get_read_tasks(p)
+        assert len(tasks) == min(p, 15), p
+        runs = [[(t["path"][0].as_py(), t["rg"][0].as_py()) for t in task()]
+                for task in tasks]
+        assert [x for run in runs for x in run] == [
+            (f, rg) for f, rg, _ in work], p
+        lens = [len(run) for run in runs]
+        assert max(lens) - min(lens) <= 1, (p, lens)
+        for task, run in zip(tasks, runs):
+            assert task.metadata.size_bytes == sum(nbytes[x] for x in run)
+            assert task.metadata.input_files == list(
+                dict.fromkeys(f for f, _ in run))
+
+    empty = pa.table({"y": pa.array([], pa.string())})
+    (task,) = KernelParquetDatasource([], {}, empty, ["y"], [],
+                                      None).get_read_tasks(4)
+    assert list(task()) == [empty]
+
+    # a real 3-row-group kernel-written file: one task, one table per
+    # row group, rows equal to pyarrow's
+    monkeypatch.undo()
+    p = str(tmp_path / "three.parquet")
+    src_t = pa.table({"x": list(range(30)),
+                      "s": [f"v{i % 7}" for i in range(30)]})
+    write_parquet_via_kernels(src_t, p, row_group_size=10)
+    (task,) = plan_read(p).get_read_tasks(1)
+    got = list(task())
+    assert len(got) == 3
+    assert pa.concat_tables(got).equals(pq.read_table(p))
+
+
+def test_read_tasks_never_read_footers(tmp_path):
+    """The driver parses every footer while planning; the decode tasks
+    use the footers bound into them and never read a file's 8-byte
+    footer tail, on full and page-pruned reads alike."""
+    import collections
+
+    import fsspec
+    import pyarrow.fs as pafs
+
+    from parquet_hs_ray.sources.kernel_sink import plan_read
+    from parquet_hs_ray.sources.parquet_writer import (
+        write_parquet_via_kernels)
+
+    class _TailCountingFile:
+        def __init__(self, fh, size, on_tail):
+            self._fh, self._size, self._on_tail = fh, size, on_tail
+
+        def read(self, n=-1):
+            pos = self._fh.tell()
+            if n < 0 or pos + n > self._size - 8:
+                self._on_tail()
+            return self._fh.read(n)
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+    class _TailCountingHandler(pafs.FSSpecHandler):
+        """Local files; counts reads touching each file's last 8 bytes."""
+
+        def __init__(self):
+            super().__init__(fsspec.filesystem("file"))
+            self.tail_reads = collections.Counter()
+
+        def open_input_file(self, path):
+            def on_tail():
+                self.tail_reads[path] += 1
+
+            fh = _TailCountingFile(self.fs.open(path, mode="rb"),
+                                   os.path.getsize(path), on_tail)
+            return pa.PythonFile(fh, mode="r")
+
+    d = tmp_path / "dir"
+    d.mkdir()
+    tables = []
+    for i in range(2):
+        t = pa.table({"k": list(range(100 * i, 100 * i + 100)),
+                      "s": [f"v{j % 5}" for j in range(100)]})
+        write_parquet_via_kernels(t, str(d / f"f{i}.parquet"),
+                                  row_group_size=25, data_page_rows=5)
+        tables.append(t)
+    src_t = pa.concat_tables(tables)
+    handler = _TailCountingHandler()
+    fs = pafs.PyFileSystem(handler)
+    for kw, want in (({}, src_t),
+                     ({"predicate": ("k", "between", (30, 33))},
+                      src_t.slice(30, 4)),
+                     ({"columns": ["s"], "predicate": ("k", ">=", 190)},
+                      src_t.slice(190).select(["s"]))):
+        handler.tail_reads.clear()
+        source = plan_read(str(d), filesystem=fs, **kw)
+        assert sorted(handler.tail_reads.values()) == [1, 1], kw
+        handler.tail_reads.clear()
+        got = [t for task in source.get_read_tasks(3) for t in task()]
+        assert not handler.tail_reads, (kw, handler.tail_reads)
+        assert pa.concat_tables(got).equals(want), kw
