@@ -5,7 +5,7 @@ here (or in the library) calls ray.init()/ray.shutdown().
 
 Queries cover SURVEY.md §2 re-expressed Ray-Data-first:
 - roundtrip_<table>: the engine's core — encode every column with the
-  auto-selected codec (dict/RLE/bitpack/FOR/PFOR/FSST/plain) and decode
+  auto-selected codec (dict/FOR/PFOR/DELTA/FSST/FRONT/ALP/plain) and decode
   back, per batch, distributed; oracle = SELECT * (bit-exact round-trip).
 - encode_job_f1 / decode_f1 / pack_sequences: the blob+manifest+resume
   job and sequence packing over the synthetic pre-tokenized table

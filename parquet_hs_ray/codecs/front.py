@@ -121,8 +121,8 @@ def encode_front(lens: np.ndarray, raw: bytes | np.ndarray) -> bytes:
            - np.repeat(np.cumsum(slens) - slens, slens)
            + np.repeat(starts, slens)) if n else np.zeros(0, np.int64)
     sfx = flat[idx].tobytes()
-    enc_p = encode_int(plens, "for")
-    enc_s = encode_int(slens, "for")
+    enc_p = encode_int(plens)
+    enc_s = encode_int(slens)
     return (encode_varint(n)
             + encode_varint(len(enc_p)) + enc_p
             + encode_varint(len(enc_s)) + enc_s

@@ -238,7 +238,7 @@ def encode_fsst(lens: np.ndarray, raw: bytes, table: list[bytes] | None = None) 
     parts = [encode_varint(len(table))]
     parts.append(bytes(len(s) for s in table))
     parts.append(b"".join(table))
-    enc_counts = encode_int(counts, "for")
+    enc_counts = encode_int(counts)
     parts.append(encode_varint(len(enc_counts)))
     parts.append(enc_counts)
     parts.append(encode_varint(len(codes)))

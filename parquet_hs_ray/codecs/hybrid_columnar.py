@@ -3,7 +3,8 @@
 Same *run semantics* as the Parquet RLE/BP hybrid the reference decodes
 (`/root/reference/src/Parquet/Decoder.hs:119-135`): a sequence of runs, each
 either an RLE run (value repeated ``len`` times) or a bit-packed span
-(8-aligned, ``width``-bit LSB-first values). The difference is layout: the
+(8-aligned, ``width``-bit LSB-first values), placed by the one run rule
+both encoders share, :func:`long_runs`. The difference is layout: the
 parquet-style stream in :mod:`.rle_hybrid` interleaves varint headers with
 payloads (sequential decode, Python cost per run); this container stores the
 three streams *separately* so both encode and decode are single-pass
@@ -32,7 +33,35 @@ import numpy as np
 from .bitpack import _as_unsigned, pack_bits_le, unpack_bits_le
 from .varint import decode_varint, encode_varint
 
-_RLE_MIN_RUN = 16
+# shortest equal-value run emitted as an RLE run, in this container and
+# in the Parquet stream of :mod:`.rle_hybrid`; above 7, so the
+# 8-alignment steal of :func:`long_runs` never empties a run
+RLE_MIN_RUN = 16
+
+
+def long_runs(values: np.ndarray, neq: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The run rule of both RLE/bit-packed layouts: where the RLE runs go.
+
+    ``values`` splits into maximal equal-value runs; each run of at least
+    ``RLE_MIN_RUN`` values becomes an RLE run and everything between two
+    of them one bit-packed span.  Returns, per RLE run, the length of the
+    bit-packed span before it and the run's ``[start, end)``.  Every such
+    span is 8-aligned by stealing up to 7 values from the head of the run
+    that follows (stolen values equal the run value, so they pack
+    losslessly); the values after the last run form the terminal span,
+    which is not aligned.  ``neq`` is ``values[1:] != values[:-1]`` when
+    the caller already has it."""
+    if neq is None:
+        neq = values[1:] != values[:-1]
+    boundaries = np.flatnonzero(neq) + 1
+    starts = np.concatenate([np.zeros(1, dtype=np.int64), boundaries])
+    ends = np.concatenate([boundaries, np.asarray([len(values)], dtype=np.int64)])
+    long_mask = ends - starts >= RLE_MIN_RUN
+    s_long, e_long = starts[long_mask], ends[long_mask]
+    span = s_long - np.concatenate([np.zeros(1, dtype=np.int64), e_long[:-1]])
+    steal = (-span) % 8
+    return span + steal, s_long + steal, e_long
 
 
 def _ragged_indices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -44,17 +73,11 @@ def _ragged_indices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.repeat(starts.astype(np.int64) - offsets, lens) + np.arange(total, dtype=np.int64)
 
 
-def encode_hybrid_columnar(values: np.ndarray, width: int, min_run: int | None = None) -> bytes:
+def encode_hybrid_columnar(values: np.ndarray, width: int) -> bytes:
     """Encode ``values`` (non-negative ints < 2**width) — fully vectorized.
 
-    ``min_run`` is the shortest equal-value run emitted as an RLE run
-    (default ``_RLE_MIN_RUN``); ``min_run=None`` behaves adaptively, a large
-    value (e.g. 2**31) forces pure bit-packing, ``min_run=2`` approaches
-    pure RLE. The decoder is policy-agnostic."""
-    if min_run is None:
-        min_run = _RLE_MIN_RUN
-    # >= 8 so the 8-alignment steal (up to 7 values) cannot exhaust a run
-    min_run = max(8, min_run)
+    RLE runs are placed by :func:`long_runs`; a column with few repeats
+    skips the run search and becomes one bit-packed span."""
     n = len(values)
     header = encode_varint(n) + bytes([width])
     if n == 0:
@@ -67,49 +90,32 @@ def encode_hybrid_columnar(values: np.ndarray, width: int, min_run: int | None =
         return header + encode_varint(1) + words.tobytes()
 
     # cheap pre-check: if almost every adjacent pair differs, no run can
-    # reach min_run often enough to matter — take the single-BP-span path
-    # without allocating the O(n) int64 run-boundary arrays
+    # reach RLE_MIN_RUN often enough to matter — take the single-BP-span
+    # path without allocating the O(n) int64 run-boundary arrays
     neq = values[1:] != values[:-1]
     n_repeats = n - 1 - int(np.count_nonzero(neq))
-    if n_repeats < max(min_run, n // 32):
+    if n_repeats < max(RLE_MIN_RUN, n // 32):
         words = np.asarray([(n << 1) | 1], dtype="<u4")
         pad = (-n) % 8
         padded = np.concatenate([values, np.zeros(pad, dtype=values.dtype)]) if pad else values
         return header + encode_varint(1) + words.tobytes() + pack_bits_le(padded, width)
 
-    # maximal equal-value runs
-    boundaries = np.flatnonzero(neq) + 1
-    starts = np.concatenate([np.zeros(1, dtype=np.int64), boundaries])
-    ends = np.concatenate([boundaries, np.asarray([n], dtype=np.int64)])
-    lens = ends - starts
-    long_mask = lens >= min_run
-    s_long = starts[long_mask]
-    e_long = ends[long_mask]
-    k = len(s_long)
-
-    # 8-align every bit-packed span by stealing up to 7 values from the head
-    # of the following RLE run (stolen values equal the run value, so they
-    # pack losslessly).
-    prev_e = np.concatenate([np.zeros(1, dtype=np.int64), e_long[:-1]])
-    span = s_long - prev_e
-    steal = (-span) % 8
-    s2 = s_long + steal
-    rle_lens = e_long - s2
-    bp_spans = span + steal  # multiples of 8
+    bp_spans, rle_starts, rle_ends = long_runs(values, neq)
+    k = len(rle_starts)
 
     words = np.empty(2 * k + 1, dtype="<u4")
     words[0:-1:2] = (bp_spans << 1) | 1
-    words[1::2] = rle_lens << 1
-    last_e = int(e_long[-1]) if k else 0
+    words[1::2] = (rle_ends - rle_starts) << 1
+    last_e = int(rle_ends[-1]) if k else 0
     words[-1] = ((n - last_e) << 1) | 1  # terminal bp span (may be 0, unaligned)
 
     if k:
-        rle_vals = np.ascontiguousarray(values[s2])
+        rle_vals = np.ascontiguousarray(values[rle_starts])
         rle_bytes = rle_vals.view(np.uint8).reshape(k, values.dtype.itemsize)[:, :nb].tobytes()
         # mask of positions covered by RLE runs (diff trick)
         delta = np.zeros(n + 1, dtype=np.int8)
-        delta[s2] = 1
-        np.subtract.at(delta, e_long, 1)
+        delta[rle_starts] = 1
+        np.subtract.at(delta, rle_ends, 1)
         in_rle = np.cumsum(delta[:n]) > 0
         bp_vals = values[~in_rle]
     else:

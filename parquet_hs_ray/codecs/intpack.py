@@ -1,15 +1,13 @@
-"""Integer codecs: FOR (frame-of-reference), RLE, BITPACK.
-
-All three share one payload shape —
+"""Integer FOR (frame-of-reference) payloads.
 
     varint zigzag(reference) | u8 delta_width | columnar-hybrid stream
 
-— and differ only in *emission policy* (which equal-value runs become RLE
-runs inside the hybrid container):
-
-- FOR      : reference = min(values), adaptive run threshold. The workhorse.
-- RLE      : same framing, run threshold 8 (≈ pure RLE for run-heavy data).
-- BITPACK  : run threshold 2**31 (single bit-packed span, no RLE runs).
+The frame reference is ``min(values)``; the deltas go through the columnar
+RLE/bit-packed hybrid, whose run rule decides which equal-value runs
+become RLE runs.  Codec ids RLE (2) and BITPACK (3) name this same
+payload as older encoders wrote it with other run thresholds; they are
+decode-only now, and :func:`decode_int` reads all three, because the
+hybrid decoder does not depend on where the runs were cut.
 
 The reference engine decodes dict-index/level streams with exactly these run
 semantics (`/root/reference/src/Parquet/Decoder.hs:119-135`); subtraction of
@@ -27,8 +25,6 @@ from .bitpack import bit_width_of
 from .hybrid_columnar import decode_hybrid_columnar, encode_hybrid_columnar
 from .varint import decode_varint, encode_varint, zigzag_decode, zigzag_encode
 
-_POLICY_MIN_RUN = {"for": None, "rle": 8, "bitpack": 1 << 31}
-
 
 def _wrap_deltas(values: np.ndarray, ref: int) -> np.ndarray:
     """(values - ref) with two's-complement wraparound, as unsigned.
@@ -44,17 +40,16 @@ def _wrap_deltas(values: np.ndarray, ref: int) -> np.ndarray:
     return u - u.dtype.type(ref & ((1 << (8 * u.dtype.itemsize)) - 1))
 
 
-def encode_int(values: np.ndarray, policy: str = "for") -> bytes:
-    """Encode an integer array (any signed/unsigned width) to a FOR/RLE/BP
+def encode_int(values: np.ndarray) -> bytes:
+    """Encode an integer array (any signed/unsigned width) to a FOR
     payload. ``values`` must be a 1-D contiguous numpy integer array."""
-    min_run = _POLICY_MIN_RUN[policy]
     n = len(values)
     if n == 0:
         return encode_varint(0) + encode_hybrid_columnar(values.astype(np.uint32), 0)
     ref = int(values.min())
     deltas = _wrap_deltas(np.ascontiguousarray(values), ref)
     width = bit_width_of(int(deltas.max()))
-    return encode_varint(zigzag_encode(ref)) + encode_hybrid_columnar(deltas, width, min_run=min_run)
+    return encode_varint(zigzag_encode(ref)) + encode_hybrid_columnar(deltas, width)
 
 
 def decode_int(data: bytes, np_dtype, pos: int = 0) -> tuple[np.ndarray, int]:

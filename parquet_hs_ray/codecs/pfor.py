@@ -137,8 +137,8 @@ def encode_pfor(values: np.ndarray) -> bytes:
     ]
     if len(exc_pos):
         gaps = np.diff(exc_pos, prepend=0).astype(np.int64)
-        g = encode_int(gaps, "for")
-        h = encode_int(exc_high.astype(np.int64, copy=False).view(np.int64), "for")
+        g = encode_int(gaps)
+        h = encode_int(exc_high.astype(np.int64, copy=False).view(np.int64))
         parts += [encode_varint(len(g)), g, encode_varint(len(h)), h]
     return b"".join(parts)
 

@@ -6,8 +6,8 @@ Primitive semantics mirror the reference's PLAIN decode
 For BYTE_ARRAY the reference uses u32-LE length prefixes per value
 (`:195-201`); our on-disk layout instead stores the Arrow offsets vector +
 contiguous data (decode is zero-copy into an Arrow array; the
-length-prefixed reference layout is kept as a parity kernel below,
-exercised by tests only).
+length-prefixed reference layout is what the kernel Parquet reader and
+writer use, `sources/parquet_pages.py`, `sources/parquet_writer.py`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def encode_binary(lengths: np.ndarray, data: bytes | np.ndarray) -> bytes:
     are small, run- and dict-friendly ints; offsets are rebuilt by cumsum."""
     data = bytes(data) if isinstance(data, (bytearray, memoryview)) else data
     raw = data.tobytes() if isinstance(data, np.ndarray) else data
-    enc_lens = encode_int(np.ascontiguousarray(lengths, dtype=np.int64), "for")
+    enc_lens = encode_int(np.ascontiguousarray(lengths, dtype=np.int64))
     return encode_varint(len(enc_lens)) + enc_lens + encode_varint(len(raw)) + raw
 
 
@@ -52,25 +52,3 @@ def decode_binary(data: bytes, pos: int = 0) -> tuple[np.ndarray, bytes, int]:
     raw = data[pos : pos + data_len]
     return lengths, raw, pos + data_len
 
-
-# --- reference-parity kernel (length-prefixed BYTE_ARRAY, tests only) ---
-
-
-def encode_plain_byte_array_ref(values: list[bytes]) -> bytes:
-    """u32-LE length + bytes per value — the reference's PLAIN BYTE_ARRAY
-    layout (`/root/reference/src/Parquet/Stream/Reader.hs:195-201`)."""
-    out = bytearray()
-    for v in values:
-        out += len(v).to_bytes(4, "little")
-        out += v
-    return bytes(out)
-
-
-def decode_plain_byte_array_ref(data: bytes, n: int, pos: int = 0) -> tuple[list[bytes], int]:
-    out = []
-    for _ in range(n):
-        ln = int.from_bytes(data[pos : pos + 4], "little")
-        pos += 4
-        out.append(data[pos : pos + ln])
-        pos += ln
-    return out, pos

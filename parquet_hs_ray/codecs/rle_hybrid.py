@@ -14,14 +14,15 @@ Semantics pinned by the reference:
   reference's golden vectors are single-run so parity holds), and our
   encoder may emit multi-run streams.
 
-Encoder strategy (mirrors the parquet-format spec, not the reference — the
-reference has no encoder): values are split into maximal equal-value runs;
-runs >= _RLE_MIN_RUN become RLE runs, everything between two RLE runs
-becomes one large bit-packed span (padded to a multiple of 8 by stealing
-up to 7 values from the head of the following run; the terminal span is
-zero-padded and the decoder truncates via ``n_values``). The Python-level
-loop is over *qualifying long runs only* — short-run data costs O(1)
-Python operations regardless of size.
+Encoder (the reference has none): :func:`encode_hybrid` takes its run
+layout from :func:`.hybrid_columnar.long_runs`, the one run rule it
+shares with the blob store's columnar hybrid — runs of at least
+``RLE_MIN_RUN`` equal values become RLE runs, the values between them one
+bit-packed span, 8-aligned by stealing up to 7 values from the head of
+the following run.  The terminal span is zero-padded and the decoder
+truncates it via ``n_values``.  The Python-level loop is over the RLE
+runs only, so short-run data costs O(1) Python operations regardless of
+size.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bitpack import _as_unsigned, pack_bits_le, unpack_bits_le
-from .hybrid_columnar import _ragged_indices
+from .hybrid_columnar import _ragged_indices, long_runs
 from .varint import decode_varint, encode_varint
-
-_RLE_MIN_RUN = 16  # shortest equal-value run worth an RLE run of its own
 
 
 def _fixed_width_bytes(width: int) -> int:
@@ -79,28 +78,12 @@ def encode_hybrid(values: np.ndarray, width: int) -> bytes:
         parts.append(encode_varint((groups << 1) | 1))
         parts.append(pack_bits_le(span, width))
 
-    # maximal equal-value runs
-    boundaries = np.flatnonzero(values[1:] != values[:-1]) + 1
-    starts = np.concatenate([np.zeros(1, dtype=np.int64), boundaries])
-    ends = np.concatenate([boundaries, np.asarray([n], dtype=np.int64)])
-    lens = ends - starts
-    long_runs = np.flatnonzero(lens >= _RLE_MIN_RUN)
-
     pos = 0
-    for i in long_runs:
-        s, e = int(starts[i]), int(ends[i])
-        span = s - pos
-        if span:
-            # extend the bit-packed span to 8-alignment by stealing from the run
-            steal = (-span) % 8
-            s += steal
-            emit_bp(values[pos:s], terminal=False)
-        run = e - s
-        if run > 0:
-            emit_rle(int(values[s]), run)
+    for bp_len, s, e in zip(*(a.tolist() for a in long_runs(values))):
+        emit_bp(values[pos:pos + bp_len], terminal=False)
+        emit_rle(int(values[s]), e - s)
         pos = e
-    if pos < n:
-        emit_bp(values[pos:n], terminal=True)
+    emit_bp(values[pos:], terminal=True)
     return b"".join(parts)
 
 

@@ -110,8 +110,6 @@ VERSION = 1
 _KIND_FIXED, _KIND_BINARY, _KIND_LIST, _KIND_BOOL = 0, 1, 2, 3
 _KIND_STRUCT, _KIND_FSL, _KIND_NULL = 4, 5, 6
 
-_INT_POLICY = {RLE: "rle", BITPACK: "bitpack", FOR: "for"}
-
 
 def _phys_dtype(t: pa.DataType) -> np.dtype:
     """Numpy dtype of the physical (storage) values of a fixed-width type."""
@@ -223,7 +221,9 @@ def _encode_int_payload(vals: np.ndarray, codec: int) -> bytes:
         return encode_delta(vals)
     if codec == DICT:
         return _encode_dict_payload(vals)
-    return encode_int(vals, _INT_POLICY[codec])
+    if codec == FOR:
+        return encode_int(vals)
+    raise ValueError(f"codec {CODEC_NAMES.get(codec, codec)} cannot encode integers")
 
 
 def _decode_int_payload(data: bytes, pos: int, codec: int, dt: np.dtype, n: int) -> tuple[np.ndarray, int]:
@@ -240,7 +240,12 @@ def _decode_int_payload(data: bytes, pos: int, codec: int, dt: np.dtype, n: int)
 
 
 def encode_array(arr: pa.Array | pa.ChunkedArray, codec_override: int | None = None) -> tuple[bytes, ColumnStats]:
-    """Encode one Arrow array into a frame. Returns (frame bytes, stats)."""
+    """Encode one Arrow array into a frame. Returns (frame bytes, stats).
+
+    ``codec_override`` forces one codec id.  RLE and BITPACK are
+    decode-only: blobs may hold them, the encoder writes FOR instead."""
+    if codec_override in (RLE, BITPACK):
+        raise ValueError(f"codec {CODEC_NAMES[codec_override]} is decode-only")
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     n = len(arr)
@@ -284,7 +289,7 @@ def encode_array(arr: pa.Array | pa.ChunkedArray, codec_override: int | None = N
         else:  # gaps under null slots: gather live child elements
             idx = _ragged_indices(offs[:-1].astype(np.int64), lens_np)
             child = child_all.take(pa.array(idx))
-        payload = encode_int(lens_np, "for")
+        payload = encode_int(lens_np)
         body.append(bytes([FOR]))
         body.append(encode_varint(len(payload)))
         body.append(payload)

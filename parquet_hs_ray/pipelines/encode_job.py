@@ -15,9 +15,13 @@ through ``fn_kwargs``: the benchmark's in-process replay
 
 Partition I/O has one reader and one writer: every blob read goes
 through ``manifest.read_blob`` with its manifest crc32 (a corrupt blob
-fails the job), and every partition that decodes rows goes through
-``DecoderStage``; every blob written goes through
+fails the job), and every blob written goes through
 ``stages.encode.write_partition`` (encode, compaction, backfill).
+Decode, export and compaction decode rows through ``DecoderStage``
+(predicates, deletes, schema adaptation); ``delete_rows``,
+``verify_roundtrip`` and ``backfill_columns`` call ``decode_table`` on
+the checked blob directly: they need every stored row at its stored
+position, and ``DecoderStage`` drops deleted rows.
 
 These functions do NOT call ray.init()/shutdown() (driver contract); they
 assume a session exists (Ray Data auto-inits local otherwise).

@@ -23,7 +23,7 @@ from .codecs.bitpack import bit_width_of
 
 SAMPLE_MAX = 1 << 16
 
-# codec ids shared with format.py frames
+# codec ids shared with format.py frames; RLE and BITPACK are decode-only
 PLAIN, DICT, RLE, BITPACK, FOR, FSST, PFOR, DELTA, ALP, ALPRD = (
     0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 FRONT = 10
@@ -83,10 +83,8 @@ def _run_stats(sample: np.ndarray) -> tuple[int, float]:
 def select_int_codec(values: np.ndarray) -> tuple[int, ColumnStats]:
     """Pick PLAIN / DICT / FOR / PFOR / DELTA for an integer array.
 
-    FOR frames each run as RLE or bit-packed, whichever is smaller, so its
-    estimate is never above a pure-RLE or pure-BITPACK one and it wins
-    ties: those two are reachable only through
-    ``encode_array(codec_override=)``."""
+    FOR frames long runs as RLE and the rest as bit-packed spans, so it
+    covers what the decode-only RLE and BITPACK ids once offered."""
     n = len(values)
     stats = ColumnStats(n=n)
     if n == 0:

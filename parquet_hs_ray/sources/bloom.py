@@ -300,7 +300,7 @@ def read_bloom_filter(path: str, chunk_info, filesystem=None
         # header is tiny; over-read it, then read the bitset exactly
         raw = _read_range(path, off, 64, filesystem)
     try:
-        header, pos = _read_compact_struct(raw, 0)
+        header, pos = _read_compact_struct(raw, 0, "BloomFilterHeader")
         nbytes = header[1]
         if (1 not in header.get(2, {}) or 1 not in header.get(3, {})
                 or 1 not in header.get(4, {})):

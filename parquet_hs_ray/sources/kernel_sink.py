@@ -34,7 +34,7 @@ from ray.data._internal.execution.interfaces import TaskContext
 
 from .. import predicates as P
 from ..state import fsio
-from .parquet_writer import encode_parquet_bytes
+from .parquet_writer import check_options, encode_parquet_bytes
 
 MANIFEST_NAME = "_kernel_manifest.json"
 
@@ -50,26 +50,15 @@ class KernelParquetDatasink(Datasink):
                  bloom_filters=None):
         # validate up front: on_write_start destructively clears the
         # destination, so a bad mode must fail before any cleanup
-        from .parquet_writer import _CODECS
-
-        if encodings not in ("classic", "auto"):
-            raise ValueError(
-                f"encodings must be 'classic' or 'auto', got {encodings!r}")
-        if page_version not in ("1.0", "2.0"):
-            raise ValueError(
-                f"page_version must be '1.0' or '2.0', got {page_version!r}")
-        if compression.upper() not in _CODECS and \
-                compression.upper() != "NONE":
-            raise ValueError(f"unsupported compression {compression}")
+        check_options(compression, encodings, page_version)
         self._path = path
-        self._compression = compression
-        self._row_group_size = row_group_size
-        self._use_dictionary = use_dictionary
-        self._encodings = encodings
-        self._page_version = page_version
         self._filesystem = filesystem
-        self._data_page_rows = data_page_rows
-        self._bloom_filters = bloom_filters
+        self._opts = dict(compression=compression,
+                          row_group_size=row_group_size,
+                          use_dictionary=use_dictionary, encodings=encodings,
+                          page_version=page_version,
+                          data_page_rows=data_page_rows,
+                          bloom_filters=bloom_filters)
 
     def get_name(self) -> str:
         return "KernelParquet"
@@ -95,14 +84,7 @@ class KernelParquetDatasink(Datasink):
             t = BlockAccessor.for_block(block).to_arrow()
             if t.num_rows == 0:
                 continue
-            blob = encode_parquet_bytes(
-                t, compression=self._compression,
-                row_group_size=self._row_group_size,
-                use_dictionary=self._use_dictionary,
-                encodings=self._encodings,
-                page_version=self._page_version,
-                data_page_rows=self._data_page_rows,
-                bloom_filters=self._bloom_filters)
+            blob = encode_parquet_bytes(t, **self._opts)
             name = f"part-{ctx.task_idx:06d}-{seq:04d}.parquet"
             fsio.write_atomic(fsio.join(self._path, name), blob,
                               self._filesystem)
@@ -116,7 +98,7 @@ class KernelParquetDatasink(Datasink):
             "files": sorted(files, key=lambda r: r["file"]),
             "rows": sum(r["rows"] for r in files),
             "bytes": sum(r["bytes"] for r in files),
-            "compression": self._compression,
+            "compression": self._opts["compression"],
         }
         fsio.write_atomic(fsio.join(self._path, MANIFEST_NAME),
                           json.dumps(manifest, indent=1).encode(),
@@ -128,12 +110,14 @@ def write_parquet_kernels(ds, path: str, compression: str = "SNAPPY",
                           use_dictionary: bool = True,
                           encodings: str = "classic",
                           page_version: str = "1.0",
-                          filesystem=None, concurrency=None,
+                          filesystem=None,
                           data_page_rows: int | None = None,
                           bloom_filters=None) -> dict:
     """``Dataset.write_parquet`` twin over the kernel writer: streams
-    the dataset's blocks through ``KernelParquetDatasink`` and returns
-    the committed manifest.  ``bloom_filters`` (column names or
+    the dataset's blocks through ``KernelParquetDatasink`` (one file per
+    non-empty block, at Ray Data's default write concurrency) and
+    returns the committed manifest.  The options are
+    ``encode_parquet_bytes``'s; ``bloom_filters`` (column names or
     ``{name: fpp}``) emits per-chunk split-block bloom filters the
     read path probes for equality predicates (`bloom.py`)."""
     sink = KernelParquetDatasink(path, compression=compression,
@@ -144,7 +128,7 @@ def write_parquet_kernels(ds, path: str, compression: str = "SNAPPY",
                                  filesystem=filesystem,
                                  data_page_rows=data_page_rows,
                                  bloom_filters=bloom_filters)
-    ds.write_datasink(sink, concurrency=concurrency)
+    ds.write_datasink(sink)
     return read_sink_manifest(path, filesystem)
 
 

@@ -230,7 +230,7 @@ def _build_node(els: list[dict], i: int, r: int, d: int,
 
 def parse_footer(blob: bytes) -> KernelFileMetaData:
     """Parse a raw FileMetaData thrift blob."""
-    meta, _ = _read_compact_struct(blob, 0)
+    meta, _ = _read_compact_struct(blob, 0, "FileMetaData")
     els = meta[2]
     root_children = els[0].get(5, 0)
     fields = []
@@ -411,14 +411,14 @@ class ColumnIndexInfo:
 
 def parse_offset_index(blob: bytes) -> list[PageLocation]:
     """Thrift compact OffsetIndex -> page locations."""
-    s, _ = _read_compact_struct(blob, 0)
+    s, _ = _read_compact_struct(blob, 0, "OffsetIndex")
     return [PageLocation(offset=p[1], compressed_page_size=p[2],
                          first_row_index=p[3]) for p in s[1]]
 
 
 def parse_column_index(blob: bytes) -> ColumnIndexInfo:
     """Thrift compact ColumnIndex -> per-page statistics."""
-    s, _ = _read_compact_struct(blob, 0)
+    s, _ = _read_compact_struct(blob, 0, "ColumnIndex")
     return ColumnIndexInfo(null_pages=s[1], min_values=s[2],
                            max_values=s[3], boundary_order=s.get(4, 0),
                            null_counts=s.get(5))

@@ -69,10 +69,23 @@ from ..codecs.varint import decode_varint, zigzag_decode
 _CT_STOP = 0
 
 
-def _read_compact_struct(buf: bytes, pos: int) -> tuple[dict[int, object], int]:
-    """Decode one thrift compact struct into {field_id: value}. Handles the
-    subset of types PageHeader uses (i32/i64 zigzag varints, bool, struct);
-    nested structs are decoded recursively."""
+def _read_compact_struct(buf: bytes, pos: int, what: str = "struct"
+                         ) -> tuple[dict[int, object], int]:
+    """Decode one thrift compact struct into {field_id: value}: the one
+    thrift reader of page headers, footers, page indexes and Bloom
+    headers.  Bad input — truncated, or a type outside the compact
+    protocol — raises ``ValueError`` naming ``what`` and the struct's
+    byte offset."""
+    try:
+        return _compact_struct(buf, pos)
+    except (IndexError, ValueError) as e:
+        why = "truncated" if isinstance(e, IndexError) else str(e)
+        raise ValueError(
+            f"thrift {what} at byte {pos} of {len(buf)}: {why}") from None
+
+
+def _compact_struct(buf: bytes, pos: int) -> tuple[dict[int, object], int]:
+    """The recursive walk behind :func:`_read_compact_struct`."""
     fields: dict[int, object] = {}
     last_id = 0
     while True:
@@ -104,7 +117,7 @@ def _read_compact_struct(buf: bytes, pos: int) -> tuple[dict[int, object], int]:
         elif ctype == 9:  # LIST (footer structs: schema/row_groups/...)
             fields[fid], pos = _read_compact_list(buf, pos)
         elif ctype == 12:  # STRUCT
-            fields[fid], pos = _read_compact_struct(buf, pos)
+            fields[fid], pos = _compact_struct(buf, pos)
         else:
             raise ValueError(f"unsupported thrift compact type {ctype} (field {fid})")
 
@@ -138,7 +151,7 @@ def _read_compact_list(buf: bytes, pos: int) -> tuple[list, int]:
             v, pos = _read_compact_list(buf, pos)
             out.append(v)
         elif etype == 12:
-            v, pos = _read_compact_struct(buf, pos)
+            v, pos = _compact_struct(buf, pos)
             out.append(v)
         else:
             raise ValueError(f"unsupported thrift list element type {etype}")
@@ -545,7 +558,7 @@ def _read_page(chunk: bytes, pos: int, codec) -> tuple[dict, bytes, int]:
     stored body and raises on mismatch; a page without one passes.
     V1 data and dictionary pages come back decompressed — v2 pages
     compress only their values section, which the caller handles."""
-    header, pos = _read_compact_struct(chunk, pos)
+    header, pos = _read_compact_struct(chunk, pos, "PageHeader")
     ptype, page_len = header[1], header[3]  # compressed_page_size
     body = chunk[pos : pos + page_len]
     if 4 in header and zlib.crc32(body) != header[4] & 0xFFFFFFFF:

@@ -32,6 +32,10 @@ import pyarrow as pa
 
 from ..codecs.rle_hybrid import encode_hybrid
 from ..codecs.varint import encode_varint, zigzag_encode
+from .parquet_footer import _CODEC, _PHYSICAL
+from .parquet_pages import (_ENC_BYTE_STREAM_SPLIT, _ENC_DELTA_BP, _ENC_PLAIN,
+                            _ENC_PLAIN_DICT, _ENC_RLE, _ENC_RLE_DICT,
+                            _page_codec)
 
 # thrift compact type ids
 _CT_BOOL_TRUE = 1
@@ -42,13 +46,11 @@ _CT_BINARY = 8
 _CT_LIST = 9
 _CT_STRUCT = 12
 
-# parquet physical types
-_PT = {"BOOLEAN": 0, "INT32": 1, "INT64": 2, "FLOAT": 4, "DOUBLE": 5,
-       "BYTE_ARRAY": 6, "FIXED_LEN_BYTE_ARRAY": 7}
-_CODECS = {"UNCOMPRESSED": 0, "SNAPPY": 1, "GZIP": 2, "LZ4": 5,
-           "ZSTD": 6, "LZ4_RAW": 7}
-_ENC_PLAIN, _ENC_PLAIN_DICT, _ENC_RLE = 0, 2, 3
-_ENC_DELTA_BP, _ENC_RLE_DICT, _ENC_BYTE_STREAM_SPLIT = 5, 8, 9
+# parquet physical type ids and the compressions this writer emits, by
+# name — the reader's tables inverted
+_PT = {name: pid for pid, name in _PHYSICAL.items()}
+_CODECS = {name: cid for cid, name in _CODEC.items()
+           if name not in ("LZO", "BROTLI")}
 _CONVERTED_UTF8, _CONVERTED_MAP, _CONVERTED_LIST = 0, 1, 3
 
 
@@ -150,33 +152,6 @@ def _list_header(n: int, elem_ctype: int) -> bytes:
     if n < 15:
         return bytes([(n << 4) | elem_ctype])
     return bytes([0xF0 | elem_ctype]) + encode_varint(n)
-
-
-def _walk_leaves(name: str, t: pa.DataType, nullable: bool,
-                 r: int, d: int, path: tuple) -> list[dict]:
-    """DFS leaf metadata (path_in_schema, physical, max_rep, max_def)
-    in the exact order ``_shred_node`` emits streams."""
-    d += 1 if nullable else 0
-    if pa.types.is_struct(t):
-        out = []
-        for f in t:
-            out += _walk_leaves(f.name, f.type, f.nullable, r, d,
-                                path + (name,))
-        return out
-    if pa.types.is_map(t):
-        kv = path + (name, "key_value")
-        return (_walk_leaves("key", t.key_field.type, False, r + 1,
-                             d + 1, kv)
-                + _walk_leaves("value", t.item_field.type,
-                               t.item_field.nullable, r + 1, d + 1, kv))
-    if _is_listish(t):
-        vf = t.value_field
-        return _walk_leaves("element", vf.type, vf.nullable, r + 1,
-                            d + 1, path + (name, "list"))
-    return [{"path": list(path + (name,)), "physical": _physical(t),
-             "max_rep": r, "max_def": d,
-             "type_length": (_decimal_flba_len(t.precision)
-                             if pa.types.is_decimal128(t) else 0)}]
 
 
 def _decimal_flba_len(precision: int) -> int:
@@ -585,36 +560,50 @@ def _shred_field(arr, field: pa.Field):
     return _shred_node(arr, field.type, field.nullable, 0, 0, None)
 
 
-def _schema_element_tree(name: str, t: pa.DataType,
-                         repetition: int) -> list[_Struct]:
+def _schema_element_tree(name: str, t: pa.DataType, repetition: int,
+                         leaves: list, r: int = 0, d: int = 0,
+                         path: tuple = ()) -> list[_Struct]:
     """DFS SchemaElement list for one field (repetition: 0 required /
-    1 optional / 2 repeated)."""
+    1 optional), appending each leaf's metadata (path_in_schema,
+    physical, max_rep, max_def, type_length) to ``leaves`` in the exact
+    order ``_shred_node`` emits streams.  ``r``/``d`` are the enclosing
+    repetition and definition levels."""
+    d += repetition  # an optional node adds one definition level
+    path += (name,)
     if pa.types.is_struct(t):
         els = [_Struct().i32(3, repetition).binary(4, name).i32(5, len(t))]
         for f in t:
-            els += _schema_element_tree(f.name, f.type,
-                                        1 if f.nullable else 0)
+            els += _schema_element_tree(f.name, f.type, int(f.nullable),
+                                        leaves, r, d, path)
         return els
     if pa.types.is_map(t):
         els = [_Struct().i32(3, repetition).binary(4, name)
                .i32(5, 1).i32(6, _CONVERTED_MAP),
                _Struct().i32(3, 2).binary(4, "key_value").i32(5, 2)]
-        els += _schema_element_tree("key", t.key_field.type, 0)
+        kv = path + ("key_value",)
+        els += _schema_element_tree("key", t.key_field.type, 0, leaves,
+                                    r + 1, d + 1, kv)
         els += _schema_element_tree("value", t.item_field.type,
-                                    1 if t.item_field.nullable else 0)
+                                    int(t.item_field.nullable), leaves,
+                                    r + 1, d + 1, kv)
         return els
     if _is_listish(t):
         vf = t.value_field
         return ([_Struct().i32(3, repetition).binary(4, name)
                  .i32(5, 1).i32(6, _CONVERTED_LIST),
                  _Struct().i32(3, 2).binary(4, "list").i32(5, 1)]
-                + _schema_element_tree("element", vf.type,
-                                       1 if vf.nullable else 0))
-    e = _Struct().i32(1, _PT[_physical(t)]).i32(3, repetition) \
-        .binary(4, name)
-    if pa.types.is_decimal128(t):
+                + _schema_element_tree("element", vf.type, int(vf.nullable),
+                                       leaves, r + 1, d + 1,
+                                       path + ("list",)))
+    physical = _physical(t)
+    type_length = (_decimal_flba_len(t.precision)
+                   if pa.types.is_decimal128(t) else 0)
+    leaves.append({"path": list(path), "physical": physical, "max_rep": r,
+                   "max_def": d, "type_length": type_length})
+    e = _Struct().i32(1, _PT[physical]).i32(3, repetition).binary(4, name)
+    if type_length:
         # minimal FLBA + DECIMAL converted/logical types
-        e.i32(2, _decimal_flba_len(t.precision))
+        e.i32(2, type_length)
         e.i32(6, 5).i32(7, t.scale).i32(8, t.precision)
         dec = _Struct().i32(1, t.scale).i32(2, t.precision)
         e.struct(10, _Struct().struct(5, dec))
@@ -635,14 +624,6 @@ def _schema_element_tree(name: str, t: pa.DataType,
         e.i32(6, 6)  # DATE
         e.struct(10, _Struct().struct(6, _Struct()))  # LogicalType.DATE
     return [e]
-
-
-def _schema_elements(schema: pa.Schema) -> list[_Struct]:
-    els = [_Struct().binary(4, "schema").i32(5, len(schema))]
-    for field in schema:
-        els += _schema_element_tree(field.name, field.type,
-                                    1 if field.nullable else 0)
-    return els
 
 
 def _write_column_chunk(out: bytearray, col_chunks: list, leaf: pa.Array,
@@ -861,6 +842,23 @@ def _write_column_chunk(out: bytearray, col_chunks: list, leaf: pa.Array,
     return uncomp_total
 
 
+def check_options(compression: str, encodings: str,
+                  page_version: str) -> str:
+    """Validate the writer's options; returns the compression's parquet
+    name (``NONE`` and any case are accepted)."""
+    name = compression.upper()
+    name = "UNCOMPRESSED" if name == "NONE" else name
+    if name not in _CODECS:
+        raise ValueError(f"unsupported compression {compression}")
+    if encodings not in ("classic", "auto"):
+        raise ValueError(
+            f"encodings must be 'classic' or 'auto', got {encodings!r}")
+    if page_version not in ("1.0", "2.0"):
+        raise ValueError(
+            f"page_version must be '1.0' or '2.0', got {page_version!r}")
+    return name
+
+
 def write_parquet_via_kernels(table: pa.Table, path: str,
                               compression: str = "UNCOMPRESSED",
                               row_group_size: int = 1 << 20,
@@ -896,7 +894,6 @@ def encode_parquet_bytes(table: pa.Table,
                          encodings: str = "classic",
                          page_version: str = "1.0",
                          data_page_rows: int | None = None,
-                         write_page_index: bool = True,
                          bloom_filters=None) -> bytearray:
     """Encode ``table`` as a standard Parquet file image through our
     kernels (thrift footer, Dremel shredding, RLE levels, PLAIN /
@@ -904,14 +901,14 @@ def encode_parquet_bytes(table: pa.Table,
     no defensive copy; file.write / fsio.write_atomic take it as-is.
 
     ``data_page_rows`` splits row-aligned (flat) column chunks into
-    data pages of that many rows; ``write_page_index`` (default on)
-    emits the parquet PageIndex structures after the row groups —
-    per-chunk OffsetIndex (page locations + first row) always, and
-    ColumnIndex (per-page min/max/null counts, parquet-format
-    PageIndex.md) whenever every page has computable statistics — so
-    readers can prune at page granularity without touching the pages.
-    Without ``data_page_rows`` chunks stay one page each (the index is
-    then row-group-equivalent but still spec-complete).
+    data pages of that many rows.  The parquet PageIndex structures are
+    always written after the row groups: per-chunk OffsetIndex (page
+    locations + first row), and ColumnIndex (per-page min/max/null
+    counts, parquet-format PageIndex.md) whenever every page has
+    computable statistics — so readers can prune at page granularity
+    without touching the pages.  Without ``data_page_rows`` chunks stay
+    one page each (the index is then row-group-equivalent but still
+    spec-complete).
 
     ``bloom_filters`` (list of flat top-level column names, or a
     ``{name: fpp}`` dict, default fpp 0.01) emits a split-block bloom
@@ -921,28 +918,15 @@ def encode_parquet_bytes(table: pa.Table,
     row-group pruning on unsorted high-cardinality columns where
     min/max statistics prune nothing.  Supported on INT32/INT64/FLOAT/
     DOUBLE/BYTE_ARRAY flat columns; anything else raises up front."""
-    compression = compression.upper()
-    if compression == "NONE":
-        compression = "UNCOMPRESSED"
-    if compression not in _CODECS:
-        raise ValueError(f"unsupported compression {compression}")
-    if encodings not in ("classic", "auto"):
-        raise ValueError(
-            f"encodings must be 'classic' or 'auto', got {encodings!r}")
-    if page_version not in ("1.0", "2.0"):
-        raise ValueError(
-            f"page_version must be '1.0' or '2.0', got {page_version!r}")
-    if compression == "UNCOMPRESSED":
-        codec = None
-    elif compression == "LZ4":  # deprecated Hadoop-framed variant
-        from .parquet_pages import _HadoopLz4Codec
-
-        codec = _HadoopLz4Codec()
-    else:
-        codec = pa.Codec(compression.lower())
+    compression = check_options(compression, encodings, page_version)
+    codec = _page_codec(compression)
     table = table.combine_chunks()
-    field_metas = [_walk_leaves(f.name, f.type, f.nullable, 0, 0, ())
-                   for f in table.schema]
+    schema_els = [_Struct().binary(4, "schema").i32(5, len(table.schema))]
+    field_metas: list[list[dict]] = []
+    for f in table.schema:
+        field_metas.append([])
+        schema_els += _schema_element_tree(f.name, f.type, int(f.nullable),
+                                           field_metas[-1])
 
     bloom_spec: dict[str, float] = {}
     if bloom_filters:
@@ -987,33 +971,32 @@ def encode_parquet_bytes(table: pa.Table,
     # PageIndex structures (parquet-format PageIndex.md): all
     # ColumnIndexes, then all OffsetIndexes, between the last page and
     # the footer — readers locate them via ColumnChunk fields 4-7
-    if write_page_index:
-        for col_chunks, _, _ in rg_records:
-            for rec in col_chunks:
-                if not rec["index_ok"]:
-                    continue
-                pgs = rec["pages"]
-                ci_struct = (_Struct()
-                             .list_bool(1, [p["null_page"] for p in pgs])
-                             .list_binary(2, [b"" if p["mm"] is None
-                                              else p["mm"][0]
-                                              for p in pgs])
-                             .list_binary(3, [b"" if p["mm"] is None
-                                              else p["mm"][1]
-                                              for p in pgs])
-                             .i32(4, 0)  # BoundaryOrder.UNORDERED
-                             .list_i64(5, [p["nulls"] for p in pgs]))
-                blob = ci_struct.tobytes()
-                rec["column_index"] = (len(out), len(blob))
-                out += blob
-        for col_chunks, _, _ in rg_records:
-            for rec in col_chunks:
-                locs = [_Struct().i64(1, p["offset"])
-                        .i32(2, p["size"]).i64(3, p["first_row"])
-                        for p in rec["pages"]]
-                blob = _Struct().list_struct(1, locs).tobytes()
-                rec["offset_index"] = (len(out), len(blob))
-                out += blob
+    for col_chunks, _, _ in rg_records:
+        for rec in col_chunks:
+            if not rec["index_ok"]:
+                continue
+            pgs = rec["pages"]
+            ci_struct = (_Struct()
+                         .list_bool(1, [p["null_page"] for p in pgs])
+                         .list_binary(2, [b"" if p["mm"] is None
+                                          else p["mm"][0]
+                                          for p in pgs])
+                         .list_binary(3, [b"" if p["mm"] is None
+                                          else p["mm"][1]
+                                          for p in pgs])
+                         .i32(4, 0)  # BoundaryOrder.UNORDERED
+                         .list_i64(5, [p["nulls"] for p in pgs]))
+            blob = ci_struct.tobytes()
+            rec["column_index"] = (len(out), len(blob))
+            out += blob
+    for col_chunks, _, _ in rg_records:
+        for rec in col_chunks:
+            locs = [_Struct().i64(1, p["offset"])
+                    .i32(2, p["size"]).i64(3, p["first_row"])
+                    for p in rec["pages"]]
+            blob = _Struct().list_struct(1, locs).tobytes()
+            rec["offset_index"] = (len(out), len(blob))
+            out += blob
 
     # split-block bloom filters, one per opted-in column chunk, after
     # the page indexes; ColumnMetaData fields 14/15 point at each
@@ -1036,10 +1019,9 @@ def encode_parquet_bytes(table: pa.Table,
         cc_structs = []
         for rec in col_chunks:
             s = (_Struct().i64(2, rec["first_offset"])
-                 .struct(3, rec["meta"]))
-            if "offset_index" in rec:
-                s.i64(4, rec["offset_index"][0])
-                s.i32(5, rec["offset_index"][1])
+                 .struct(3, rec["meta"])
+                 .i64(4, rec["offset_index"][0])
+                 .i32(5, rec["offset_index"][1]))
             if "column_index" in rec:
                 s.i64(6, rec["column_index"][0])
                 s.i32(7, rec["column_index"][1])
@@ -1054,7 +1036,7 @@ def encode_parquet_bytes(table: pa.Table,
     n_leaves = sum(len(m) for m in field_metas)
     type_order = _Struct().struct(1, _Struct())  # ColumnOrder union
     footer = (_Struct().i32(1, 1)
-              .list_struct(2, _schema_elements(table.schema))
+              .list_struct(2, schema_els)
               .i64(3, table.num_rows)
               .list_struct(4, row_groups)
               .binary(6, "parquet_hs_ray kernel writer")

@@ -173,7 +173,7 @@ def test_pfor_beats_for_on_zipf():
 
     rng = np.random.default_rng(0)
     vals = (rng.pareto(1.1, size=200_000) * 25).astype(np.int64) % 50257
-    assert len(encode_pfor(vals)) < 0.8 * len(encode_int(vals, "for"))
+    assert len(encode_pfor(vals)) < 0.8 * len(encode_int(vals))
 
 
 # --- DELTA ---
@@ -393,8 +393,8 @@ def test_front_chain_invariant_checked():
     # a prefix len pointing past the previous value must be rejected
     from parquet_hs_ray.codecs.intpack import encode_int
     from parquet_hs_ray.codecs.varint import encode_varint
-    plens = encode_int(np.array([0, 5], dtype=np.int64), "for")
-    slens = encode_int(np.array([2, 1], dtype=np.int64), "for")
+    plens = encode_int(np.array([0, 5], dtype=np.int64))
+    slens = encode_int(np.array([2, 1], dtype=np.int64))
     blob = (encode_varint(2) + encode_varint(len(plens)) + plens
             + encode_varint(len(slens)) + slens + encode_varint(3) + b"abc")
     with pytest.raises(ValueError, match="chain invariant"):

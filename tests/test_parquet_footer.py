@@ -524,3 +524,40 @@ def test_distributed_read_uses_page_index(ray_session, tmp_path):
         pa.compute.less_equal(src["o_orderkey"], cut)).select(
             ["o_orderkey", "o_custkey"]).sort_by("o_orderkey")
     assert got.cast(want.schema).equals(want)
+
+
+def test_truncated_thrift_raises_typed_error():
+    """Every truncation of a kernel-written footer, page header, page
+    index and Bloom header raises a ValueError that names the thrift
+    structure — never an IndexError from the byte walk."""
+    from parquet_hs_ray.sources.parquet_footer import (
+        parse_column_index, parse_footer, parse_offset_index)
+    from parquet_hs_ray.sources.parquet_pages import (
+        _read_compact_struct, _read_page)
+    from parquet_hs_ray.sources.parquet_writer import encode_parquet_bytes
+
+    t = pa.table({"a": pa.array([1, None, 3] * 50, pa.int64()),
+                  "s": pa.array([f"v{k % 7}" for k in range(150)]),
+                  "l": pa.array([[k] * (k % 3) for k in range(150)])})
+    img = bytes(encode_parquet_bytes(t, data_page_rows=32,
+                                     bloom_filters=["a"]))
+    flen = int.from_bytes(img[-8:-4], "little")
+    footer = img[-8 - flen:-8]
+    chunk = parse_footer(footer).row_groups[0].columns[0]
+    _, header_end = _read_compact_struct(img, 4)  # first page header
+    _, bloom_end = _read_compact_struct(img, chunk.bloom_filter_offset)
+    spans = [
+        ("FileMetaData", parse_footer, footer),
+        ("OffsetIndex", parse_offset_index,
+         img[chunk.offset_index_offset:][:chunk.offset_index_length]),
+        ("ColumnIndex", parse_column_index,
+         img[chunk.column_index_offset:][:chunk.column_index_length]),
+        ("PageHeader", lambda b: _read_page(b, 0, None), img[4:header_end]),
+        ("BloomFilterHeader", lambda b: _read_compact_struct(
+            b, 0, "BloomFilterHeader"),
+         img[chunk.bloom_filter_offset:bloom_end]),
+    ]
+    for what, parse, blob in spans:
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError, match=f"^thrift {what} at byte"):
+                parse(blob[:cut])
