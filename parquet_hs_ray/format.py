@@ -344,7 +344,7 @@ def encode_array(arr: pa.Array | pa.ChunkedArray, codec_override: int | None = N
         if codec_override is None:
             sample = _sample_binary(lens_np, raw)
             codec, stats = select_binary_codec(
-                lens_np, len(raw), sample, fsst_trial=fsst_codec.trial_ratio,
+                lens_np, len(raw), sample,
                 front_ratio=_front_trial_ratio(lens_np, raw))
         else:
             codec, stats = codec_override, ColumnStats(codec=CODEC_NAMES[codec_override])

@@ -3,24 +3,32 @@
 Lifecycle (SURVEY.md §3.5): plan (n_tok-pruned scan, skew-aware token
 budget) -> resume-filter on manifest -> control Dataset of partitions ->
 ``map_batches(encode_partitions)`` -> blobs + per-partition manifest.
-Decode is the inverse: manifest -> Dataset -> one
+Decode is the inverse: manifest -> control Dataset ->
 ``map_batches(DecoderStage)`` -> Arrow tables streaming onward.
 
-Every job has one Ray shape: a control Dataset of partition rows and one
-plain-task ``map_batches`` over it, one partition per batch
-(``batch_size=1, num_cpus=1, batch_format="numpy"``). The stage is
-passed as a callable (an instance or a ``functools.partial``), never
-through ``fn_kwargs``: the benchmark's in-process replay
-(``perfbench/tracing.py``) calls the callable as given.
+Every job (encode, decode, export, compact, backfill, delete, verify)
+has one task shape, ``_map_partitions``: a control Dataset with one row
+per partition and one plain task per row; each stage body handles its
+batch's one row. The rows of a blob read (``partition_id`` and the
+manifest ``crc32``) come from ``_blob_rows``. The stage is passed as a
+callable (an instance, a closure or a ``functools.partial``), never
+through ``fn_kwargs``, and each job consumes its Dataset with
+``to_pandas()``, ``take_all()`` or ``iter_batches()``: the slice of Ray
+Data that the benchmark's in-process replay (``perfbench/tracing.py``)
+runs.
 
 Partition I/O has one reader and one writer: every blob read goes
 through ``manifest.read_blob`` with its manifest crc32 (a corrupt blob
 fails the job), and every blob written goes through
 ``stages.encode.write_partition`` (encode, compaction, backfill).
-Decode, export and compaction decode rows through ``DecoderStage``
-(predicates, deletes, schema adaptation); ``delete_rows``,
-``verify_roundtrip`` and ``backfill_columns`` call ``decode_table`` on
-the checked blob directly: they need every stored row at its stored
+A predicate over a blob has one row-mask rule,
+``stages.decode.true_rows``, shared by ``DecoderStage`` and
+``delete_rows``: a column a blob predates reads as all-NULL, while a
+predicate column no manifest entry lists raises ``KeyError`` on the
+driver. Decode, export and compaction decode rows through
+``DecoderStage`` (predicates, deletes, schema adaptation);
+``delete_rows``, ``verify_roundtrip`` and ``backfill_columns`` read the
+checked blob directly: they need every stored row at its stored
 position, and ``DecoderStage`` drops deleted rows.
 
 These functions do NOT call ray.init()/shutdown() (driver contract); they
@@ -32,24 +40,58 @@ from __future__ import annotations
 import functools
 import glob
 import os
+import time
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from .. import predicates as P
+from ..format import blob_schema, decode_table
 from ..plan import DEFAULT_TOKEN_BUDGET, Partition, build_plan, load_plan, save_plan
-from ..stages.decode import DecoderStage
-from ..stages.encode import encode_partitions
+from ..stages.decode import DecoderStage, true_rows
+from ..stages.encode import encode_partitions, read_slice, write_partition
+from ..state import deletes as dvs
+from ..state import fsio
 from ..state import manifest as mf
+
+
+def _map_partitions(items: list[dict], stage) -> "ray.data.Dataset":
+    """The one task shape of every job: a control Dataset of partition
+    rows, one plain task per row (``stage`` gets a numpy batch holding
+    exactly that row)."""
+    return ray.data.from_items(items).map_batches(
+        stage, batch_size=1, num_cpus=1, batch_format="numpy")
+
+
+def _blob_rows(entries) -> list[dict]:
+    """Control rows of a blob read: partition id and manifest crc32."""
+    return [{"partition_id": e["partition_id"], "crc32": e.get("checksum_crc32", -1)}
+            for e in entries]
+
+
+def _one_row(**fields) -> dict:
+    """A stage's output: one numpy row."""
+    return {k: np.asarray([v]) for k, v in fields.items()}
+
+
+def _load_entries(out_dir: str, preds: list, filesystem=None) -> list[dict]:
+    """The store's manifest entries, after refusing a predicate column
+    that no entry lists: that is a typo, not a column older blobs
+    predate (``true_rows`` reads those as all-NULL)."""
+    entries = mf.load_manifest(out_dir, filesystem)
+    known = set().union(*(e.get("columns", {}) for e in entries))
+    unknown = sorted({p[0] for p in preds} - known)
+    if entries and unknown:
+        raise KeyError(f"predicate columns in no partition: {unknown}")
+    return entries
 
 
 def tables_bitwise_equal(a, b) -> bool:
     """Arrow equality that treats NaN slots with identical bit patterns as
     equal (Table.equals follows IEEE NaN != NaN, which would flag a
     bit-perfect float round-trip as a mismatch)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     a = a.combine_chunks() if isinstance(a, pa.Table) else a
     b = b.combine_chunks() if isinstance(b, pa.Table) else b
     if a.schema != b.schema or a.num_rows != b.num_rows:
@@ -77,11 +119,7 @@ def _expand_paths(input_path: str | list[str], filesystem=None) -> list[str]:
         return sorted(input_path)
     if filesystem is not None or "://" in input_path:
         # URI / explicit-fs input: expand a directory into its *.parquet
-        import posixpath
-
         import pyarrow.fs as pafs
-
-        from ..state import fsio
 
         fs, p = fsio.resolve(input_path, filesystem)
         info = fs.get_file_info(p)
@@ -117,8 +155,6 @@ def encode_dataset(
     Each partition is one plain task: encoding holds no state across
     partitions (symbol tables are rebuilt deterministically per blob),
     and Ray reuses warm worker processes across tasks."""
-    from ..state import fsio
-
     paths = _expand_paths(input_path, input_filesystem)
     mf.ensure_dirs(out_dir, filesystem)
     plan_path = fsio.join(out_dir, "plan.json")
@@ -164,11 +200,9 @@ def encode_dataset(
     stage = functools.partial(encode_partitions, out_dir=out_dir, token_col=token_col,
                               filesystem=filesystem, input_filesystem=input_filesystem,
                               bloom_stats=bloom_stats)
-    out = ray.data.from_items(items).map_batches(
-        stage, batch_size=1, num_cpus=1, batch_format="numpy")
     # consume: the stage wrote blobs+manifest; this materializes only the
     # small per-partition metrics rows
-    metrics = out.to_pandas()
+    metrics = _map_partitions(items, stage).to_pandas()
     result["encoded"] = len(metrics)
     result.update(mf.summary(out_dir, filesystem))
     return result
@@ -202,7 +236,7 @@ def _stats_can_match(entry: dict, preds: list) -> bool:
 def pruned_partition_ids(out_dir: str, predicate, filesystem=None) -> tuple[list[int], int]:
     """(kept partition ids, total finished) for a predicate."""
     preds = P.normalize(predicate)
-    entries = [e for e in mf.load_manifest(out_dir, filesystem) if e.get("status") == "done"]
+    entries = mf.load_manifest(out_dir, filesystem)
     kept = [e["partition_id"] for e in entries if _stats_can_match(e, preds)]
     return kept, len(entries)
 
@@ -212,10 +246,6 @@ def _union_schema(out_dir: str, done_entries: list[dict], filesystem=None):
     DISTINCT column-name set (the driver never opens the rest); same-name
     type conflicts across probed sets raise here, drift within a name set
     is caught by the decode stage."""
-    import pyarrow as pa
-
-    from ..format import blob_schema
-
     probe: dict[tuple, dict] = {}
     for e in done_entries:
         key = tuple(sorted(e.get("columns", {}).keys())) or \
@@ -253,17 +283,14 @@ def delete_rows(out_dir: str, predicate, filesystem=None) -> dict:
     Distributed shape: manifest min/max + Bloom stats prune partitions
     that cannot contain a matching row before any blob is opened;
     surviving partitions decode ONLY the predicate columns.  Only
-    (partition_id, counts) rows return to the driver."""
-    from ..state import deletes as dvs
-
+    (partition_id, counts) rows return to the driver.  The row mask is
+    ``true_rows``, the decoder's: on an evolved store a partition that
+    predates a predicate column reads it as all-NULL."""
     preds = P.normalize(predicate)
     if not preds:
         raise ValueError("delete_rows requires a predicate")
-    entries = [e for e in mf.load_manifest(out_dir, filesystem)
-               if e.get("status") == "done"]
-    items = [{"partition_id": e["partition_id"],
-              "crc32": e.get("checksum_crc32", -1)}
-             for e in entries if _stats_can_match(e, preds)]
+    entries = _load_entries(out_dir, preds, filesystem)
+    items = _blob_rows(e for e in entries if _stats_can_match(e, preds))
     result = {"partitions": len(entries),
               "partitions_scanned": len(items),
               "partitions_changed": 0, "rows_newly_deleted": 0}
@@ -271,26 +298,14 @@ def delete_rows(out_dir: str, predicate, filesystem=None) -> dict:
         return result
 
     def scan(batch: dict) -> dict:
-        import numpy as np
+        pid = int(batch["partition_id"][0])
+        blob = mf.read_blob(out_dir, pid, filesystem, int(batch["crc32"][0]))
+        # only TRUE deletes: the mask fills NULL with False
+        idx = np.flatnonzero(true_rows(blob, preds).to_numpy(zero_copy_only=False))
+        n = dvs.write_delete_vector(out_dir, pid, idx, filesystem) if len(idx) else 0
+        return _one_row(partition_id=pid, new=n)
 
-        from ..format import decode_table
-
-        pred_cols = sorted({p[0] for p in preds})
-        pids, new = [], []
-        for pid, crc in zip(batch["partition_id"], batch["crc32"]):
-            pid = int(pid)
-            blob = mf.read_blob(out_dir, pid, filesystem, int(crc))
-            # only TRUE deletes: the mask fills NULL with False
-            mask = P.mask(decode_table(blob, pred_cols), preds)
-            idx = np.flatnonzero(mask.to_numpy(zero_copy_only=False))
-            n = dvs.write_delete_vector(out_dir, pid, idx, filesystem) \
-                if len(idx) else 0
-            pids.append(pid)
-            new.append(n)
-        return {"partition_id": np.asarray(pids), "new": np.asarray(new)}
-
-    res = ray.data.from_items(items).map_batches(
-        scan, batch_size=1, num_cpus=1, batch_format="numpy").to_pandas()
+    res = _map_partitions(items, scan).to_pandas()
     result["partitions_changed"] = int((res["new"] > 0).sum())
     result["rows_newly_deleted"] = int(res["new"].sum())
     return result
@@ -298,30 +313,32 @@ def delete_rows(out_dir: str, predicate, filesystem=None) -> dict:
 
 def decode_dataset(out_dir: str, columns: list[str] | None = None,
                    filesystem=None, predicate=None,
-                   target_schema=None, unify_schema: bool = False,
+                   unify_schema: bool = False,
                    aux_families: list[str] | None = None,
                    apply_deletes: bool = True,
                    snapshot: str | None = None
                    ) -> "ray.data.Dataset":
-    """Lazy decode Dataset over all finished partitions (streaming).
+    """Lazy decode Dataset over all finished partitions (streaming): one
+    ``DecoderStage`` task per partition.
 
     ``predicate`` (grammar in ``predicates.py``) prunes whole partitions by
     manifest min/max stats BEFORE any blob is opened; surviving partitions
     decode the predicate columns FIRST (byte-level frame skip), full-decode
     only on a match, and filter exactly — same semantics, ~selectivity×
-    less IO and decode work.
+    less IO and decode work.  A predicate column that no manifest entry
+    lists raises ``KeyError`` before any task starts.
 
     Schema evolution: a store appended to across schema versions holds
-    blobs with different column sets.  ``unify_schema=True`` computes the
-    UNION schema (one blob header read per distinct column set — the
-    driver never opens the rest) and every partition adapts to it:
-    missing columns null-pad, order unifies, same-name type conflicts
-    raise — across distinct column sets at the driver, and for blobs
-    whose name set matches the probe but whose types drifted, at decode
-    time in the stage.  Pass ``target_schema`` (a ``pyarrow.Schema``) to pin the
-    contract explicitly instead; ``columns=`` then projects it.
-    Predicates on a column a blob predates see all-NULL semantics
-    (equality/range/is_not_null match nothing, is_null everything).
+    blobs with different column sets.  Predicates on a column a blob
+    predates see all-NULL semantics (equality/range/is_not_null match
+    nothing, is_null everything), with or without ``unify_schema``.
+    ``unify_schema=True`` computes the UNION schema (one blob header read
+    per distinct column set — the driver never opens the rest) and every
+    partition adapts to it: missing columns null-pad, order unifies,
+    same-name type conflicts raise — across distinct column sets at the
+    driver, and for blobs whose name set matches the probe but whose
+    types drifted, at decode time in the stage.  ``columns=`` then
+    projects the union.
 
     ``apply_deletes`` (default True) honors deletion-vector sidecars
     written by ``delete_rows``; pass False to audit the base data.
@@ -331,45 +348,34 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
     PINNED delete vectors apply (later deletes are ignored), and blob
     crc32s are checked against the snapshot (an immutability violation
     refuses to decode)."""
-    from ..state import deletes as dvs
-
     preds = P.normalize(predicate)
-    entries = mf.load_manifest(out_dir, filesystem)
-    done = [e for e in entries if e.get("status") == "done"]
-    snap_crc: dict[int, int] | None = None
-    delete_vectors = None
+    done = _load_entries(out_dir, preds, filesystem)
+    delete_vectors, deleted_pids = None, set()
     if snapshot is not None:
         from ..state import snapshots as snaps
 
         snap = snaps.load_snapshot(out_dir, snapshot, filesystem)
         snap_crc = {int(r["partition_id"]): int(r.get("crc32", -1))
                     for r in snap["partitions"]}
-        have = {e["partition_id"] for e in done}
-        missing = sorted(set(snap_crc) - have)
+        missing = sorted(set(snap_crc) - {e["partition_id"] for e in done})
         if missing:
             raise ValueError(
                 f"snapshot {snapshot!r} references partitions no longer in "
                 f"the manifest (e.g. {missing[:3]}) — store was rebuilt")
-        done = [e for e in done if e["partition_id"] in snap_crc]
+        # a pinned partition's blob must match the SNAPSHOT's crc32
+        done = [dict(e, checksum_crc32=snap_crc[e["partition_id"]])
+                for e in done if e["partition_id"] in snap_crc]
         delete_vectors = snaps.snapshot_delete_vectors(snap)
-        deleted_pids = set(delete_vectors)
-    else:
-        deleted_pids = dvs.list_delete_pids(out_dir, filesystem) \
-            if apply_deletes else set()
-    if unify_schema and target_schema is None:
-        target_schema = _union_schema(out_dir, done, filesystem)
+    elif apply_deletes:
+        deleted_pids = dvs.list_delete_pids(out_dir, filesystem)
+    target_schema = _union_schema(out_dir, done, filesystem) if unify_schema else None
     if target_schema is not None and columns is not None:
         unknown = [c for c in columns if c not in target_schema.names]
         if unknown:
             raise KeyError(f"columns not in target schema: {unknown}")
-    items = [{"partition_id": e["partition_id"],
-              "crc32": (snap_crc[e["partition_id"]] if snap_crc is not None
-                        else e.get("checksum_crc32", -1))}
-             for e in done if _stats_can_match(e, preds)]
+    items = _blob_rows(e for e in done if _stats_can_match(e, preds))
     aux: dict[str, dict[int, int]] = {}
     if aux_families:
-        from ..format import blob_schema
-
         pids = {it["partition_id"] for it in items}
         for fam in aux_families:
             adir = aux_family_dir(out_dir, fam)
@@ -392,10 +398,8 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
                         target_schema = target_schema.append(f)
     stage = DecoderStage(out_dir, columns, filesystem=filesystem, predicate=preds,
                          target_schema=target_schema, aux=aux,
-                         deleted_pids=deleted_pids,
-                         delete_vectors=delete_vectors)
-    return ray.data.from_items(items).map_batches(
-        stage, batch_size=1, num_cpus=1, batch_format="numpy")
+                         deleted_pids=deleted_pids, delete_vectors=delete_vectors)
+    return _map_partitions(items, stage)
 
 
 def verify_roundtrip(input_path: str | list[str], out_dir: str,
@@ -403,8 +407,6 @@ def verify_roundtrip(input_path: str | list[str], out_dir: str,
     """Distributed per-partition equality check: decode each blob and compare
     with the exact input slice it came from (per-row token-array equality =
     full Arrow table equality). Returns counts; raises on mismatch."""
-    from ..state import fsio
-
     plan = load_plan(fsio.join(out_dir, "plan.json"), filesystem)
     crcs = {e["partition_id"]: e.get("checksum_crc32", -1)
             for e in mf.load_manifest(out_dir, filesystem)}
@@ -415,25 +417,15 @@ def verify_roundtrip(input_path: str | list[str], out_dir: str,
     ]
 
     def check(batch: dict) -> dict:
-        import numpy as np
+        pid = int(batch["partition_id"][0])
+        decoded = decode_table(mf.read_blob(out_dir, pid, filesystem,
+                                            int(batch["crc32"][0])))
+        original = read_slice(str(batch["path"][0]), int(batch["row_start"][0]),
+                              int(batch["row_count"][0]), filesystem=input_filesystem)
+        return _one_row(partition_id=pid, ok=tables_bitwise_equal(decoded, original),
+                        rows=decoded.num_rows)
 
-        from ..format import decode_table
-        from ..stages.encode import read_slice
-
-        ok, rows = [], []
-        for i in range(len(batch["partition_id"])):
-            pid = int(batch["partition_id"][i])
-            decoded = decode_table(mf.read_blob(out_dir, pid, filesystem,
-                                                int(batch["crc32"][i])))
-            original = read_slice(str(batch["path"][i]), int(batch["row_start"][i]),
-                                  int(batch["row_count"][i]), filesystem=input_filesystem)
-            ok.append(tables_bitwise_equal(decoded, original))
-            rows.append(decoded.num_rows)
-        return {"partition_id": batch["partition_id"],
-                "ok": np.asarray(ok), "rows": np.asarray(rows)}
-
-    res = ray.data.from_items(items).map_batches(
-        check, batch_size=1, num_cpus=1, batch_format="numpy").to_pandas()
+    res = _map_partitions(items, check).to_pandas()
     bad = res[~res["ok"]]
     summary = {"partitions": len(res), "rows": int(res["rows"].sum()),
                "mismatched_partitions": int(len(bad))}
@@ -445,14 +437,16 @@ def verify_roundtrip(input_path: str | list[str], out_dir: str,
 def decode_to_parquet(out_dir: str, dest_dir: str, columns: list[str] | None = None,
                       predicate=None, filesystem=None, dest_filesystem=None,
                       partition_cols: list[str] | None = None,
-                      target_schema=None, unify_schema: bool = False,
+                      unify_schema: bool = False,
                       apply_deletes: bool = True,
                       writer: str = "pyarrow") -> dict:
     """RESUMABLE decode-to-parquet: one output file per encoded partition
-    (``part-<id>.parquet``), written atomically; partitions whose output
-    already exists are skipped, so a killed export continues where it
-    stopped — the brief's "resumable output" layout (never one giant
-    file).
+    (``part-<id>.parquet``), written atomically by one plain task per
+    partition that decodes through ``DecoderStage`` (predicates, deletes
+    and ``unify_schema`` as in ``decode_dataset``); partitions whose
+    output already exists are skipped, so a killed export continues
+    where it stopped — the brief's "resumable output" layout (never one
+    giant file).
 
     ``partition_cols`` hive-partitions the export
     (``<dest>/<col>=<val>/part-<id>.parquet``, partition columns dropped
@@ -470,16 +464,12 @@ def decode_to_parquet(out_dir: str, dest_dir: str, columns: list[str] | None = N
     fresh dest."""
     if writer not in ("pyarrow", "kernels"):
         raise ValueError(f"writer must be 'pyarrow' or 'kernels', got {writer!r}")
-    from ..state import deletes as dvs
-    from ..state import fsio
-
     preds = P.normalize(predicate)
     deleted_pids = dvs.list_delete_pids(out_dir, filesystem) \
         if apply_deletes else set()
-    entries = [e for e in mf.load_manifest(out_dir, filesystem)
-               if e.get("status") == "done" and _stats_can_match(e, preds)]
-    if unify_schema and target_schema is None:
-        target_schema = _union_schema(out_dir, entries, filesystem)
+    entries = [e for e in _load_entries(out_dir, preds, filesystem)
+               if _stats_can_match(e, preds)]
+    target_schema = _union_schema(out_dir, entries, filesystem) if unify_schema else None
     fsio.mkdirs(dest_dir, dest_filesystem)
     if partition_cols:
         done_dir = fsio.join(dest_dir, "_done")
@@ -495,48 +485,38 @@ def decode_to_parquet(out_dir: str, dest_dir: str, columns: list[str] | None = N
               "written": len(todo)}
     if not todo:
         return result
+    stage = DecoderStage(out_dir, columns, filesystem=filesystem, predicate=preds,
+                         target_schema=target_schema, deleted_pids=deleted_pids)
+
+    def write_one(t: pa.Table, rel: str) -> None:
+        if writer == "kernels":
+            from ..sources.parquet_writer import encode_parquet_bytes
+
+            blob = encode_parquet_bytes(t, compression="SNAPPY", encodings="auto")
+        else:
+            import io
+
+            import pyarrow.parquet as pq
+
+            buf = io.BytesIO()
+            pq.write_table(t, buf)
+            blob = buf.getvalue()
+        fsio.write_atomic(fsio.join(dest_dir, rel), blob, dest_filesystem)
 
     def export(batch: dict) -> dict:
-        import io
+        pid = int(batch["partition_id"][0])
+        t = stage(batch)
+        if not partition_cols:
+            write_one(t, f"part-{pid:08d}.parquet")
+        else:
+            for subdir, part in _hive_splits(t, partition_cols):
+                fsio.mkdirs(fsio.join(dest_dir, subdir), dest_filesystem)
+                write_one(part, f"{subdir}/part-{pid:08d}.parquet")
+            fsio.write_atomic(fsio.join(done_dir, f"part-{pid:08d}.done"),
+                              b"", dest_filesystem)
+        return _one_row(partition_id=pid)
 
-        import numpy as np
-        import pyarrow.parquet as pq
-
-        def write_one(t: pa.Table, rel: str) -> None:
-            if writer == "kernels":
-                from ..sources.parquet_writer import encode_parquet_bytes
-
-                blob = encode_parquet_bytes(t, compression="SNAPPY",
-                                            encodings="auto")
-            else:
-                buf = io.BytesIO()
-                pq.write_table(t, buf)
-                blob = buf.getvalue()
-            fsio.write_atomic(fsio.join(dest_dir, rel), blob,
-                              dest_filesystem)
-
-        stage = DecoderStage(out_dir, columns, filesystem=filesystem, predicate=preds,
-                             target_schema=target_schema,
-                             deleted_pids=deleted_pids)
-        done = []
-        for pid, crc in zip(batch["partition_id"], batch["crc32"]):
-            t = stage({"partition_id": [pid], "crc32": [crc]})
-            if not partition_cols:
-                write_one(t, f"part-{int(pid):08d}.parquet")
-            else:
-                for subdir, part in _hive_splits(t, partition_cols):
-                    fsio.mkdirs(fsio.join(dest_dir, subdir), dest_filesystem)
-                    write_one(part, f"{subdir}/part-{int(pid):08d}.parquet")
-                fsio.write_atomic(
-                    fsio.join(dest_dir, "_done", f"part-{int(pid):08d}.done"),
-                    b"", dest_filesystem)
-            done.append(int(pid))
-        return {"partition_id": np.asarray(done)}
-
-    items = [{"partition_id": e["partition_id"], "crc32": e.get("checksum_crc32", -1)}
-             for e in todo]
-    ray.data.from_items(items).map_batches(export, batch_size=1, num_cpus=1,
-                                           batch_format="numpy").count()
+    _map_partitions(_blob_rows(todo), export).take_all()
     return result
 
 
@@ -544,9 +524,6 @@ def _hive_splits(t: pa.Table, partition_cols: list[str]):
     """Yield (hive subdir, sub-table minus partition cols) per distinct
     partition-key combination — vectorized via dictionary-encoded combo
     codes, one filter per distinct combo (not per row)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     missing = [c for c in partition_cols if c not in t.column_names]
     if missing:
         raise KeyError(f"partition_cols {missing!r} not in decoded columns "
@@ -588,8 +565,8 @@ def compact_dataset(src_dir: str, out_dir: str,
       Weights are manifest ``n_tokens``; datasets encoded without a
       token column fall back to ``raw_bytes`` (then the budget is in
       raw Arrow bytes — documented, not mixed).
-    - each group decodes its source blobs (one plain task per group),
-      concatenates, and RE-ENCODES the merged chunk: the codec selector
+    - each group decodes its source blobs (one plain task per group,
+      one ``DecoderStage`` call per source partition), concatenates, and RE-ENCODES the merged chunk: the codec selector
       re-runs on the bigger chunk, so dictionaries/symbol tables amortize
       and runs lengthen — compaction usually SHRINKS total bytes, never
       changes decoded values.
@@ -608,16 +585,8 @@ def compact_dataset(src_dir: str, out_dir: str,
     compacted store by decode-comparison against the source store (the
     test does) or against the original input files.
     """
-    import time
-
-    import numpy as np
-
-    from ..state import deletes as dvs
-
     deleted_pids = dvs.list_delete_pids(src_dir, src_filesystem)
-    entries = sorted((e for e in mf.load_manifest(src_dir, src_filesystem)
-                      if e.get("status") == "done"),
-                     key=lambda e: e["partition_id"])
+    entries = mf.load_manifest(src_dir, src_filesystem)
     if not entries:
         raise ValueError(f"no finished partitions in {src_dir}")
     use_tokens = any((e.get("n_tokens") or 0) > 0 for e in entries)
@@ -656,44 +625,36 @@ def compact_dataset(src_dir: str, out_dir: str,
     if not items:
         result.update(mf.summary(out_dir, filesystem))
         return result
+    # the decode stage drops deleted rows: compaction is the vacuum
+    load = DecoderStage(src_dir, filesystem=src_filesystem, deleted_pids=deleted_pids)
 
     def compact_group(batch: dict) -> dict:
-        from ..stages.encode import write_partition
+        t0 = time.perf_counter()
+        gid = int(batch["partition_id"][0])
+        src_ids = [int(x) for x in batch["src_ids"][0]]
+        # one decode per source partition; a group never mixes column
+        # sets. A partition with no surviving row decodes to its header
+        # schema, so it joins only when no partition has a row
+        parts = [load({"partition_id": [pid], "crc32": [crc]})
+                 for pid, crc in zip(src_ids, batch["src_crc32"][0])]
+        tbl = pa.concat_tables([t for t in parts if t.num_rows] or parts[:1]).combine_chunks()
+        n_tokens = int(batch["n_tokens"][0])
+        part = Partition(partition_id=gid, path=f"compact:{src_dir}",
+                         row_start=0, row_count=tbl.num_rows, est_tokens=n_tokens)
+        entry = write_partition(
+            out_dir, part, tbl, n_tokens, filesystem,
+            read_ms=round((time.perf_counter() - t0) * 1e3, 1),
+            source_partitions=src_ids, compacted_from=src_dir)
+        return _one_row(partition_id=gid, row_count=entry["row_count"],
+                        encoded_bytes=entry["encoded_bytes"])
 
-        # the decode stage drops deleted rows: compaction is the vacuum
-        load = DecoderStage(src_dir, filesystem=src_filesystem,
-                            deleted_pids=deleted_pids)
-        out = {"partition_id": [], "row_count": [], "encoded_bytes": []}
-        for i in range(len(batch["partition_id"])):
-            t0 = time.perf_counter()
-            gid = int(batch["partition_id"][i])
-            src_ids = [int(x) for x in batch["src_ids"][i]]
-            tbl = load({"partition_id": src_ids,
-                        "crc32": batch["src_crc32"][i]}).combine_chunks()
-            n_tokens = int(batch["n_tokens"][i])
-            part = Partition(partition_id=gid, path=f"compact:{src_dir}",
-                             row_start=0, row_count=tbl.num_rows,
-                             est_tokens=n_tokens)
-            entry = write_partition(
-                out_dir, part, tbl, n_tokens, filesystem,
-                read_ms=round((time.perf_counter() - t0) * 1e3, 1),
-                source_partitions=src_ids, compacted_from=src_dir)
-            out["partition_id"].append(gid)
-            out["row_count"].append(entry["row_count"])
-            out["encoded_bytes"].append(entry["encoded_bytes"])
-        return {k: np.asarray(v) for k, v in out.items()}
-
-    ds = ray.data.from_items(items)
-    metrics = ds.map_batches(compact_group, batch_size=1, num_cpus=1,
-                             batch_format="numpy").to_pandas()
+    metrics = _map_partitions(items, compact_group).to_pandas()
     result["compacted"] = len(metrics)
     result.update(mf.summary(out_dir, filesystem))
     return result
 
 
 def aux_family_dir(out_dir: str, family: str) -> str:
-    from ..state import fsio
-
     return fsio.join(out_dir, "aux", family)
 
 
@@ -717,8 +678,7 @@ def backfill_columns(out_dir: str, family: str, fn, columns: list[str] | None = 
     blob; the family adds bytes proportional to the new columns only."""
     adir = aux_family_dir(out_dir, family)
     mf.ensure_dirs(adir, filesystem)
-    entries = [e for e in mf.load_manifest(out_dir, filesystem)
-               if e.get("status") == "done"]
+    entries = mf.load_manifest(out_dir, filesystem)
     done = mf.finished_ids(adir, filesystem)
     todo = [e for e in entries if e["partition_id"] not in done]
     result = {"partitions": len(entries),
@@ -727,47 +687,33 @@ def backfill_columns(out_dir: str, family: str, fn, columns: list[str] | None = 
     if not todo:
         return result
 
-    items = [{"partition_id": e["partition_id"],
-              "crc32": e.get("checksum_crc32", -1)} for e in todo]
+    def one(batch: dict) -> dict:
+        pid = int(batch["partition_id"][0])
+        t0 = time.perf_counter()
+        base = decode_table(mf.read_blob(out_dir, pid, filesystem,
+                                         int(batch["crc32"][0])), columns)
+        new = fn(base)
+        if new.num_rows != base.num_rows:
+            raise ValueError(
+                f"backfill fn returned {new.num_rows} rows for "
+                f"partition {pid} ({base.num_rows} expected) — aux "
+                "columns must align by row position")
+        clash = set(new.column_names) & set(base.column_names)
+        if clash:
+            raise ValueError(
+                f"backfill fn returned columns shadowing the base "
+                f"schema: {sorted(clash)} — pick distinct names")
+        # aux columns carry no Bloom stats: predicates are
+        # evaluated on base blobs only
+        part = Partition(partition_id=pid, path=mf.blob_path(out_dir, pid),
+                         row_start=0, row_count=new.num_rows, est_tokens=0)
+        entry = write_partition(
+            adir, part, new, 0, filesystem, bloom=False,
+            read_ms=round((time.perf_counter() - t0) * 1e3, 1))
+        return _one_row(partition_id=pid, rows=new.num_rows,
+                        encoded_bytes=entry["encoded_bytes"])
 
-    def one(batch: dict) -> "pd.DataFrame":
-        import time
-
-        import pandas as pd
-
-        from ..format import decode_table
-        from ..stages.encode import write_partition
-
-        out_rows = []
-        for i in range(len(batch["partition_id"])):
-            pid = int(batch["partition_id"][i])
-            t0 = time.perf_counter()
-            base = decode_table(mf.read_blob(out_dir, pid, filesystem,
-                                             int(batch["crc32"][i])), columns)
-            new = fn(base)
-            if new.num_rows != base.num_rows:
-                raise ValueError(
-                    f"backfill fn returned {new.num_rows} rows for "
-                    f"partition {pid} ({base.num_rows} expected) — aux "
-                    "columns must align by row position")
-            clash = set(new.column_names) & set(base.column_names)
-            if clash:
-                raise ValueError(
-                    f"backfill fn returned columns shadowing the base "
-                    f"schema: {sorted(clash)} — pick distinct names")
-            # aux columns carry no Bloom stats: predicates are
-            # evaluated on base blobs only
-            part = Partition(partition_id=pid, path=mf.blob_path(out_dir, pid),
-                             row_start=0, row_count=new.num_rows, est_tokens=0)
-            entry = write_partition(
-                adir, part, new, 0, filesystem, bloom=False,
-                read_ms=round((time.perf_counter() - t0) * 1e3, 1))
-            out_rows.append({"partition_id": pid, "rows": new.num_rows,
-                             "encoded_bytes": entry["encoded_bytes"]})
-        return pd.DataFrame(out_rows)
-
-    stats_rows = ray.data.from_items(items).map_batches(
-        one, batch_size=1, num_cpus=1, batch_format="numpy").to_pandas()
+    stats_rows = _map_partitions(_blob_rows(todo), one).to_pandas()
     result["rows"] = int(stats_rows["rows"].sum())
     result["encoded_bytes"] = int(stats_rows["encoded_bytes"].sum())
     return result

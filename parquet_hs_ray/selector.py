@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codecs import fsst
 from .codecs.bitpack import bit_width_of
 
 SAMPLE_MAX = 1 << 16
@@ -159,13 +160,12 @@ def select_float_codec(values: np.ndarray) -> tuple[int, ColumnStats]:
 
 def select_binary_codec(
     lengths: np.ndarray, data_nbytes: int, sample_values: list[bytes],
-    fsst_trial=None, front_ratio: "float | None" = None,
+    front_ratio: "float | None" = None,
 ) -> tuple[int, ColumnStats]:
     """Pick PLAIN / DICT / FSST / FRONT for a variable-binary column.
 
-    ``sample_values`` is a deterministic sample of the value bytes;
-    ``fsst_trial`` is an optional callable ``sample -> compressed_ratio``
-    supplied by the FSST codec (trial-encode on the sample);
+    ``sample_values`` is a deterministic sample of the value bytes; the
+    FSST estimate trial-encodes it (``codecs.fsst.trial_ratio``);
     ``front_ratio`` is the measured suffix-bytes ratio of a CONSECUTIVE
     prefix of the column (front coding exploits adjacent-value locality,
     which a scattered sample cannot estimate) — None disables FRONT."""
@@ -187,8 +187,8 @@ def select_binary_codec(
     est = {"plain": data_nbytes + 2 * n}  # data + compressed lengths (rough)
     if card <= _DICT_MAX_CARD and card < max(2, len(sample_values) // 4):
         est["dict"] = card * (avg_len + 4) + n * bit_width_of(max(0, card - 1)) / 8 + 16
-    if fsst_trial is not None and avg_len >= 4 and card > len(sample_values) // 4:
-        ratio = fsst_trial(sample_values)
+    if avg_len >= 4 and card > len(sample_values) // 4:
+        ratio = fsst.trial_ratio(sample_values)
         if ratio < 0.95:
             est["fsst"] = data_nbytes * ratio + 2 * n + 2048
     if front_ratio is not None and front_ratio < 0.8:
@@ -201,18 +201,22 @@ def select_binary_codec(
             "front": FRONT}[choice], stats
 
 
-def advise_sort_order(tbl, max_keys: int = 3, sample_rows: int = 16384,
-                      margin: float = 0.98):
+# advise_sort_order's candidate key count and required win (docstring)
+SORT_MAX_KEYS = 3
+SORT_MARGIN = 0.98
+
+
+def advise_sort_order(tbl, sample_rows: int = 16384):
     """Row-LAYOUT advisor: pick the sort order that minimizes this
     table's encoded size — the codec auto-selector's philosophy applied
     one level up (sorting by low-cardinality columns lengthens runs for
     RLE/dict and tightens FOR frames; but an already-well-ordered table
     can get WORSE, e.g. a status sort breaking an id column's delta
     chain — measured on TPC-H orders).  Candidates: identity, each of
-    the ``max_keys`` lowest-cardinality non-float columns alone, and
+    the ``SORT_MAX_KEYS`` lowest-cardinality non-float columns alone, and
     their composite (cardinality-ascending); each candidate is
     TRIAL-ENCODED on a row sample and the winner must beat identity by
-    ``1 - margin`` (sorting costs a shuffle at scale — a sub-2% win
+    ``1 - SORT_MARGIN`` (sorting costs a shuffle at scale — a sub-2% win
     never justifies one).  Deterministic (fixed sample = table head, a
     byte-size decision rather than a statistical one).
 
@@ -244,8 +248,8 @@ def advise_sort_order(tbl, max_keys: int = 3, sample_rows: int = 16384,
         if card < sample.num_rows:  # unique columns can't lengthen runs
             cards.append((card, name))
     cards.sort()
-    singles = [[name] for _, name in cards[:max_keys]]
-    composite = [name for _, name in cards[:max_keys]]
+    singles = [[name] for _, name in cards[:SORT_MAX_KEYS]]
+    composite = [name for _, name in cards[:SORT_MAX_KEYS]]
     candidates = [[]] + singles
     if len(composite) > 1:
         candidates.append(composite)
@@ -261,6 +265,6 @@ def advise_sort_order(tbl, max_keys: int = 3, sample_rows: int = 16384,
         report[tuple(keys)] = len(encode_table(trial)[0])
     base = report[()]
     best = min(report, key=lambda kk: (report[kk], len(kk), kk))
-    if best != () and report[best] >= margin * base:
+    if best != () and report[best] >= SORT_MARGIN * base:
         best = ()  # below the margin the shuffle isn't worth it
     return list(best), report

@@ -263,10 +263,6 @@ class SplitBlockBloom:
         words = self.blocks[block, :]  # (n, 8)
         return ((words & masks) == masks).all(axis=1)
 
-    def might_contain_value(self, value, physical: str) -> bool:
-        return bool(self.check_hashes(
-            hash_probe_values([value], physical))[0])
-
 
 def encode_bloom_blob(f: SplitBlockBloom) -> bytes:
     """BloomFilterHeader (thrift compact) + bitset, the on-disk layout

@@ -931,10 +931,13 @@ def _dict_contains(vals, probe, physical: str) -> bool:
         return bool((arr == probe).any())
 
 
+# dictionary pages larger than this are never read for pruning
+MAX_PRUNE_DICT_BYTES = 4 << 20
+
+
 def prune_row_groups_by_dict(km, preds: list, path: str,
                              filesystem=None,
-                             candidates: "list[int] | None" = None,
-                             max_dict_bytes: int = 4 << 20
+                             candidates: "list[int] | None" = None
                              ) -> list[int]:
     """Dictionary-membership pruning (parquet-mr's "dictionary
     filtering"): drop a row group when every member a membership
@@ -944,7 +947,7 @@ def prune_row_groups_by_dict(km, preds: list, path: str,
     writer and pyarrow both emit) PROVE every data page is
     dict-encoded (a plain-fallback page could hold values outside the
     dictionary).  One small ranged read per probed chunk; chunks with
-    dictionaries larger than ``max_dict_bytes`` are skipped.
+    dictionaries larger than ``MAX_PRUNE_DICT_BYTES`` are skipped.
     One-sided: anything unprovable keeps the row group.  Complements
     bloom filters — this works on files from ANY writer (pyarrow,
     DuckDB, parquet-mr) with no opt-in at write time."""
@@ -971,7 +974,7 @@ def prune_row_groups_by_dict(km, preds: list, path: str,
                     for enc, cnt in data_pages if cnt > 0):
                 continue
             if cc.data_page_offset - cc.dictionary_page_offset > \
-                    max_dict_bytes:
+                    MAX_PRUNE_DICT_BYTES:
                 continue
             vals = read_chunk_dictionary(path, km, rg, ci, filesystem)
             if vals is None:

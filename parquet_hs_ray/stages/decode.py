@@ -11,10 +11,11 @@ step (Dremel instruction interpreter, `Reader.hs:637-705`) has no
 analogue because Arrow list offsets + validity ARE the assembled
 representation.
 
-Every partition takes the same path: row mask (predicate mask AND
-delete-vector keep mask) → decode the projection only if a row survives
-→ filter → append aux families → adapt to the target schema.  The decode
-job, the Parquet export and compaction all run it.
+Every partition takes the same path: row mask (``true_rows`` of the
+predicate AND the delete-vector keep mask) → decode the projection only
+if a row survives → filter → append aux families → adapt to the target
+schema.  The decode job, the Parquet export and compaction all run it,
+one partition per call.
 
 Stateless — plain-function tasks, no actor pool needed (no cross-batch
 state; dictionaries/symbol tables are self-contained in each blob)."""
@@ -32,10 +33,31 @@ from ..state import deletes as dvs
 from ..state import manifest as mf
 
 
-class DecoderStage:
-    """map_batches callable over manifest rows -> decoded Arrow tables.
+def true_rows(blob: bytes, preds: list) -> pa.Array:
+    """The one row-mask rule of a predicate over a blob: the rows where
+    the conjunction is TRUE (NULL fills to False). Only the predicate's
+    own columns decode (byte-level frame skip). A column the blob
+    predates (an evolved store) reads as all-NULL: an op NULL satisfies
+    (is_null) constrains nothing, any other op matches no row."""
+    names = blob_schema(blob).names
+    n = blob_num_rows(blob)
+    if not all(OPS[op].matches_null for c, op, _ in preds if c not in names):
+        return pa.array(np.zeros(n, dtype=bool))
+    present = [p for p in preds if p[0] in names]
+    if not present:
+        return pa.array(np.ones(n, dtype=bool))
+    return predicate_mask(decode_table(blob, sorted({p[0] for p in present})), present)
 
-    ``columns`` prunes frames at the byte level (length-delimited skip)."""
+
+class DecoderStage:
+    """``map_batches`` callable of the decode, export and compaction
+    jobs: each call decodes the batch's one partition row to an Arrow
+    table.
+
+    ``columns`` prunes frames at the byte level (length-delimited skip);
+    ``predicate`` (normalized triples) and the delete vectors mask rows;
+    ``target_schema`` (``unify_schema=True``) adapts every partition to
+    one schema; ``aux`` appends backfilled column families."""
 
     def __init__(self, out_dir: str, columns: list[str] | None = None, filesystem=None,
                  predicate: list | None = None,
@@ -80,11 +102,15 @@ class DecoderStage:
                 t = t.append_column(name, at.column(name))
         return t
 
+    def _target_fields(self) -> list[pa.Field]:
+        """The target schema, projected through ``columns`` when set."""
+        if self.columns is None:
+            return list(self.target_schema)
+        return [self.target_schema.field(c) for c in self.columns]
+
     def _adapt(self, t: pa.Table) -> pa.Table:
-        """Pad/reorder a decoded table to the target schema (projected
-        through ``columns`` when set)."""
-        fields = [self.target_schema.field(c) for c in self.columns] \
-            if self.columns is not None else list(self.target_schema)
+        """Pad/reorder a decoded table to the target fields."""
+        fields = self._target_fields()
         arrays = []
         for f in fields:
             if f.name in t.schema.names:
@@ -99,23 +125,19 @@ class DecoderStage:
         return pa.Table.from_arrays(arrays, schema=pa.schema(fields))
 
     def _read_cols(self, sch: pa.Schema | None):
-        """Columns to decode from this blob: the projection (or target
-        schema) intersected with what the blob actually has."""
+        """Columns to decode from this blob: the projection, or the
+        target fields the blob actually has."""
         if sch is None:
             return self.columns
-        wanted = self.columns if self.columns is not None \
-            else list(self.target_schema.names)
-        return [c for c in wanted if c in sch.names]
+        return [f.name for f in self._target_fields() if f.name in sch.names]
 
     def _out_schema(self, blob: bytes, pid: int) -> pa.Schema:
         if self.target_schema is not None:
-            fields = [self.target_schema.field(c) for c in self.columns] \
-                if self.columns is not None else list(self.target_schema)
-            return pa.schema(fields)
+            return pa.schema(self._target_fields())
         sch = self._pruned_schema(blob_schema(blob))
         if self.aux:
-            # a fully-pruned batch must still emit the aux columns, or
-            # empty and matched batches would disagree on schema
+            # a fully-pruned partition must still emit the aux columns,
+            # or empty and matched partitions would disagree on schema
             for adir in self.aux:
                 for f in blob_schema(self._aux_blob(adir, pid)):
                     sch = sch.append(f)
@@ -130,61 +152,38 @@ class DecoderStage:
             return None
         return dv if dv is not None and len(dv) else None
 
-    def _row_mask(self, blob: bytes, sch: pa.Schema | None, pid: int):
-        """The rows this partition contributes: the predicate mask ANDed
-        with the delete-vector keep mask, or None when every row stays.
-
-        Predicates decode only their own columns (byte-level frame skip).
-        On an evolved store a predicate on a column this blob predates
-        sees all-NULL: only ops NULL satisfies (is_null) keep rows, and
-        they constrain nothing."""
-        n = blob_num_rows(blob)
-        present = [p for p in self.predicate if sch is None or p[0] in sch.names]
-        if not all(OPS[op].matches_null for c, op, _ in self.predicate
-                   if sch is not None and c not in sch.names):
-            return pa.array(np.zeros(n, dtype=bool))
-        mask = None
-        if present:
-            pt = decode_table(blob, sorted({p[0] for p in present}))
-            mask = predicate_mask(pt, present)
+    def _row_mask(self, blob: bytes, pid: int):
+        """The rows this partition contributes: the predicate's
+        ``true_rows`` ANDed with the delete-vector keep mask, or None
+        when every row stays."""
+        mask = true_rows(blob, self.predicate) if self.predicate else None
         dv = self._delete_vector(pid)
         if dv is not None:
-            keep = pa.array(dvs.keep_mask(dv, n))
+            keep = pa.array(dvs.keep_mask(dv, blob_num_rows(blob)))
             mask = keep if mask is None else pc.and_(mask, keep)
         return mask
 
     def __call__(self, batch: dict) -> pa.Table:
-        crcs = batch.get("crc32")
-        tables = []
-        out_schema: pa.Schema | None = None
-        for i, pid in enumerate(batch["partition_id"]):
-            pid = int(pid)
-            blob = mf.read_blob(self.out_dir, pid, self.filesystem,
-                                None if crcs is None else int(crcs[i]))
-            sch = blob_schema(blob) if self.target_schema is not None else None
-            mask = self._row_mask(blob, sch, pid)
-            n_keep = -1 if mask is None else int(pc.sum(mask).as_py() or 0)
-            if n_keep == 0:
-                if out_schema is None:
-                    out_schema = self._out_schema(blob, pid)
-                continue
-            t = decode_table(blob, self._read_cols(sch))
-            if n_keep == t.num_rows:
-                mask = None
-            elif mask is not None:
-                t = t.filter(mask)
-            if self.aux:
-                t = self._with_aux(pid, t, mask)
-            tables.append(self._adapt(t) if sch is not None else t)
-        if not tables:
-            # every partition in this batch was fully pruned: emit a
-            # zero-ROW table with the blob's real schema (never a
-            # zero-COLUMN table — those poison downstream schema
-            # unification and trip Ray's schema-change warning)
-            if out_schema is not None:
-                return out_schema.empty_table()
-            return pa.table({})
-        return pa.concat_tables(tables)
+        """Decode the batch's one partition row (``partition_id``,
+        ``crc32``). A partition with no surviving row returns a zero-ROW
+        table with its real schema (never a zero-COLUMN table — those
+        poison downstream schema unification and trip Ray's
+        schema-change warning)."""
+        pid = int(batch["partition_id"][0])
+        blob = mf.read_blob(self.out_dir, pid, self.filesystem, int(batch["crc32"][0]))
+        sch = blob_schema(blob) if self.target_schema is not None else None
+        mask = self._row_mask(blob, pid)
+        n_keep = -1 if mask is None else int(pc.sum(mask).as_py() or 0)
+        if n_keep == 0:
+            return self._out_schema(blob, pid).empty_table()
+        t = decode_table(blob, self._read_cols(sch))
+        if n_keep == t.num_rows:
+            mask = None
+        elif mask is not None:
+            t = t.filter(mask)
+        if self.aux:
+            t = self._with_aux(pid, t, mask)
+        return self._adapt(t) if sch is not None else t
 
     def _pruned_schema(self, schema: pa.Schema) -> pa.Schema:
         if self.columns is None:

@@ -99,29 +99,26 @@ def encode_partitions(batch: dict, out_dir: str, token_col: str | None = "n_tok"
                       filesystem=None, input_filesystem=None,
                       bloom_stats: bool = True) -> dict:
     """``map_batches`` callable of the encode job, bound to its options
-    with ``functools.partial``: read each plan row's input slice (from
-    ``input_filesystem``) and write it through ``write_partition`` (to
-    ``filesystem``). Returns the per-partition metrics rows."""
-    out = {"partition_id": [], "row_count": [], "n_tokens": [], "raw_bytes": [],
-           "encoded_bytes": [], "wall_ms": []}
-    for i in range(len(batch["partition_id"])):
-        part = Partition(
-            partition_id=int(batch["partition_id"][i]),
-            path=str(batch["path"][i]),
-            row_start=int(batch["row_start"][i]),
-            row_count=int(batch["row_count"][i]),
-            est_tokens=int(batch["est_tokens"][i]),
-        )
-        t0 = time.perf_counter()
-        tbl = read_slice(part.path, part.row_start, part.row_count,
-                         filesystem=input_filesystem)
-        read_ms = round((time.perf_counter() - t0) * 1e3, 1)
-        n_tokens = 0
-        if token_col and token_col in tbl.column_names and tbl.num_rows:
-            col = tbl[token_col].combine_chunks()
-            n_tokens = max(0, int(pa.compute.sum(col).as_py() or 0))
-        e = write_partition(out_dir, part, tbl, n_tokens, filesystem,
-                            bloom=bloom_stats, read_ms=read_ms)
-        for k in out:
-            out[k].append(e[k])
-    return {k: np.asarray(v) for k, v in out.items()}
+    with ``functools.partial``: read the batch's one plan row's input
+    slice (from ``input_filesystem``) and write it through
+    ``write_partition`` (to ``filesystem``). Returns that partition's
+    metrics row."""
+    part = Partition(
+        partition_id=int(batch["partition_id"][0]),
+        path=str(batch["path"][0]),
+        row_start=int(batch["row_start"][0]),
+        row_count=int(batch["row_count"][0]),
+        est_tokens=int(batch["est_tokens"][0]),
+    )
+    t0 = time.perf_counter()
+    tbl = read_slice(part.path, part.row_start, part.row_count,
+                     filesystem=input_filesystem)
+    read_ms = round((time.perf_counter() - t0) * 1e3, 1)
+    n_tokens = 0
+    if token_col and token_col in tbl.column_names and tbl.num_rows:
+        col = tbl[token_col].combine_chunks()
+        n_tokens = max(0, int(pa.compute.sum(col).as_py() or 0))
+    e = write_partition(out_dir, part, tbl, n_tokens, filesystem,
+                        bloom=bloom_stats, read_ms=read_ms)
+    return {k: np.asarray([e[k]]) for k in ("partition_id", "row_count", "n_tokens",
+                                            "raw_bytes", "encoded_bytes", "wall_ms")}

@@ -167,15 +167,14 @@ class file_lock:
     The lock FILE is never unlinked (unlink-while-locked would let a
     third process lock a fresh inode at the same path while the second
     still holds the old one); an empty ``.lock`` file persisting next to
-    the state is expected.  ``stale_after`` is kept for API compat and
-    ignored.  Non-local filesystems are a documented no-op — object
-    stores lack an atomic lock primitive, so concurrent mergers there
-    must be prevented by the JOB layer (one delete job per store at a
+    the state is expected.  Non-local filesystems are a documented
+    no-op — object stores lack an atomic lock primitive, so concurrent
+    mergers there must be prevented by the JOB layer (one delete job per store at a
     time; the driver-side ``delete_rows`` entry point is single-writer
     by construction)."""
 
     def __init__(self, path: str, filesystem: pafs.FileSystem | None = None,
-                 timeout: float = 30.0, stale_after: float = 300.0):
+                 timeout: float = 30.0):
         self.fs, self.p = resolve(path, filesystem)
         self.timeout = timeout
         self._fd = None

@@ -155,12 +155,9 @@ def compact_manifest(out_dir: str, filesystem=None) -> dict:
 
 def finished_ids(out_dir: str, filesystem=None) -> set[int]:
     """Partitions whose manifest entry AND blob both exist."""
-    done = set()
     blob_names = set(fsio.list_files(fsio.join(out_dir, "blobs"), filesystem))
-    for e in load_manifest(out_dir, filesystem):
-        if e.get("status") == "done" and f"part-{e['partition_id']:08d}.blob" in blob_names:
-            done.add(e["partition_id"])
-    return done
+    return {e["partition_id"] for e in load_manifest(out_dir, filesystem)
+            if f"part-{e['partition_id']:08d}.blob" in blob_names}
 
 
 def summary(out_dir: str, filesystem=None) -> dict:

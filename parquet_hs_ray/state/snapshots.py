@@ -44,11 +44,9 @@ def create_snapshot(out_dir: str, name: str, filesystem=None) -> dict:
     """Record the current visible state.  Returns the snapshot dict."""
     if not name or "/" in name or name.startswith("."):
         raise ValueError(f"bad snapshot name {name!r}")
-    entries = [e for e in mf.load_manifest(out_dir, filesystem)
-               if e.get("status") == "done"]
     deleted = dvs.list_delete_pids(out_dir, filesystem)
     parts = []
-    for e in entries:
+    for e in mf.load_manifest(out_dir, filesystem):
         pid = int(e["partition_id"])
         rec = {"partition_id": pid, "crc32": e.get("checksum_crc32", -1)}
         if pid in deleted:

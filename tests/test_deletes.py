@@ -224,3 +224,40 @@ def test_cli_delete_drive(ray_session, f1_dir, tmp_path):
     assert summ["rows_deleted"] == res["rows_newly_deleted"]
     dec = run("decode", "--encoded", out, "--out", str(tmp_path / "dec_cli"))
     assert dec["rows"] == summ["rows"] - summ["rows_deleted"]
+
+
+def test_predicate_on_column_older_partitions_predate(ray_session, tmp_path):
+    """On an appended store, a predicate on a column that older
+    partitions predate reads it there as all-NULL, in ``delete_rows``
+    and in ``decode_dataset`` with or without ``unify_schema``. A
+    column that no partition lists is a typo: ``KeyError`` on the
+    driver before any task starts."""
+    from parquet_hs_ray.pipelines.encode_job import (decode_dataset,
+                                                     decode_to_parquet,
+                                                     delete_rows,
+                                                     encode_dataset)
+
+    a, b = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+    pq.write_table(pa.table({"k": pa.array(range(10), pa.int64())}), a)
+    pq.write_table(pa.table({"k": pa.array(range(10, 15), pa.int64()),
+                             "x": pa.array([1, 2, 3, 4, 5], pa.int64())}), b)
+    out = str(tmp_path / "enc")
+    encode_dataset(a, out, token_col=None)
+    encode_dataset([a, b], out, token_col=None, append=True)
+
+    for unify in (False, True):
+        got = decode_dataset(out, predicate=("x", "==", 3),
+                             unify_schema=unify).to_pandas()
+        assert got["k"].tolist() == [12], unify
+    res = delete_rows(out, ("x", "==", 3))
+    assert res["rows_newly_deleted"] == 1
+    left = decode_dataset(out, columns=["k"]).to_pandas()["k"]
+    assert sorted(left) == [k for k in range(15) if k != 12]
+
+    with pytest.raises(KeyError, match="no partition"):
+        decode_dataset(out, predicate=("y", "==", 3))
+    with pytest.raises(KeyError, match="no partition"):
+        delete_rows(out, ("y", "==", 3))
+    with pytest.raises(KeyError, match="no partition"):
+        decode_to_parquet(out, str(tmp_path / "export"),
+                          predicate=[("k", ">", 0), ("y", "is_null", None)])

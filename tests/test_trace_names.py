@@ -79,3 +79,42 @@ def test_blob_jobs_replay_in_process(tmp_path):
     assert got.sort_by("doc_id").equals(src.sort_by("doc_id"))
     names = {sp["name"] for sp in tracer.spans}
     assert {"stages.encode.read_slice", "state.manifest.read_blob"} <= names
+
+
+def test_every_blob_job_replays_in_process(tmp_path):
+    """Delete, verify, backfill, export and compaction run under the
+    traced replay too: every blob-store job stays inside the slice of
+    Ray Data that ``LocalDataset`` has."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from parquet_hs_ray.pipelines import encode_job as ej
+    from parquet_hs_ray.sources.synth import write_dataset
+
+    tracing = _tracing()
+    src_dir = str(tmp_path / "src")
+    files = write_dataset(src_dir, 200, seed=3, n_files=2)
+    src = pa.concat_tables(pq.read_table(f) for f in sorted(files))
+    keep = src.filter(pc.less_equal(src["n_tok"], 900))
+    out, dest, cpt = (str(tmp_path / n) for n in ("enc", "export", "cpt"))
+
+    def twice(t):
+        return pa.table({"n2": pc.multiply(t["n_tok"].cast(pa.int64()), 2)})
+
+    with tracing.installed(tracing.Tracer()):
+        ej.encode_dataset(src_dir, out, token_budget=20_000)
+        deleted = ej.delete_rows(out, ("n_tok", ">", 900))
+        verified = ej.verify_roundtrip(src_dir, out)
+        filled = ej.backfill_columns(out, "n2", twice, columns=["n_tok"])
+        exported = ej.decode_to_parquet(out, dest)
+        compacted = ej.compact_dataset(out, cpt, token_budget=10**9)
+        got = pa.concat_tables(ej.decode_dataset(cpt).iter_batches())
+    assert deleted["rows_newly_deleted"] == src.num_rows - keep.num_rows > 0
+    assert verified == {"partitions": verified["partitions"], "rows": src.num_rows,
+                        "mismatched_partitions": 0}
+    assert filled["rows"] == src.num_rows
+    assert exported["written"] == exported["partitions"] >= 2
+    assert pq.read_table(dest).num_rows == keep.num_rows
+    assert compacted["compacted"] == 1
+    assert got.sort_by("doc_id").equals(keep.sort_by("doc_id"))
