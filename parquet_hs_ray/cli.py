@@ -335,35 +335,28 @@ def main(argv=None):
                                 unify_schema=args.unify_schema,
                                 apply_deletes=not args.keep_deleted,
                                 snapshot=args.snapshot)
-            if pcols:
-                ds.write_parquet(args.out, partition_cols=pcols)
-            else:
-                ds.write_parquet(args.out)
+            import pyarrow.fs as pafs
+            import ray.data
+
+            from .state import fsio
+
+            fs, root = fsio.resolve(args.out)
+            tree = pafs.FileSelector(root, recursive=True, allow_not_found=True)
+            before = {i.path for i in fs.get_file_info(tree)}
+            ds.write_parquet(args.out, partition_cols=pcols)
+            # count from the footers of the files this run wrote (Ray
+            # appends to --out): Dataset.count() would run the decode
+            # again, and a decode with no row writes no file
+            new = sorted(i.path for i in fs.get_file_info(tree)
+                         if i.path.endswith(".parquet") and i.path not in before)
+            res = {"rows": ray.data.read_parquet(new, filesystem=fs).count() if new else 0,
+                   "out": args.out}
             if preds:
                 from .pipelines.encode_job import pruned_partition_ids
 
                 kept, total = pruned_partition_ids(args.encoded, preds)
-                print(json.dumps({"rows": ds.count(), "out": args.out,
-                                  "partitions_read": len(kept), "partitions_total": total}))
-            else:
-                from .state import deletes as dvs
-                from .state import manifest as mf
-
-                if args.snapshot:
-                    from .state import snapshots as snaps
-
-                    snap = snaps.load_snapshot(args.encoded, args.snapshot)
-                    pids = {int(r["partition_id"]) for r in snap["partitions"]}
-                    rows = sum(e["row_count"]
-                               for e in mf.load_manifest(args.encoded)
-                               if e["partition_id"] in pids)
-                    rows -= sum(len(v) for v in
-                                snaps.snapshot_delete_vectors(snap).values())
-                else:
-                    rows = mf.summary(args.encoded)["rows"]
-                    if not args.keep_deleted:
-                        rows -= dvs.deletes_summary(args.encoded)["rows_deleted"]
-                print(json.dumps({"rows": rows, "out": args.out}))
+                res.update(partitions_read=len(kept), partitions_total=total)
+            print(json.dumps(res))
         elif args.cmd == "compact":
             from .pipelines.encode_job import compact_dataset
 

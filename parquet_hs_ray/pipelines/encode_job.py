@@ -21,15 +21,15 @@ Partition I/O has one reader and one writer: every blob read goes
 through ``manifest.read_blob`` with its manifest crc32 (a corrupt blob
 fails the job), and every blob written goes through
 ``stages.encode.write_partition`` (encode, compaction, backfill).
-A predicate over a blob has one row-mask rule,
-``stages.decode.true_rows``, shared by ``DecoderStage`` and
-``delete_rows``: a column a blob predates reads as all-NULL, while a
-predicate column no manifest entry lists raises ``KeyError`` on the
-driver. Decode, export and compaction decode rows through
-``DecoderStage`` (predicates, deletes, schema adaptation);
-``delete_rows``, ``verify_roundtrip`` and ``backfill_columns`` read the
-checked blob directly: they need every stored row at its stored
-position, and ``DecoderStage`` drops deleted rows.
+Decode, export, delete and ``pruned_partition_ids`` are planned on the
+driver by ``_plan_read`` from the manifests' column sets: a column no
+entry lists raises ``KeyError``, a column a partition predates is
+all-NULL to the stats pruning and to the row mask alike
+(``predicates.absent_may_match``). Decode, export and compaction decode
+rows through ``DecoderStage``; ``delete_rows``, ``verify_roundtrip``
+and ``backfill_columns`` read the checked blob directly: they need
+every stored row at its stored position, and ``DecoderStage`` drops
+deleted rows.
 
 These functions do NOT call ray.init()/shutdown() (driver contract); they
 assume a session exists (Ray Data auto-inits local otherwise).
@@ -74,18 +74,6 @@ def _blob_rows(entries) -> list[dict]:
 def _one_row(**fields) -> dict:
     """A stage's output: one numpy row."""
     return {k: np.asarray([v]) for k, v in fields.items()}
-
-
-def _load_entries(out_dir: str, preds: list, filesystem=None) -> list[dict]:
-    """The store's manifest entries, after refusing a predicate column
-    that no entry lists: that is a typo, not a column older blobs
-    predate (``true_rows`` reads those as all-NULL)."""
-    entries = mf.load_manifest(out_dir, filesystem)
-    known = set().union(*(e.get("columns", {}) for e in entries))
-    unknown = sorted({p[0] for p in preds} - known)
-    if entries and unknown:
-        raise KeyError(f"predicate columns in no partition: {unknown}")
-    return entries
 
 
 def tables_bitwise_equal(a, b) -> bool:
@@ -218,8 +206,10 @@ def _stats_can_match(entry: dict, preds: list) -> bool:
 
     for col, op, v in preds:
         st = entry.get("columns", {}).get(col)
-        if not st:
-            continue  # no stats -> cannot prune
+        if st is None:  # an entry keys every column its blob holds
+            if not P.absent_may_match(op, v, entry.get("row_count")):
+                return False
+            continue
         if not P.may_match(op, v, st.get("min"), st.get("max"),
                            st.get("null_count"), entry.get("row_count")):
             return False
@@ -235,37 +225,97 @@ def _stats_can_match(entry: dict, preds: list) -> bool:
 
 def pruned_partition_ids(out_dir: str, predicate, filesystem=None) -> tuple[list[int], int]:
     """(kept partition ids, total finished) for a predicate."""
+    rows, total, _ = _plan_read(out_dir, predicate=predicate, filesystem=filesystem,
+                                apply_deletes=False)
+    return [r["partition_id"] for r in rows], total
+
+
+def _plan_read(out_dir: str, columns: list[str] | None = None, predicate=None,
+               filesystem=None, unify_schema: bool = False,
+               aux_families: list[str] | None = None, apply_deletes: bool = True,
+               snapshot: str | None = None) -> tuple[list[dict], int, DecoderStage]:
+    """The one driver-side plan of a blob read (decode, export, delete,
+    pruning), made from the manifests: an entry keys every column its
+    blob holds, a family's entries key the family's columns. A predicate
+    column no partition holds, or a projected column no partition or
+    family holds, raises ``KeyError`` before any task; ``columns`` splits
+    into base and per-family columns; the partitions whose stats may
+    match are kept. Only ``unify_schema=True`` reads blobs here: one
+    header per distinct column set of each store (``_union_schema``).
+    Returns (control rows of the kept partitions, number of partitions,
+    the ``DecoderStage`` that decodes them)."""
     preds = P.normalize(predicate)
     entries = mf.load_manifest(out_dir, filesystem)
-    kept = [e["partition_id"] for e in entries if _stats_can_match(e, preds)]
-    return kept, len(entries)
+    families = {aux_family_dir(out_dir, fam): mf.finished_entries(
+        aux_family_dir(out_dir, fam), filesystem) for fam in aux_families or ()}
+    held = {d: set().union(*(e.get("columns", {}) for e in es))
+            for d, es in [(out_dir, entries), *families.items()]}
+    unknown = sorted({p[0] for p in preds} - held[out_dir])
+    if entries and unknown:
+        raise KeyError(f"predicate columns in no partition: {unknown}")
+    known = set().union(*held.values())
+    unknown = [c for c in columns or () if c not in known]
+    if entries and unknown:
+        raise KeyError(f"unknown columns {unknown}: no partition or family holds "
+                       f"them (target schema: {sorted(known)})")
+    delete_vectors, deleted_pids = None, set()
+    if snapshot is not None:
+        from ..state import snapshots as snaps
+
+        snap = snaps.load_snapshot(out_dir, snapshot, filesystem)
+        snap_crc = {int(r["partition_id"]): int(r.get("crc32", -1))
+                    for r in snap["partitions"]}
+        missing = sorted(set(snap_crc) - {e["partition_id"] for e in entries})
+        if missing:
+            raise ValueError(
+                f"snapshot {snapshot!r} references partitions no longer in "
+                f"the manifest (e.g. {missing[:3]}) — store was rebuilt")
+        # a pinned partition's blob must match the SNAPSHOT's crc32
+        entries = [dict(e, checksum_crc32=snap_crc[e["partition_id"]])
+                   for e in entries if e["partition_id"] in snap_crc]
+        delete_vectors = snaps.snapshot_delete_vectors(snap)
+    elif apply_deletes:
+        deleted_pids = dvs.list_delete_pids(out_dir, filesystem)
+    rows = _blob_rows(e for e in entries if _stats_can_match(e, preds))
+    pids = {r["partition_id"] for r in rows}
+    aux: dict[str, tuple[dict[int, int], set[str]]] = {}
+    for fam, (adir, fes) in zip(dict.fromkeys(aux_families or ()), families.items()):
+        missing = pids - {e["partition_id"] for e in fes}
+        if missing:
+            raise ValueError(
+                f"aux family {fam!r} is missing {len(missing)} of "
+                f"{len(pids)} partitions (e.g. {sorted(missing)[:3]}); "
+                "run backfill_columns to completion first")
+        want = held[adir] if columns is None else held[adir] & set(columns)
+        if want:
+            aux[adir] = ({e["partition_id"]: e.get("checksum_crc32", -1) for e in fes}, want)
+    target = _union_schema([(out_dir, entries), *families.items()], filesystem) \
+        if unify_schema else None
+    stage = DecoderStage(out_dir, columns, filesystem=filesystem, predicate=preds,
+                         target_schema=target, aux=aux,
+                         deleted_pids=deleted_pids, delete_vectors=delete_vectors)
+    return rows, len(entries), stage
 
 
-def _union_schema(out_dir: str, done_entries: list[dict], filesystem=None):
-    """Union schema across an evolved store: one blob header read per
-    DISTINCT column-name set (the driver never opens the rest); same-name
-    type conflicts across probed sets raise here, drift within a name set
-    is caught by the decode stage."""
-    probe: dict[tuple, dict] = {}
-    for e in done_entries:
-        key = tuple(sorted(e.get("columns", {}).keys())) or \
-            ("__nostats__", e["partition_id"])
-        probe.setdefault(key, e)
+def _union_schema(stores: list[tuple[str, list[dict]]], filesystem=None) -> pa.Schema:
+    """Union schema of an evolved store and its families (``[(store dir,
+    entries)]``): one blob header read per DISTINCT column-name set of
+    each store (the driver never opens the rest); same-name type
+    conflicts across probed sets raise here, drift within a name set is
+    caught by the decode stage."""
     fields: dict[str, pa.Field] = {}
-    order: list[str] = []
-    for e in probe.values():
-        sch = blob_schema(mf.read_blob(out_dir, e["partition_id"], filesystem,
-                                       e.get("checksum_crc32")))
-        for f in sch:
-            if f.name in fields:
-                if fields[f.name].type != f.type:
+    for d, entries in stores:
+        probe: dict[frozenset, dict] = {}
+        for e in entries:
+            probe.setdefault(frozenset(e.get("columns", {})), e)
+        for e in probe.values():
+            for f in blob_schema(mf.read_blob(d, e["partition_id"], filesystem,
+                                              e.get("checksum_crc32"))):
+                if fields.setdefault(f.name, f).type != f.type:
                     raise ValueError(
                         f"schema evolution type conflict on {f.name!r}: "
                         f"{fields[f.name].type} vs {f.type}")
-            else:
-                fields[f.name] = f
-                order.append(f.name)
-    return pa.schema([fields[n] for n in order])
+    return pa.schema(list(fields.values()))
 
 
 def delete_rows(out_dir: str, predicate, filesystem=None) -> dict:
@@ -289,9 +339,9 @@ def delete_rows(out_dir: str, predicate, filesystem=None) -> dict:
     preds = P.normalize(predicate)
     if not preds:
         raise ValueError("delete_rows requires a predicate")
-    entries = _load_entries(out_dir, preds, filesystem)
-    items = _blob_rows(e for e in entries if _stats_can_match(e, preds))
-    result = {"partitions": len(entries),
+    items, total, _ = _plan_read(out_dir, predicate=preds, filesystem=filesystem,
+                                 apply_deletes=False)
+    result = {"partitions": total,
               "partitions_scanned": len(items),
               "partitions_changed": 0, "rows_newly_deleted": 0}
     if not items:
@@ -325,20 +375,20 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
     manifest min/max stats BEFORE any blob is opened; surviving partitions
     decode the predicate columns FIRST (byte-level frame skip), full-decode
     only on a match, and filter exactly — same semantics, ~selectivity×
-    less IO and decode work.  A predicate column that no manifest entry
-    lists raises ``KeyError`` before any task starts.
+    less IO and decode work.  ``columns`` (output order) may name base
+    and ``aux_families`` columns alike; families (``backfill_columns``)
+    join by row position before the row mask.  A predicate or
+    ``columns`` name no manifest entry lists raises ``KeyError`` before
+    any task starts.
 
-    Schema evolution: a store appended to across schema versions holds
-    blobs with different column sets.  Predicates on a column a blob
-    predates see all-NULL semantics (equality/range/is_not_null match
-    nothing, is_null everything), with or without ``unify_schema``.
-    ``unify_schema=True`` computes the UNION schema (one blob header read
-    per distinct column set — the driver never opens the rest) and every
-    partition adapts to it: missing columns null-pad, order unifies,
-    same-name type conflicts raise — across distinct column sets at the
-    driver, and for blobs whose name set matches the probe but whose
-    types drifted, at decode time in the stage.  ``columns=`` then
-    projects the union.
+    Schema evolution: a column a partition predates is all-NULL, with or
+    without ``unify_schema``, so predicates on it match nothing there
+    (the manifest stats prune the partition) except ``is_null``.
+    ``unify_schema=True`` adapts every partition to the UNION schema of
+    the store and its families (one blob header read per distinct column
+    set): missing columns null-pad, same-name type conflicts raise (at
+    the driver, or in the stage for type drift within one name set).
+    Without it a partition that predates a projected column raises.
 
     ``apply_deletes`` (default True) honors deletion-vector sidecars
     written by ``delete_rows``; pass False to audit the base data.
@@ -348,58 +398,9 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
     PINNED delete vectors apply (later deletes are ignored), and blob
     crc32s are checked against the snapshot (an immutability violation
     refuses to decode)."""
-    preds = P.normalize(predicate)
-    done = _load_entries(out_dir, preds, filesystem)
-    delete_vectors, deleted_pids = None, set()
-    if snapshot is not None:
-        from ..state import snapshots as snaps
-
-        snap = snaps.load_snapshot(out_dir, snapshot, filesystem)
-        snap_crc = {int(r["partition_id"]): int(r.get("crc32", -1))
-                    for r in snap["partitions"]}
-        missing = sorted(set(snap_crc) - {e["partition_id"] for e in done})
-        if missing:
-            raise ValueError(
-                f"snapshot {snapshot!r} references partitions no longer in "
-                f"the manifest (e.g. {missing[:3]}) — store was rebuilt")
-        # a pinned partition's blob must match the SNAPSHOT's crc32
-        done = [dict(e, checksum_crc32=snap_crc[e["partition_id"]])
-                for e in done if e["partition_id"] in snap_crc]
-        delete_vectors = snaps.snapshot_delete_vectors(snap)
-    elif apply_deletes:
-        deleted_pids = dvs.list_delete_pids(out_dir, filesystem)
-    target_schema = _union_schema(out_dir, done, filesystem) if unify_schema else None
-    if target_schema is not None and columns is not None:
-        unknown = [c for c in columns if c not in target_schema.names]
-        if unknown:
-            raise KeyError(f"columns not in target schema: {unknown}")
-    items = _blob_rows(e for e in done if _stats_can_match(e, preds))
-    aux: dict[str, dict[int, int]] = {}
-    if aux_families:
-        pids = {it["partition_id"] for it in items}
-        for fam in aux_families:
-            adir = aux_family_dir(out_dir, fam)
-            have = mf.finished_ids(adir, filesystem)
-            missing = pids - have
-            if missing:
-                raise ValueError(
-                    f"aux family {fam!r} is missing {len(missing)} of "
-                    f"{len(pids)} partitions (e.g. {sorted(missing)[:3]}); "
-                    "run backfill_columns to completion first")
-            aux[adir] = {e["partition_id"]: e.get("checksum_crc32", -1)
-                         for e in mf.load_manifest(adir, filesystem)}
-            if target_schema is not None and pids:
-                # the adapt step projects to the target — fold the
-                # family's columns in so aux + unify don't silently drop
-                pid = min(pids)
-                asch = blob_schema(mf.read_blob(adir, pid, filesystem, aux[adir][pid]))
-                for f in asch:
-                    if f.name not in target_schema.names:
-                        target_schema = target_schema.append(f)
-    stage = DecoderStage(out_dir, columns, filesystem=filesystem, predicate=preds,
-                         target_schema=target_schema, aux=aux,
-                         deleted_pids=deleted_pids, delete_vectors=delete_vectors)
-    return _map_partitions(items, stage)
+    rows, _, stage = _plan_read(out_dir, columns, predicate, filesystem, unify_schema,
+                                aux_families, apply_deletes, snapshot)
+    return _map_partitions(rows, stage)
 
 
 def verify_roundtrip(input_path: str | list[str], out_dir: str,
@@ -464,12 +465,8 @@ def decode_to_parquet(out_dir: str, dest_dir: str, columns: list[str] | None = N
     fresh dest."""
     if writer not in ("pyarrow", "kernels"):
         raise ValueError(f"writer must be 'pyarrow' or 'kernels', got {writer!r}")
-    preds = P.normalize(predicate)
-    deleted_pids = dvs.list_delete_pids(out_dir, filesystem) \
-        if apply_deletes else set()
-    entries = [e for e in _load_entries(out_dir, preds, filesystem)
-               if _stats_can_match(e, preds)]
-    target_schema = _union_schema(out_dir, entries, filesystem) if unify_schema else None
+    rows, _, stage = _plan_read(out_dir, columns, predicate, filesystem, unify_schema,
+                                apply_deletes=apply_deletes)
     fsio.mkdirs(dest_dir, dest_filesystem)
     if partition_cols:
         done_dir = fsio.join(dest_dir, "_done")
@@ -479,14 +476,11 @@ def decode_to_parquet(out_dir: str, dest_dir: str, columns: list[str] | None = N
     else:
         existing = set(fsio.list_files(dest_dir, dest_filesystem))
         marker = "part-{:08d}.parquet"
-    todo = [e for e in entries
-            if marker.format(e["partition_id"]) not in existing]
-    result = {"partitions": len(entries), "skipped_finished": len(entries) - len(todo),
+    todo = [r for r in rows if marker.format(r["partition_id"]) not in existing]
+    result = {"partitions": len(rows), "skipped_finished": len(rows) - len(todo),
               "written": len(todo)}
     if not todo:
         return result
-    stage = DecoderStage(out_dir, columns, filesystem=filesystem, predicate=preds,
-                         target_schema=target_schema, deleted_pids=deleted_pids)
 
     def write_one(t: pa.Table, rel: str) -> None:
         if writer == "kernels":
@@ -516,7 +510,7 @@ def decode_to_parquet(out_dir: str, dest_dir: str, columns: list[str] | None = N
                               b"", dest_filesystem)
         return _one_row(partition_id=pid)
 
-    _map_partitions(_blob_rows(todo), export).take_all()
+    _map_partitions(todo, export).take_all()
     return result
 
 

@@ -143,6 +143,13 @@ def may_match(op: str, v, lo=None, hi=None, nulls=None, rows=None) -> bool:
         return True
 
 
+def absent_may_match(op: str, v, rows) -> bool:
+    """The absent-column rule: a column a chunk lacks (a blob written
+    before the column existed) holds ``rows`` NULLs, so only an op NULL
+    satisfies can match there."""
+    return may_match(op, v, None, None, rows, rows)
+
+
 def members(op: str, v) -> list | None:
     """The values one of which a matching row must hold (``==``, ``in``,
     ``contains``), or None for ops a membership test cannot decide."""

@@ -12,10 +12,11 @@ analogue because Arrow list offsets + validity ARE the assembled
 representation.
 
 Every partition takes the same path: row mask (``true_rows`` of the
-predicate AND the delete-vector keep mask) → decode the projection only
-if a row survives → filter → append aux families → adapt to the target
-schema.  The decode job, the Parquet export and compaction all run it,
-one partition per call.
+predicate AND the delete-vector keep mask) → decode the projected
+columns the base blob and each family blob hold, only if a row survives
+→ join them by row position and filter once → adapt to the output
+fields.  The decode job, the Parquet export and compaction all run it,
+one partition per call; ``pipelines.encode_job._plan_read`` builds it.
 
 Stateless — plain-function tasks, no actor pool needed (no cross-batch
 state; dictionaries/symbol tables are self-contained in each blob)."""
@@ -27,7 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..format import blob_num_rows, blob_schema, decode_table
-from ..predicates import OPS
+from ..predicates import absent_may_match
 from ..predicates import mask as predicate_mask
 from ..state import deletes as dvs
 from ..state import manifest as mf
@@ -37,11 +38,12 @@ def true_rows(blob: bytes, preds: list) -> pa.Array:
     """The one row-mask rule of a predicate over a blob: the rows where
     the conjunction is TRUE (NULL fills to False). Only the predicate's
     own columns decode (byte-level frame skip). A column the blob
-    predates (an evolved store) reads as all-NULL: an op NULL satisfies
+    predates (an evolved store) reads as all-NULL by the absent-column
+    rule the manifest pruning applies too: an op NULL satisfies
     (is_null) constrains nothing, any other op matches no row."""
     names = blob_schema(blob).names
     n = blob_num_rows(blob)
-    if not all(OPS[op].matches_null for c, op, _ in preds if c not in names):
+    if not all(absent_may_match(op, v, n) for c, op, v in preds if c not in names):
         return pa.array(np.zeros(n, dtype=bool))
     present = [p for p in preds if p[0] in names]
     if not present:
@@ -54,10 +56,13 @@ class DecoderStage:
     jobs: each call decodes the batch's one partition row to an Arrow
     table.
 
-    ``columns`` prunes frames at the byte level (length-delimited skip);
-    ``predicate`` (normalized triples) and the delete vectors mask rows;
-    ``target_schema`` (``unify_schema=True``) adapts every partition to
-    one schema; ``aux`` appends backfilled column families."""
+    ``columns`` (output order; None = every column) prunes frames at the
+    byte level (length-delimited skip); ``predicate`` (normalized
+    triples) and the delete vectors mask rows; ``aux`` maps each
+    backfilled family's store dir to ``({partition id: crc32}, {its
+    projected column names})``; ``target_schema`` (``unify_schema=True``)
+    is the schema every partition adapts to — without it a partition is
+    its own target."""
 
     def __init__(self, out_dir: str, columns: list[str] | None = None, filesystem=None,
                  predicate: list | None = None,
@@ -77,71 +82,10 @@ class DecoderStage:
         self.columns = columns
         self.filesystem = filesystem
         self.predicate = predicate or []
-        # schema evolution: every partition adapts to this schema —
-        # missing columns null-pad, order unifies; type conflicts raise
         self.target_schema = target_schema
-        # backfilled column families, {aux store dir: {partition id:
-        # manifest crc32}}: same-partition-id mini-stores whose columns
-        # append by ROW POSITION after the base (and after its row mask,
-        # applied identically)
+        # same-partition-id mini-stores whose columns join the base by
+        # ROW POSITION, before the one row mask
         self.aux = aux or {}
-
-    def _aux_blob(self, adir: str, pid: int) -> bytes:
-        return mf.read_blob(adir, pid, self.filesystem, self.aux[adir].get(pid))
-
-    def _with_aux(self, pid: int, t: pa.Table, mask) -> pa.Table:
-        for adir in self.aux:
-            at = decode_table(self._aux_blob(adir, pid))
-            if mask is not None:
-                at = at.filter(mask)
-            if at.num_rows != t.num_rows:
-                raise ValueError(
-                    f"aux family {adir!r} partition {pid}: {at.num_rows} "
-                    f"rows vs base {t.num_rows} — family out of sync")
-            for name in at.column_names:
-                t = t.append_column(name, at.column(name))
-        return t
-
-    def _target_fields(self) -> list[pa.Field]:
-        """The target schema, projected through ``columns`` when set."""
-        if self.columns is None:
-            return list(self.target_schema)
-        return [self.target_schema.field(c) for c in self.columns]
-
-    def _adapt(self, t: pa.Table) -> pa.Table:
-        """Pad/reorder a decoded table to the target fields."""
-        fields = self._target_fields()
-        arrays = []
-        for f in fields:
-            if f.name in t.schema.names:
-                col = t.column(f.name)
-                if col.type != f.type:
-                    raise ValueError(
-                        f"schema evolution type conflict on {f.name!r}: "
-                        f"blob has {col.type}, target wants {f.type}")
-                arrays.append(col)
-            else:
-                arrays.append(pa.nulls(t.num_rows, f.type))
-        return pa.Table.from_arrays(arrays, schema=pa.schema(fields))
-
-    def _read_cols(self, sch: pa.Schema | None):
-        """Columns to decode from this blob: the projection, or the
-        target fields the blob actually has."""
-        if sch is None:
-            return self.columns
-        return [f.name for f in self._target_fields() if f.name in sch.names]
-
-    def _out_schema(self, blob: bytes, pid: int) -> pa.Schema:
-        if self.target_schema is not None:
-            return pa.schema(self._target_fields())
-        sch = self._pruned_schema(blob_schema(blob))
-        if self.aux:
-            # a fully-pruned partition must still emit the aux columns,
-            # or empty and matched partitions would disagree on schema
-            for adir in self.aux:
-                for f in blob_schema(self._aux_blob(adir, pid)):
-                    sch = sch.append(f)
-        return sch
 
     def _delete_vector(self, pid: int):
         if self.delete_vectors is not None:
@@ -165,29 +109,58 @@ class DecoderStage:
 
     def __call__(self, batch: dict) -> pa.Table:
         """Decode the batch's one partition row (``partition_id``,
-        ``crc32``). A partition with no surviving row returns a zero-ROW
+        ``crc32``): the projected columns the base blob holds, then each
+        family's, joined by row position and masked once. A partition
+        with no surviving row decodes nothing and returns a zero-ROW
         table with its real schema (never a zero-COLUMN table — those
         poison downstream schema unification and trip Ray's
         schema-change warning)."""
         pid = int(batch["partition_id"][0])
         blob = mf.read_blob(self.out_dir, pid, self.filesystem, int(batch["crc32"][0]))
-        sch = blob_schema(blob) if self.target_schema is not None else None
+        n = blob_num_rows(blob)
         mask = self._row_mask(blob, pid)
-        n_keep = -1 if mask is None else int(pc.sum(mask).as_py() or 0)
-        if n_keep == 0:
-            return self._out_schema(blob, pid).empty_table()
-        t = decode_table(blob, self._read_cols(sch))
-        if n_keep == t.num_rows:
-            mask = None
-        elif mask is not None:
+        keep = n if mask is None else int(pc.sum(mask).as_py() or 0)
+        t = _held(blob, self.columns, keep)
+        arrays, names = t.columns, t.column_names
+        for adir, (crcs, cols) in self.aux.items():
+            ablob = mf.read_blob(adir, pid, self.filesystem, crcs.get(pid))
+            if blob_num_rows(ablob) != n:
+                raise ValueError(
+                    f"aux family {adir!r} partition {pid}: {blob_num_rows(ablob)} "
+                    f"rows vs base {n} — family out of sync")
+            at = _held(ablob, cols, keep)
+            arrays, names = arrays + at.columns, names + at.column_names
+        t = pa.Table.from_arrays(arrays, names=names)
+        if keep < t.num_rows:
             t = t.filter(mask)
-        if self.aux:
-            t = self._with_aux(pid, t, mask)
-        return self._adapt(t) if sch is not None else t
+        return self._adapt(t, keep, pid)
 
-    def _pruned_schema(self, schema: pa.Schema) -> pa.Schema:
-        if self.columns is None:
-            return schema
-        keep = set(self.columns)
-        # blob frame order == schema field order == decode_table output order
-        return pa.schema([f for f in schema if f.name in keep])
+    def _adapt(self, t: pa.Table, n_rows: int, pid: int) -> pa.Table:
+        """The output fields, in ``columns`` order: a column the
+        partition predates is all-NULL of the target's type, a type
+        other than the target's is refused."""
+        target = t.schema if self.target_schema is None else self.target_schema
+        names = target.names if self.columns is None else self.columns
+        lacking = [c for c in names if c not in target.names]
+        if lacking:
+            raise KeyError(f"partition {pid} predates columns {lacking}; "
+                           "unify_schema=True reads them as NULL")
+        fields = [target.field(c) for c in names]
+        arrays = []
+        for f in fields:
+            if f.name not in t.column_names:
+                arrays.append(pa.nulls(n_rows, f.type))
+            elif t[f.name].type != f.type:
+                raise ValueError(
+                    f"schema evolution type conflict on {f.name!r}: "
+                    f"blob has {t[f.name].type}, target wants {f.type}")
+            else:
+                arrays.append(t[f.name])
+        return pa.Table.from_arrays(arrays, schema=pa.schema(fields))
+
+
+def _held(blob: bytes, columns: list[str] | None, keep: int) -> pa.Table:
+    """The columns of ``columns`` (None = all) that a blob holds,
+    decoded, or as a zero-row table when no row survives."""
+    sch = pa.schema([f for f in blob_schema(blob) if columns is None or f.name in columns])
+    return sch.empty_table() if keep == 0 else decode_table(blob, sch.names)

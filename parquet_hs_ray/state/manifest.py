@@ -153,11 +153,16 @@ def compact_manifest(out_dir: str, filesystem=None) -> dict:
             "compacted_file": target}
 
 
+def finished_entries(out_dir: str, filesystem=None) -> list[dict]:
+    """The entries whose blob exists too: one manifest load, one listing."""
+    blob_names = set(fsio.list_files(fsio.join(out_dir, "blobs"), filesystem))
+    return [e for e in load_manifest(out_dir, filesystem)
+            if f"part-{e['partition_id']:08d}.blob" in blob_names]
+
+
 def finished_ids(out_dir: str, filesystem=None) -> set[int]:
     """Partitions whose manifest entry AND blob both exist."""
-    blob_names = set(fsio.list_files(fsio.join(out_dir, "blobs"), filesystem))
-    return {e["partition_id"] for e in load_manifest(out_dir, filesystem)
-            if f"part-{e['partition_id']:08d}.blob" in blob_names}
+    return {e["partition_id"] for e in finished_entries(out_dir, filesystem)}
 
 
 def summary(out_dir: str, filesystem=None) -> dict:
