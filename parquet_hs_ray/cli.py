@@ -123,16 +123,20 @@ def main(argv=None):
                      help="skip per-partition Bloom filters (point-equality "
                           "pruning stats) in the manifest")
 
-    dec = sub.add_parser("decode", help="decode blocks back to parquet")
+    dec = sub.add_parser(
+        "decode", help="decode blocks back to parquet: one part-<id>.parquet "
+        "per kept partition (resumable: a rerun skips partitions whose file "
+        "--out already holds)")
     dec.add_argument("--encoded", required=True)
-    dec.add_argument("--out", required=True)
+    dec.add_argument("--out", required=True,
+                     help="output directory; a partition whose file it already "
+                          "holds is skipped, also after a later delete: export "
+                          "before delete, or to a fresh dest")
     dec.add_argument("--columns", default=None, help="comma-separated column subset")
-    dec.add_argument("--resumable", action="store_true",
-                     help="write one parquet file per encoded partition and "
-                          "skip already-exported ones (restartable export)")
     dec.add_argument("--partition-cols", default=None,
                      help="comma-separated columns to hive-partition the "
-                          "decoded parquet output by (resumable-output layout)")
+                          "decoded parquet output by (_done/ markers track "
+                          "finished partitions)")
     dec.add_argument("--where", default=None, action="append",
                      help=WHERE_HELP + ". Partitions whose manifest "
                           "min/max/null-count/Bloom stats exclude it are "
@@ -144,8 +148,7 @@ def main(argv=None):
                      "`snapshot --name <n>` (later appends/deletes invisible)")
     dec.add_argument("--writer", default="pyarrow",
                      choices=("pyarrow", "kernels"),
-                     help="parquet encoder for --resumable output: pyarrow "
-                          "or our own write kernels")
+                     help="parquet encoder: pyarrow or our own write kernels")
     dec.add_argument("--unify-schema", action="store_true",
                      help="schema evolution: decode an appended store to the "
                           "UNION schema (older partitions null-pad columns "
@@ -312,51 +315,15 @@ def main(argv=None):
             preds = [_parse_where(w) for w in args.where]
             print(json.dumps(delete_rows(args.encoded, preds)))
         elif args.cmd == "decode":
-            from .pipelines.encode_job import decode_dataset
+            from .pipelines.encode_job import decode_to_parquet
 
-            cols = args.columns.split(",") if args.columns else None
-            preds = [_parse_where(w) for w in args.where] if args.where else None
-            pcols = args.partition_cols.split(",") if args.partition_cols else None
-            if args.resumable:
-                from .pipelines.encode_job import decode_to_parquet
-
-                res = decode_to_parquet(args.encoded, args.out, columns=cols,
-                                        predicate=preds, partition_cols=pcols,
-                                        unify_schema=args.unify_schema,
-                                        apply_deletes=not args.keep_deleted,
-                                        writer=args.writer)
-                print(json.dumps(res))
-                return 0
-            if args.writer != "pyarrow":
-                raise SystemExit(
-                    "--writer kernels requires --resumable (the streaming "
-                    "write path uses Dataset.write_parquet)")
-            ds = decode_dataset(args.encoded, columns=cols, predicate=preds,
-                                unify_schema=args.unify_schema,
-                                apply_deletes=not args.keep_deleted,
-                                snapshot=args.snapshot)
-            import pyarrow.fs as pafs
-            import ray.data
-
-            from .state import fsio
-
-            fs, root = fsio.resolve(args.out)
-            tree = pafs.FileSelector(root, recursive=True, allow_not_found=True)
-            before = {i.path for i in fs.get_file_info(tree)}
-            ds.write_parquet(args.out, partition_cols=pcols)
-            # count from the footers of the files this run wrote (Ray
-            # appends to --out): Dataset.count() would run the decode
-            # again, and a decode with no row writes no file
-            new = sorted(i.path for i in fs.get_file_info(tree)
-                         if i.path.endswith(".parquet") and i.path not in before)
-            res = {"rows": ray.data.read_parquet(new, filesystem=fs).count() if new else 0,
-                   "out": args.out}
-            if preds:
-                from .pipelines.encode_job import pruned_partition_ids
-
-                kept, total = pruned_partition_ids(args.encoded, preds)
-                res.update(partitions_read=len(kept), partitions_total=total)
-            print(json.dumps(res))
+            print(json.dumps(decode_to_parquet(
+                args.encoded, args.out,
+                columns=args.columns.split(",") if args.columns else None,
+                predicate=[_parse_where(w) for w in args.where] if args.where else None,
+                partition_cols=args.partition_cols.split(",") if args.partition_cols else None,
+                unify_schema=args.unify_schema, apply_deletes=not args.keep_deleted,
+                snapshot=args.snapshot, writer=args.writer)))
         elif args.cmd == "compact":
             from .pipelines.encode_job import compact_dataset
 

@@ -45,6 +45,7 @@ import time
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data
 
 from .. import predicates as P
@@ -243,7 +244,8 @@ def _plan_read(out_dir: str, columns: list[str] | None = None, predicate=None,
     match are kept. Only ``unify_schema=True`` reads blobs here: one
     header per distinct column set of each store (``_union_schema``).
     Returns (control rows of the kept partitions, number of partitions,
-    the ``DecoderStage`` that decodes them)."""
+    the ``DecoderStage`` that decodes them; its ``out_columns`` are
+    ``columns``, else every column a partition or family holds)."""
     preds = P.normalize(predicate)
     entries = mf.load_manifest(out_dir, filesystem)
     families = {aux_family_dir(out_dir, fam): mf.finished_entries(
@@ -273,7 +275,7 @@ def _plan_read(out_dir: str, columns: list[str] | None = None, predicate=None,
         # a pinned partition's blob must match the SNAPSHOT's crc32
         entries = [dict(e, checksum_crc32=snap_crc[e["partition_id"]])
                    for e in entries if e["partition_id"] in snap_crc]
-        delete_vectors = snaps.snapshot_delete_vectors(snap)
+        delete_vectors = snaps.snapshot_delete_vectors(snap) if apply_deletes else {}
     elif apply_deletes:
         deleted_pids = dvs.list_delete_pids(out_dir, filesystem)
     rows = _blob_rows(e for e in entries if _stats_can_match(e, preds))
@@ -294,6 +296,7 @@ def _plan_read(out_dir: str, columns: list[str] | None = None, predicate=None,
     stage = DecoderStage(out_dir, columns, filesystem=filesystem, predicate=preds,
                          target_schema=target, aux=aux,
                          deleted_pids=deleted_pids, delete_vectors=delete_vectors)
+    stage.out_columns = list(columns or sorted(known))
     return rows, len(entries), stage
 
 
@@ -395,9 +398,9 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
 
     ``snapshot`` time-travels: only partitions recorded by
     ``state.snapshots.create_snapshot`` are visible, the snapshot's
-    PINNED delete vectors apply (later deletes are ignored), and blob
-    crc32s are checked against the snapshot (an immutability violation
-    refuses to decode)."""
+    PINNED delete vectors apply unless ``apply_deletes`` is False (later
+    deletes are ignored either way), and blob crc32s are checked against
+    the snapshot (an immutability violation refuses to decode)."""
     rows, _, stage = _plan_read(out_dir, columns, predicate, filesystem, unify_schema,
                                 aux_families, apply_deletes, snapshot)
     return _map_partitions(rows, stage)
@@ -440,47 +443,51 @@ def decode_to_parquet(out_dir: str, dest_dir: str, columns: list[str] | None = N
                       partition_cols: list[str] | None = None,
                       unify_schema: bool = False,
                       apply_deletes: bool = True,
+                      snapshot: str | None = None,
                       writer: str = "pyarrow") -> dict:
-    """RESUMABLE decode-to-parquet: one output file per encoded partition
-    (``part-<id>.parquet``), written atomically by one plain task per
-    partition that decodes through ``DecoderStage`` (predicates, deletes
+    """The one export (CLI ``decode``), RESUMABLE: one output file per
+    kept encoded partition (``part-<id>.parquet``, zero-row ones
+    included), written atomically by one plain task per partition that
+    decodes through ``DecoderStage`` (predicates, deletes, ``snapshot``
     and ``unify_schema`` as in ``decode_dataset``); partitions whose
     output already exists are skipped, so a killed export continues
-    where it stopped — the brief's "resumable output" layout (never one
-    giant file).
+    where it stopped — the brief's "resumable output" layout.
 
     ``partition_cols`` hive-partitions the export
     (``<dest>/<col>=<val>/part-<id>.parquet``, partition columns dropped
     from the files per hive convention); completion is then tracked with
     atomic ``_done/part-<id>.done`` markers (underscore-prefixed dirs are
     ignored by parquet dataset discovery), since one encoded partition may
-    fan out to several hive files.
+    fan out to several hive files. Before ``dest_dir`` is created, a
+    name that is no output column raises ``KeyError``, and naming every
+    output column (files with no column hold no row) ``ValueError``.
 
     ``writer="kernels"`` routes the parquet encode through our own
-    write kernels (`sources/parquet_writer.py`) instead of pyarrow —
-    the fully self-hosted path (kernel decode -> kernel parquet).
+    write kernels (`sources/parquet_writer.py`) instead of pyarrow.
 
+    Returns ``partitions`` (kept), ``partitions_total``,
+    ``skipped_finished``, ``written`` and ``rows`` (written by this run).
     NOTE: an already-exported partition is NOT re-exported when a later
     ``delete_rows`` touches it — export before delete, or export to a
     fresh dest."""
     if writer not in ("pyarrow", "kernels"):
         raise ValueError(f"writer must be 'pyarrow' or 'kernels', got {writer!r}")
-    rows, _, stage = _plan_read(out_dir, columns, predicate, filesystem, unify_schema,
-                                apply_deletes=apply_deletes)
-    fsio.mkdirs(dest_dir, dest_filesystem)
-    if partition_cols:
-        done_dir = fsio.join(dest_dir, "_done")
-        fsio.mkdirs(done_dir, dest_filesystem)
-        existing = set(fsio.list_files(done_dir, dest_filesystem))
-        marker = "part-{:08d}.done"
-    else:
-        existing = set(fsio.list_files(dest_dir, dest_filesystem))
-        marker = "part-{:08d}.parquet"
+    rows, total, stage = _plan_read(out_dir, columns, predicate, filesystem,
+                                    unify_schema, None, apply_deletes, snapshot)
+    if partition_cols and total:
+        if set(partition_cols) - set(stage.out_columns):
+            raise KeyError(f"partition_cols {partition_cols} not all in output "
+                           f"columns {stage.out_columns}")
+        if set(stage.out_columns) <= set(partition_cols):
+            raise ValueError(f"partition_cols {partition_cols} name every output "
+                             "column: the files would hold no row")
+    done_dir = fsio.join(dest_dir, "_done") if partition_cols else dest_dir
+    fsio.mkdirs(done_dir, dest_filesystem)
+    marker = "part-{:08d}." + ("done" if partition_cols else "parquet")
+    existing = set(fsio.list_files(done_dir, dest_filesystem))
     todo = [r for r in rows if marker.format(r["partition_id"]) not in existing]
-    result = {"partitions": len(rows), "skipped_finished": len(rows) - len(todo),
-              "written": len(todo)}
-    if not todo:
-        return result
+    result = {"partitions": len(rows), "partitions_total": total,
+              "skipped_finished": len(rows) - len(todo), "written": len(todo), "rows": 0}
 
     def write_one(t: pa.Table, rel: str) -> None:
         if writer == "kernels":
@@ -488,11 +495,7 @@ def decode_to_parquet(out_dir: str, dest_dir: str, columns: list[str] | None = N
 
             blob = encode_parquet_bytes(t, compression="SNAPPY", encodings="auto")
         else:
-            import io
-
-            import pyarrow.parquet as pq
-
-            buf = io.BytesIO()
+            buf = pa.BufferOutputStream()
             pq.write_table(t, buf)
             blob = buf.getvalue()
         fsio.write_atomic(fsio.join(dest_dir, rel), blob, dest_filesystem)
@@ -508,35 +511,29 @@ def decode_to_parquet(out_dir: str, dest_dir: str, columns: list[str] | None = N
                 write_one(part, f"{subdir}/part-{pid:08d}.parquet")
             fsio.write_atomic(fsio.join(done_dir, f"part-{pid:08d}.done"),
                               b"", dest_filesystem)
-        return _one_row(partition_id=pid)
+        return _one_row(partition_id=pid, rows=t.num_rows)
 
-    _map_partitions(todo, export).take_all()
+    if todo:
+        result["rows"] = sum(int(r["rows"]) for r in _map_partitions(todo, export).take_all())
     return result
 
 
 def _hive_splits(t: pa.Table, partition_cols: list[str]):
     """Yield (hive subdir, sub-table minus partition cols) per distinct
     partition-key combination — vectorized via dictionary-encoded combo
-    codes, one filter per distinct combo (not per row)."""
-    missing = [c for c in partition_cols if c not in t.column_names]
-    if missing:
-        raise KeyError(f"partition_cols {missing!r} not in decoded columns "
-                       f"{t.column_names!r}")
+    codes, one filter per distinct combo (not per row). A NULL key is
+    Hive's ``__HIVE_DEFAULT_PARTITION__``, which pyarrow reads back as
+    NULL."""
     if t.num_rows == 0:
         return
-    key_strs = [pc.cast(t[c], pa.string()) for c in partition_cols]
-    combo = key_strs[0] if len(key_strs) == 1 else \
-        pc.binary_join_element_wise(*key_strs, "\x1f")
-    if isinstance(combo, pa.ChunkedArray):
-        combo = pa.concat_arrays(combo.chunks)
-    codes = pc.dictionary_encode(combo)
-    dictionary = codes.dictionary
-    indices = codes.indices
+    keys = [pc.fill_null(pc.cast(t[c], pa.string()), "__HIVE_DEFAULT_PARTITION__")
+            for c in partition_cols]
+    combo = pc.binary_join_element_wise(*keys, "\x1f")
+    codes = pc.dictionary_encode(pa.concat_arrays(combo.chunks))
     rest = t.drop_columns(partition_cols)
-    for code in range(len(dictionary)):
-        vals = str(dictionary[code]).split("\x1f")
-        subdir = "/".join(f"{c}={v}" for c, v in zip(partition_cols, vals))
-        yield subdir, rest.filter(pc.equal(indices, code))
+    for code, key in enumerate(codes.dictionary.to_pylist()):
+        subdir = "/".join(f"{c}={v}" for c, v in zip(partition_cols, key.split("\x1f")))
+        yield subdir, rest.filter(pc.equal(codes.indices, code))
 
 
 def compact_dataset(src_dir: str, out_dir: str,
