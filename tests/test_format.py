@@ -2,6 +2,7 @@
 synthetic F1 table with nulls and skew (FIXTURES.md F1/F1-null/F4)."""
 
 import glob
+import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from parquet_hs_ray.selector import BITPACK, CODEC_NAMES, DICT, FOR, FSST, PLAIN
 from parquet_hs_ray.sources.synth import gen_batch
 
 SF_DIR = "/root/testdata/sf0.001"
+# FIXTURES.md F3: the golden file Spark wrote in the reference checkout.
+_REF_GOLDEN = "/root/reference/tests/integration/test.parquet"
 
 
 def roundtrip_array(arr: pa.Array, codec=None):
@@ -257,12 +260,16 @@ def test_selector_corner_tables():
     assert st.codec == "dict"
 
 
+@pytest.mark.skipif(
+    not os.path.exists(_REF_GOLDEN),
+    reason=f"reference checkout's golden file {_REF_GOLDEN} is absent",
+)
 def test_reference_golden_parquet_via_our_kernels():
     """FIXTURES.md F3: the reference's committed golden file
     (/root/reference/tests/integration/test.parquet, Spark 3.2.0,
     UNCOMPRESSED, RLE levels + PLAIN INT64) must decode bit-identically
     through OUR kernels vs PyArrow's independent decode."""
-    path = "/root/reference/tests/integration/test.parquet"
+    path = _REF_GOLDEN
     from parquet_hs_ray.sources.parquet_pages import read_parquet_via_kernels
 
     ours = read_parquet_via_kernels(path)
@@ -272,10 +279,23 @@ def test_reference_golden_parquet_via_our_kernels():
 
 
 def test_f3_roundtrip_through_our_format():
-    """The same nested-null shape through our own encode/decode."""
-    tbl = pq.read_table("/root/reference/tests/integration/test.parquet")
-    blob, _ = encode_table(tbl)
-    assert decode_table(blob).equals(tbl.combine_chunks())
+    """The same nested-null shape through our own encode/decode.
+
+    FIXTURES.md F3 use (b): the six single-key rows of the reference's
+    input1.json, built in memory with its schema (every field nullable,
+    so each row's five absent keys become null lists). The golden file
+    Spark wrote from them is round-tripped too wherever it is present."""
+    rows = [{"f1": [[1, 2], [3, 4], [5]]}] + [{f"f{i}": [1, 2, 3]} for i in range(2, 7)]
+    schema = pa.schema([
+        ("f1", pa.list_(pa.list_(pa.int64()))),
+        *[(f"f{i}", pa.list_(pa.int64())) for i in range(2, 7)],
+    ])
+    tables = [pa.Table.from_pylist(rows, schema=schema)]
+    if os.path.exists(_REF_GOLDEN):
+        tables.append(pq.read_table(_REF_GOLDEN))
+    for tbl in tables:
+        blob, _ = encode_table(tbl)
+        assert decode_table(blob).equals(tbl.combine_chunks())
 
 
 @given(st.integers(min_value=0, max_value=10**9))
