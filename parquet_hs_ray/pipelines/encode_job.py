@@ -8,14 +8,15 @@ Decode is the inverse: manifest -> control Dataset ->
 
 Every job (encode, decode, export, compact, backfill, delete, verify)
 has one task shape, ``_map_partitions``: a control Dataset with one row
-per partition and one plain task per row; each stage body handles its
-batch's one row. The rows of a blob read (``partition_id`` and the
-manifest ``crc32``) come from ``_blob_rows``. The stage is passed as a
-callable (an instance, a closure or a ``functools.partial``), never
-through ``fn_kwargs``, and each job consumes its Dataset with
-``to_pandas()``, ``take_all()`` or ``iter_batches()``: the slice of Ray
-Data that the benchmark's in-process replay (``perfbench/tracing.py``)
-runs.
+per partition, cut into ``plan.task_count`` contiguous runs (one per CPU
+slot, the rule the kernel Parquet read uses too), one plain task per
+run; each stage body handles its batch's one row. The rows of a blob
+read (``partition_id`` and the manifest ``crc32``) come from
+``_blob_rows``. The stage is passed as a callable (an instance, a
+closure or a ``functools.partial``), never through ``fn_kwargs``, and
+each job consumes its Dataset with ``to_pandas()``, ``take_all()`` or
+``iter_batches()``: the slice of Ray Data that the benchmark's
+in-process replay (``perfbench/tracing.py``) runs.
 
 Partition I/O has one reader and one writer: every blob read goes
 through ``manifest.read_blob`` with its manifest crc32 (a corrupt blob
@@ -50,7 +51,8 @@ import ray.data
 
 from .. import predicates as P
 from ..format import blob_schema, decode_table
-from ..plan import DEFAULT_TOKEN_BUDGET, Partition, build_plan, load_plan, save_plan
+from ..plan import (DEFAULT_TOKEN_BUDGET, Partition, build_plan, load_plan, save_plan,
+                    task_count)
 from ..stages.decode import DecoderStage, true_rows
 from ..stages.encode import encode_partitions, read_slice, write_partition
 from ..state import deletes as dvs
@@ -60,10 +62,11 @@ from ..state import manifest as mf
 
 def _map_partitions(items: list[dict], stage) -> "ray.data.Dataset":
     """The one task shape of every job: a control Dataset of partition
-    rows, one plain task per row (``stage`` gets a numpy batch holding
-    exactly that row)."""
-    return ray.data.from_items(items).map_batches(
-        stage, batch_size=1, num_cpus=1, batch_format="numpy")
+    rows cut into ``task_count(len(items))`` contiguous blocks, one plain
+    task per block; ``stage`` is called once per row, with a numpy batch
+    holding exactly that row."""
+    runs = ray.data.from_items(items, override_num_blocks=task_count(len(items)))
+    return runs.map_batches(stage, batch_size=1, num_cpus=1, batch_format="numpy")
 
 
 def _blob_rows(entries) -> list[dict]:
@@ -141,9 +144,10 @@ def encode_dataset(
     also simply be URIs) — on a multi-node cluster the output MUST be on
     shared storage.
 
-    Each partition is one plain task: encoding holds no state across
-    partitions (symbol tables are rebuilt deterministically per blob),
-    and Ray reuses warm worker processes across tasks."""
+    Each task encodes a contiguous run of partitions, one at a time:
+    encoding holds no state across partitions (symbol tables are rebuilt
+    deterministically per blob), so a blob does not depend on which
+    task wrote it."""
     paths = _expand_paths(input_path, input_filesystem)
     mf.ensure_dirs(out_dir, filesystem)
     plan_path = fsio.join(out_dir, "plan.json")
@@ -181,18 +185,12 @@ def encode_dataset(
         result.update(mf.summary(out_dir, filesystem))
         return result
 
-    items = [
-        {"partition_id": p.partition_id, "path": p.path, "row_start": p.row_start,
-         "row_count": p.row_count, "est_tokens": p.est_tokens}
-        for p in todo
-    ]
     stage = functools.partial(encode_partitions, out_dir=out_dir, token_col=token_col,
                               filesystem=filesystem, input_filesystem=input_filesystem,
                               bloom_stats=bloom_stats)
     # consume: the stage wrote blobs+manifest; this materializes only the
     # small per-partition metrics rows
-    metrics = _map_partitions(items, stage).to_pandas()
-    result["encoded"] = len(metrics)
+    result["encoded"] = len(_map_partitions([vars(p) for p in todo], stage).to_pandas())
     result.update(mf.summary(out_dir, filesystem))
     return result
 
@@ -372,7 +370,7 @@ def decode_dataset(out_dir: str, columns: list[str] | None = None,
                    snapshot: str | None = None
                    ) -> "ray.data.Dataset":
     """Lazy decode Dataset over all finished partitions (streaming): one
-    ``DecoderStage`` task per partition.
+    ``DecoderStage`` call per partition, one task per run of partitions.
 
     ``predicate`` (grammar in ``predicates.py``) prunes whole partitions by
     manifest min/max stats BEFORE any blob is opened; surviving partitions
@@ -414,11 +412,7 @@ def verify_roundtrip(input_path: str | list[str], out_dir: str,
     plan = load_plan(fsio.join(out_dir, "plan.json"), filesystem)
     crcs = {e["partition_id"]: e.get("checksum_crc32", -1)
             for e in mf.load_manifest(out_dir, filesystem)}
-    items = [
-        {"partition_id": p.partition_id, "path": p.path, "row_start": p.row_start,
-         "row_count": p.row_count, "crc32": crcs.get(p.partition_id, -1)}
-        for p in plan
-    ]
+    items = [dict(vars(p), crc32=crcs.get(p.partition_id, -1)) for p in plan]
 
     def check(batch: dict) -> dict:
         pid = int(batch["partition_id"][0])
@@ -447,7 +441,7 @@ def decode_to_parquet(out_dir: str, dest_dir: str, columns: list[str] | None = N
                       writer: str = "pyarrow") -> dict:
     """The one export (CLI ``decode``), RESUMABLE: one output file per
     kept encoded partition (``part-<id>.parquet``, zero-row ones
-    included), written atomically by one plain task per partition that
+    included), written atomically as each task's run of partitions
     decodes through ``DecoderStage`` (predicates, deletes, ``snapshot``
     and ``unify_schema`` as in ``decode_dataset``); partitions whose
     output already exists are skipped, so a killed export continues
@@ -460,7 +454,9 @@ def decode_to_parquet(out_dir: str, dest_dir: str, columns: list[str] | None = N
     ignored by parquet dataset discovery), since one encoded partition may
     fan out to several hive files. Before ``dest_dir`` is created, a
     name that is no output column raises ``KeyError``, and naming every
-    output column (files with no column hold no row) ``ValueError``.
+    output column (files with no column hold no row) ``ValueError`` —
+    checked per kept partition on an evolved store without ``columns``
+    or ``unify_schema``, where each exports only the columns it holds.
 
     ``writer="kernels"`` routes the parquet encode through our own
     write kernels (`sources/parquet_writer.py`) instead of pyarrow.
@@ -474,13 +470,20 @@ def decode_to_parquet(out_dir: str, dest_dir: str, columns: list[str] | None = N
         raise ValueError(f"writer must be 'pyarrow' or 'kernels', got {writer!r}")
     rows, total, stage = _plan_read(out_dir, columns, predicate, filesystem,
                                     unify_schema, None, apply_deletes, snapshot)
-    if partition_cols and total:
-        if set(partition_cols) - set(stage.out_columns):
+    outs = {"": stage.out_columns} if partition_cols and total else {}
+    if outs and not (columns or unify_schema):
+        # then each partition outputs only the columns its blob holds
+        kept = {r["partition_id"] for r in rows}
+        outs.update((f" of partition {e['partition_id']}", list(e.get("columns", {})))
+                    for e in mf.load_manifest(out_dir, filesystem)
+                    if e["partition_id"] in kept)
+    for where, cols in outs.items():
+        if set(partition_cols) - set(cols):
             raise KeyError(f"partition_cols {partition_cols} not all in output "
-                           f"columns {stage.out_columns}")
-        if set(stage.out_columns) <= set(partition_cols):
+                           f"columns{where} {cols}")
+        if set(cols) <= set(partition_cols):
             raise ValueError(f"partition_cols {partition_cols} name every output "
-                             "column: the files would hold no row")
+                             f"column{where}: the files would hold no row")
     done_dir = fsio.join(dest_dir, "_done") if partition_cols else dest_dir
     fsio.mkdirs(done_dir, dest_filesystem)
     marker = "part-{:08d}." + ("done" if partition_cols else "parquet")
@@ -556,8 +559,9 @@ def compact_dataset(src_dir: str, out_dir: str,
       Weights are manifest ``n_tokens``; datasets encoded without a
       token column fall back to ``raw_bytes`` (then the budget is in
       raw Arrow bytes — documented, not mixed).
-    - each group decodes its source blobs (one plain task per group,
-      one ``DecoderStage`` call per source partition), concatenates, and RE-ENCODES the merged chunk: the codec selector
+    - each group decodes its source blobs (one ``DecoderStage`` call
+      per source partition; groups run like partitions, a contiguous run
+      per task), concatenates, and RE-ENCODES the merged chunk: the codec selector
       re-runs on the bigger chunk, so dictionaries/symbol tables amortize
       and runs lengthen — compaction usually SHRINKS total bytes, never
       changes decoded values.
@@ -569,8 +573,10 @@ def compact_dataset(src_dir: str, out_dir: str,
       sidecars — compaction is the vacuum step.  Group token weights
       use manifest ``n_tokens`` (an upper bound on stores with
       deletes).
-    - resumable exactly like encode: finished output partitions are
-      skipped on re-run (blob AND manifest entry required).
+    - resumable: an output group is skipped on re-run when its blob and
+      manifest entry exist and the entry's ``source_partitions`` are the
+      group's current sources; a group an append has grown since is
+      compacted again, its blob and entry overwritten atomically.
 
     Note: ``cli verify`` needs the original plan lineage, so verify a
     compacted store by decode-comparison against the source store (the
@@ -603,13 +609,14 @@ def compact_dataset(src_dir: str, out_dir: str,
         groups.append(cur)
 
     mf.ensure_dirs(out_dir, filesystem)
-    done = mf.finished_ids(out_dir, filesystem) if resume else set()
-    items = [{"partition_id": gi,
-              "src_ids": np.array([e["partition_id"] for e in g], dtype=np.int64),
-              "src_crc32": np.array([e.get("checksum_crc32", -1) for e in g],
-                                    dtype=np.int64),
-              "n_tokens": sum(int(e.get("n_tokens") or 0) for e in g),
-              "row_count": sum(int(e.get("row_count") or 0) for e in g)}
+    ids = [[e["partition_id"] for e in g] for g in groups]
+    crcs = {e["partition_id"]: e.get("checksum_crc32", -1) for e in entries}
+    # a group is finished only if its output holds the group's current
+    # sources: an append may have grown it since
+    finished = {e["partition_id"]: e.get("source_partitions")
+                for e in mf.finished_entries(out_dir, filesystem)} if resume else {}
+    done = {gi for gi, g in enumerate(ids) if finished.get(gi) == g}
+    items = [{"partition_id": gi, "n_tokens": sum(int(e.get("n_tokens") or 0) for e in g)}
              for gi, g in enumerate(groups) if gi not in done]
     result = {"groups": len(groups), "skipped_finished": len(done),
               "compacted": len(items), "source_partitions": len(entries)}
@@ -622,12 +629,10 @@ def compact_dataset(src_dir: str, out_dir: str,
     def compact_group(batch: dict) -> dict:
         t0 = time.perf_counter()
         gid = int(batch["partition_id"][0])
-        src_ids = [int(x) for x in batch["src_ids"][0]]
         # one decode per source partition; a group never mixes column
         # sets. A partition with no surviving row decodes to its header
         # schema, so it joins only when no partition has a row
-        parts = [load({"partition_id": [pid], "crc32": [crc]})
-                 for pid, crc in zip(src_ids, batch["src_crc32"][0])]
+        parts = [load({"partition_id": [pid], "crc32": [crcs[pid]]}) for pid in ids[gid]]
         tbl = pa.concat_tables([t for t in parts if t.num_rows] or parts[:1]).combine_chunks()
         n_tokens = int(batch["n_tokens"][0])
         part = Partition(partition_id=gid, path=f"compact:{src_dir}",
@@ -635,12 +640,11 @@ def compact_dataset(src_dir: str, out_dir: str,
         entry = write_partition(
             out_dir, part, tbl, n_tokens, filesystem,
             read_ms=round((time.perf_counter() - t0) * 1e3, 1),
-            source_partitions=src_ids, compacted_from=src_dir)
+            source_partitions=ids[gid], compacted_from=src_dir)
         return _one_row(partition_id=gid, row_count=entry["row_count"],
                         encoded_bytes=entry["encoded_bytes"])
 
-    metrics = _map_partitions(items, compact_group).to_pandas()
-    result["compacted"] = len(metrics)
+    result["compacted"] = len(_map_partitions(items, compact_group).to_pandas())
     result.update(mf.summary(out_dir, filesystem))
     return result
 
@@ -665,8 +669,9 @@ def backfill_columns(out_dir: str, family: str, fn, columns: list[str] | None = 
     re-running a backfill skips finished partitions; a changed ``fn``
     needs a new family name.
 
-    Scale shape: one task per partition, each reading exactly one base
-    blob; the family adds bytes proportional to the new columns only."""
+    Scale shape: each partition reads exactly one base blob, in a
+    task's run of partitions; the family adds bytes proportional to the
+    new columns only."""
     adir = aux_family_dir(out_dir, family)
     mf.ensure_dirs(adir, filesystem)
     entries = mf.load_manifest(out_dir, filesystem)

@@ -24,10 +24,12 @@ dropped).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 import pyarrow.parquet as pq
+import ray
 
 DEFAULT_TOKEN_BUDGET = 4_000_000  # ~16 MB of int32 tokens per partition
 DEFAULT_ROW_BUDGET = 262_144  # fallback weight for tables without n_tok
@@ -108,17 +110,7 @@ def build_plan(paths: list[str], token_col: str | None = "n_tok",
     token column), else runs locally."""
     paths = sorted(paths)
     entries: list[dict] = []
-    use_ray = False
-    if parallel and len(paths) > 1:
-        try:
-            import ray
-
-            use_ray = ray.is_initialized()
-        except ImportError:
-            use_ray = False
-    if use_ray:
-        import ray
-
+    if parallel and len(paths) > 1 and ray.is_initialized():
         @ray.remote(num_cpus=1)
         def _plan(p):
             return plan_file(p, token_col, token_budget, filesystem=filesystem)
@@ -129,6 +121,20 @@ def build_plan(paths: list[str], token_col: str | None = "n_tok",
         for p in paths:
             entries.extend(plan_file(p, token_col, token_budget, filesystem=filesystem))
     return [Partition(partition_id=i, **e) for i, e in enumerate(entries)]
+
+
+def cpu_slots() -> int:
+    """CPU slots of the Ray session, else of this host; starts none."""
+    if ray.is_initialized():
+        return int(ray.cluster_resources().get("CPU", 1))
+    return os.cpu_count() or 1
+
+
+def task_count(n_units: int) -> int:
+    """The one task-count rule of the blob-store jobs and the kernel
+    Parquet read: one task per CPU slot, each over a contiguous run of
+    units (partitions, row groups), never more tasks than units."""
+    return max(1, min(n_units, cpu_slots()))
 
 
 def save_plan(plan: list[Partition], path: str, filesystem=None) -> None:

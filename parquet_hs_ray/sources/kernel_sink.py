@@ -28,11 +28,12 @@ import json
 import os
 from typing import Iterable
 
-from ray.data import Datasink, Datasource, ReadTask
+from ray.data import Datasink, Datasource, ReadTask, read_datasource
 from ray.data.block import BlockMetadata
 from ray.data._internal.execution.interfaces import TaskContext
 
 from .. import predicates as P
+from ..plan import task_count
 from ..state import fsio
 from .parquet_writer import check_options, encode_parquet_bytes
 
@@ -263,9 +264,10 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
     row groups against ``predicate`` — statistics, then split-block
     bloom filters, then dictionary pages.  The plan becomes one
     ``KernelParquetDatasource`` read as a single Ray Data execution,
-    started when the dataset is consumed.  It runs min(surviving row
-    groups, cluster CPU slots) read tasks, each over a contiguous run
-    of row groups that it decodes and streams out one row group at a
+    started when the dataset is consumed.  It runs
+    ``plan.task_count(surviving row groups)`` read tasks (one per CPU
+    slot, never more than there are row groups), each over a contiguous
+    run of row groups that it decodes and streams out one row group at a
     time, so one multi-GB file still fans out across the CPU slots and
     no task holds more than one decoded row group plus Ray's output
     buffer.  Each task carries the parsed footers of its files, so
@@ -314,18 +316,11 @@ def read_parquet_kernels(path: str, columns: list[str] | None = None,
         raise ValueError(
             f"footer must be 'kernels' (the only footer engine), "
             f"got {footer!r}")
-    import ray
-
     source = plan_read(path, columns=columns, predicate=predicate,
                        filesystem=filesystem)
-    if not ray.is_initialized():
-        ray.init()
-    # one read task per CPU slot, never more than there are row groups:
     # Ray's autodetect would ask for 2x CPUs and then split a short
     # read's output into extra blocks
-    n = max(1, min(len(source._work),
-                   int(ray.cluster_resources().get("CPU", 1))))
-    return ray.data.read_datasource(source, override_num_blocks=n)
+    return read_datasource(source, override_num_blocks=task_count(len(source._work)))
 
 
 def plan_read(path, columns: list[str] | None = None, predicate=None,

@@ -19,19 +19,16 @@ from __future__ import annotations
 
 import os
 
+from ..plan import cpu_slots
+
 MIN_BLOCK_BYTES = 64 << 10
 MAX_BLOCK_BYTES = 128 << 20
 
 
-def sized_num_blocks(nbytes: int, cpus: int | None = None) -> int:
+def sized_num_blocks(nbytes: int) -> int:
     """Block count for ``nbytes`` of input under the floor/ceiling policy."""
-    import ray
-
-    if cpus is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
     n_min = max(1, -(-nbytes // MAX_BLOCK_BYTES))
-    return max(n_min, min(2 * cpus, max(1, nbytes // MIN_BLOCK_BYTES)))
+    return max(n_min, min(2 * cpu_slots(), max(1, nbytes // MIN_BLOCK_BYTES)))
 
 
 def _strip_schema_metadata(t):

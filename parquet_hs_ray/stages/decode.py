@@ -3,13 +3,13 @@ blob-store partitions.
 
 Our analogue of the reference's column-chunk streaming decode
 (`sourceColumnChunk`, `/root/reference/src/Parquet/Reader.hs:714-733` →
-`readColumnChunk`/`readPage`, `Stream/Reader.hs:324-372`): one task per
-encoded partition reads the blob (CRC-checked against its manifest entry
-by ``manifest.read_blob``) and decodes every column frame back into one
-Arrow table — columnar in, columnar out; the reference's row-assembly
-step (Dremel instruction interpreter, `Reader.hs:637-705`) has no
-analogue because Arrow list offsets + validity ARE the assembled
-representation.
+`readColumnChunk`/`readPage`, `Stream/Reader.hs:324-372`): one call per
+encoded partition (each task runs a contiguous run of them) reads the
+blob (CRC-checked against its manifest entry by ``manifest.read_blob``)
+and decodes every column frame back into one Arrow table — columnar
+in, columnar out; the reference's row-assembly step (Dremel instruction
+interpreter, `Reader.hs:637-705`) has no analogue because Arrow list
+offsets + validity ARE the assembled representation.
 
 Every partition takes the same path: row mask (``true_rows`` of the
 predicate AND the delete-vector keep mask) → decode the projected

@@ -140,3 +140,26 @@ def test_partition_cols_null_key_keeps_rows(ray_session, tmp_path):
     assert "g=__HIVE_DEFAULT_PARTITION__" in os.listdir(dest)
     assert pq.read_table(dest)["g"].to_pylist().count(None) == 3
     assert res["rows"] == pq.read_table(dest).num_rows == 6
+
+
+def test_partition_cols_checked_per_partition_on_evolved_store(ray_session, tmp_path):
+    """Without ``columns`` or ``unify_schema`` each partition exports only
+    the columns it holds, so the driver checks ``partition_cols`` per kept
+    partition (partition 0 holds ``k``, partition 1 ``k, x``), before
+    ``dest`` exists."""
+    from parquet_hs_ray.pipelines.encode_job import decode_to_parquet, encode_dataset
+
+    files = [str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")]
+    pq.write_table(SRC.select(["k"]).slice(0, 5), files[0])
+    pq.write_table(SRC.select(["k"]).slice(5).append_column(
+        "x", pa.array(range(5), pa.int64())), files[1])
+    out, dest = str(tmp_path / "enc"), str(tmp_path / "dec")
+    encode_dataset(files[:1], out, token_col=None)
+    encode_dataset(files, out, token_col=None, append=True)
+    with pytest.raises(ValueError, match="every output column of partition 0"):
+        decode_to_parquet(out, dest, partition_cols=["k"])
+    with pytest.raises(KeyError, match="columns of partition 0"):
+        decode_to_parquet(out, dest, partition_cols=["x"])
+    assert not os.path.exists(dest)
+    res = decode_to_parquet(out, dest, partition_cols=["k"], unify_schema=True)
+    assert res["rows"] == pq.read_table(dest).num_rows == 10

@@ -1,6 +1,5 @@
 """kill -9 resume drives for the incremental (micro-batch) state layer
-(r3 verdict #10) — the same crash discipline the encode path's live
-drives exercise, as reproducible tests.
+(r3 verdict #10) and the blob-store encode job, as reproducible tests.
 
 Crash injection: ``PHR_TEST_KILL_AFTER_WRITE="<frag>:<pid>"`` makes
 ``fsio.write_atomic`` SIGKILL the job driver right after a write whose
@@ -9,11 +8,14 @@ the commit boundary under test (state parquet persisted, meta.json /
 remaining buckets not).
 """
 
+import hashlib
+import json
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pandas as pd
@@ -208,3 +210,76 @@ def test_dedup_string_ids(tmp_path):
     # exactly-once re-emit works for string ids too
     out2, _ = incremental_dedup(ray.data.from_pandas(docs), sd, n_buckets=4)
     assert sorted(out2.to_pandas()["doc_id"]) == kept1
+
+
+def _run_encode_subprocess(src: str, out: str, kill_frag: str | None) -> tuple[int, dict]:
+    """Run ``encode_dataset`` then ``verify_roundtrip`` in a fresh
+    2-CPU driver; returns (exit code, both results). On a kill the
+    whole job dies: the process group of the driver, its Ray node and
+    workers, is SIGKILLed once the driver is gone."""
+    script = textwrap.dedent(f"""
+        import json, os, sys
+        sys.path.insert(0, {REPO!r})
+        if {kill_frag!r} is not None:
+            os.environ["PHR_TEST_KILL_AFTER_WRITE"] = (
+                {kill_frag!r} + ":" + str(os.getpid()))
+        import ray
+        ray.init(address="local", num_cpus=2, include_dashboard=False,
+                 logging_level="ERROR")
+        from parquet_hs_ray.pipelines.encode_job import encode_dataset, verify_roundtrip
+        res = encode_dataset({src!r}, {out!r}, token_budget=60_000)
+        print(json.dumps([res, verify_roundtrip({src!r}, {out!r})]))
+        ray.shutdown()
+    """)
+    log = out + ".stdout"
+    with open(log, "wb") as f:
+        proc = subprocess.Popen([sys.executable, "-c", script], cwd=REPO, stdout=f,
+                                stderr=subprocess.DEVNULL, start_new_session=True)
+        # wait() returns as the driver dies; its workers die with the
+        # group right after, so none finishes another partition
+        rc = proc.wait(timeout=240)
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            os.killpg(proc.pid, 0)
+            time.sleep(0.2)
+    except ProcessLookupError:
+        pass
+    with open(log) as f:
+        lines = f.read().strip().splitlines()
+    return rc, json.loads(lines[-1]) if rc == 0 else {}
+
+
+def _blob_digests(out: str) -> dict:
+    d = os.path.join(out, "blobs")
+    return {n: hashlib.sha256(open(os.path.join(d, n), "rb").read()).hexdigest()
+            for n in sorted(os.listdir(d)) if n.endswith(".blob")}
+
+
+def test_encode_kill_mid_run_resumes_unfinished(tmp_path):
+    """SIGKILL the encode driver right after a blob write in the middle
+    of a task's run of partitions (2 CPU slots, so each task holds
+    several): the rerun encodes exactly the partitions without both a
+    blob and a manifest entry, the store verifies, and every blob is
+    sha256-equal to an uncrashed encode's."""
+    from parquet_hs_ray.sources.synth import write_dataset
+    from parquet_hs_ray.state import manifest as mf
+
+    src = str(tmp_path / "src")
+    write_dataset(src, 800, seed=9, n_files=2)
+    golden, crash = str(tmp_path / "golden"), str(tmp_path / "crash")
+    rc, (res, _) = _run_encode_subprocess(src, golden, None)
+    assert rc == 0 and res["planned"] >= 8
+
+    rc, _ = _run_encode_subprocess(src, crash, kill_frag="part-00000002.blob")
+    assert rc == -signal.SIGKILL  # the worker killed the driver
+    finished = mf.finished_ids(crash)
+    assert 2 <= len(finished) < res["planned"]
+
+    rc, (rerun, verified) = _run_encode_subprocess(src, crash, None)
+    assert rc == 0
+    assert rerun["skipped_finished"] == len(finished)
+    assert rerun["encoded"] == res["planned"] - len(finished)
+    assert verified["mismatched_partitions"] == 0 and verified["rows"] == 800
+    assert _blob_digests(crash) == _blob_digests(golden)

@@ -56,6 +56,50 @@ def test_plan_skew_single_row_partition(tmp_path):
     assert sum(p["row_count"] for p in plan) == 3
 
 
+def test_task_count_starts_no_session():
+    """``plan.task_count`` with no Ray session: at least one task, never
+    more than the units, at most the local CPU count, and no session is
+    started. Run in a fresh interpreter: this one may hold a session."""
+    import subprocess
+    import sys
+    import textwrap
+
+    script = textwrap.dedent("""
+        import os, ray
+        from parquet_hs_ray.plan import cpu_slots, task_count
+        n = os.cpu_count()
+        assert cpu_slots() == n
+        assert task_count(0) == 1 and task_count(1) == 1
+        assert task_count(n + 5) == n
+        os.cpu_count = lambda: 8
+        assert [task_count(k) for k in (0, 3, 8, 100)] == [1, 3, 8, 8]
+        assert not ray.is_initialized()
+    """)
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=repo,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_blob_jobs_run_one_task_per_cpu_slot(ray_session, f1_dir, tmp_path):
+    """A blob-store job cuts its partitions into ``plan.task_count``
+    contiguous runs: a store of more partitions than CPU slots decodes
+    as one block per slot, rows unchanged."""
+    import ray
+
+    from parquet_hs_ray.pipelines.encode_job import decode_dataset, encode_dataset
+
+    out = str(tmp_path / "enc")
+    res = encode_dataset(f1_dir, out, token_budget=200_000)
+    slots = int(ray.cluster_resources()["CPU"])
+    assert res["planned"] > slots
+    ds = decode_dataset(out).materialize()
+    assert ds.num_blocks() == min(res["planned"], slots)
+    src = pa.concat_tables(pq.read_table(f) for f in sorted(glob.glob(f"{f1_dir}/*.parquet")))
+    got = pa.concat_tables(ds.iter_batches(batch_format="pyarrow"))
+    assert got.sort_by("doc_id").equals(src.sort_by("doc_id"))
+
+
 def test_encode_decode_verify_resume(ray_session, f1_dir, tmp_path):
     from parquet_hs_ray.pipelines.encode_job import decode_dataset, encode_dataset, verify_roundtrip
 
@@ -478,7 +522,7 @@ def test_stats_type_mismatch_degrades_to_no_prune():
 
 
 def test_decode_to_parquet_partition_cols(ray_session, f1_dir, tmp_path):
-    """--resumable + --partition-cols (ADVICE r2, cli.py:112): hive layout
+    """--partition-cols (ADVICE r2): hive layout
     <dest>/source=<v>/part-<id>.parquet, resume via _done markers, and the
     directory reads back equal to the input."""
     from parquet_hs_ray.pipelines.encode_job import decode_to_parquet, encode_dataset
@@ -668,6 +712,34 @@ def test_compact_dataset_merges_preserves_rows_and_resumes(ray_session, tmp_path
     assert len(got) >= 1 and (got["doc_id"] == target).all()
     if total >= 4:
         assert len(kept) < total
+
+
+def test_compact_resume_recompacts_grown_group(ray_session, tmp_path):
+    """An append after a compaction grows the group it lands in: a rerun
+    compacts that group again, since its output entry's
+    ``source_partitions`` are no longer the group's sources, rather than
+    counting it finished and dropping the appended rows."""
+    from parquet_hs_ray.pipelines.encode_job import (compact_dataset,
+                                                     decode_dataset,
+                                                     encode_dataset)
+    from parquet_hs_ray.sources.synth import gen_batch
+
+    src = str(tmp_path / "src")
+    write_dataset(src, 200, seed=3, n_files=3)
+    enc, out = str(tmp_path / "enc"), str(tmp_path / "cpt")
+    assert encode_dataset(src, enc, token_budget=10**9)["planned"] == 3
+    assert compact_dataset(enc, out, token_budget=10**9)["compacted"] == 1
+    pq.write_table(gen_batch(60, seed=3, start_row=200), f"{src}/part-00003.parquet")
+    assert encode_dataset(src, enc, token_budget=10**9, append=True)["encoded"] == 1
+
+    res = compact_dataset(enc, out, token_budget=10**9)
+    assert (res["source_partitions"], res["compacted"], res["skipped_finished"]) == (4, 1, 0)
+    assert mf.load_manifest(out)[0]["source_partitions"] == [0, 1, 2, 3]
+    want = pa.concat_tables(decode_dataset(enc).iter_batches(batch_format="pyarrow"))
+    got = pa.concat_tables(decode_dataset(out).iter_batches(batch_format="pyarrow"))
+    assert got.num_rows == want.num_rows == 260
+    assert got.sort_by("doc_id").equals(want.sort_by("doc_id"))
+    assert compact_dataset(enc, out, token_budget=10**9)["compacted"] == 0
 
 
 def test_compact_never_merges_across_schemas(ray_session, tmp_path):
