@@ -13,8 +13,9 @@ the reference golden vectors:
 
 All kernels are numpy-vectorized and dtype-native: a uint32 input is packed
 without widening to 64-bit (tokens are int32 — halving memory traffic on
-the hot path). Byte-aligned widths (8/16/24/...) take a byte-slicing fast
-path that never expands to a bit matrix.
+the hot path). Byte-aligned widths (8/16/24/...) never expand to a bit
+matrix: 1, 2 and 4 bytes narrow or widen with one ``astype``, other byte
+counts take a strided byte slice.
 
 Packing expands values to a bit matrix and packs it, in bounded chunks so
 peak memory stays ~tens of MB regardless of array size. Unpacking uses the
@@ -57,18 +58,30 @@ def _as_unsigned(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def pack_bits_le(values: np.ndarray, width: int) -> bytes:
-    """Pack ``values`` (non-negative ints < 2**width) into a little-endian
-    bitstream. ``len(values)`` must be a multiple of 8. width in [0, 64]."""
+    """Pack the low ``width`` bits of each of ``values`` (higher bits are
+    ignored, so callers need no mask copy) into a little-endian
+    bitstream. ``len(values)`` must be a multiple of 8. width in [0, 64].
+
+    A byte-aligned width is the low ``width // 8`` bytes of each value:
+    the values themselves when that is the itemsize, one narrowing
+    ``astype`` for 1, 2 or 4 bytes, a strided byte slice otherwise."""
     n = len(values)
     if width == 0 or n == 0:
         return b""
     if n % 8:
         raise ValueError("pack_bits_le needs a multiple of 8 values")
-    values = _as_unsigned(values, width)
+    values = np.ascontiguousarray(values)
+    if width > 8 * values.dtype.itemsize:
+        values = values.astype(np.uint64)
     itemsize = values.dtype.itemsize
     if width % 8 == 0:
         nb = width // 8
-        return values.view(np.uint8).reshape(n, itemsize)[:, :nb].tobytes()
+        u = values.view(f"<u{itemsize}")
+        if nb == itemsize:
+            return u.tobytes()
+        if nb in (1, 2, 4):
+            return u.astype(f"<u{nb}").tobytes()
+        return u.view(np.uint8).reshape(n, itemsize)[:, :nb].tobytes()
     out = []
     for s in range(0, n, _CHUNK):
         chunk = values[s : s + _CHUNK]
@@ -84,7 +97,8 @@ def unpack_bits_le(
 ) -> tuple[np.ndarray, int]:
     """Inverse of :func:`pack_bits_le`. Returns (array of ``dtype``, new_pos).
 
-    Byte-aligned widths are a byte copy; a payload of fewer than
+    Byte-aligned widths are a byte copy (widened by one ``astype`` when
+    1, 2 or 4 bytes are narrower than ``dtype``); a payload of fewer than
     ``_SMALL_BITS`` bits goes through the bit matrix, whose cost grows
     with the bit count but has no per-column overhead; larger payloads
     take the group-of-8 strided kernel (:func:`_unpack_strided`)."""
@@ -102,6 +116,9 @@ def unpack_bits_le(
         nb = width // 8
         if nb == itemsize:
             return raw.view(dtype).copy(), pos + nbytes
+        if nb in (1, 2, 4):
+            wide = raw.view(f"<u{nb}").astype(f"<u{itemsize}")
+            return wide.view(dtype), pos + nbytes
         padded = np.zeros((n_values, itemsize), dtype=np.uint8)
         padded[:, :nb] = raw.reshape(n_values, nb)
         return padded.view(dtype).reshape(n_values), pos + nbytes

@@ -16,15 +16,21 @@ Payload layout::
     varint n_exc | [gaps: varint len + FOR payload]
                    [highs: varint len + FOR payload]
 
-Base-width selection is exact (histogram of delta bit-lengths via
-clip+bincount) and deterministic.
+Base-width selection is exact and deterministic: a histogram of delta
+bit lengths (``frexp`` exponents for deltas of at most 32 bits, exact
+below 2**53; ``log2`` with a shift correction for 64-bit deltas) and a
+bincount.  Encode finds exceptions with one compare and a gather and
+hands the unmasked deltas to ``pack_bits_le``, which packs their low
+bits.  Decode works in the column's own unsigned dtype: the base bits
+unpack straight into it and the patch and reference add happen in
+place, never through a 64-bit copy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bitpack import bit_width_of, pack_bits_le, unpack_bits_le
+from .bitpack import pack_bits_le, unpack_bits_le
 from .intpack import _wrap_deltas, decode_int, encode_int
 from .varint import decode_varint, encode_varint, zigzag_decode, zigzag_encode
 
@@ -33,8 +39,14 @@ _EXC_COST = 3.0
 
 
 def _bit_lengths(deltas: np.ndarray) -> np.ndarray:
-    """Exact per-value bit length, vectorized (log2 is unsafe at powers of
-    two > 2**53; we correct with a shift test)."""
+    """Exact per-value bit length (uint8), vectorized.
+
+    Unsigned values of at most 32 bits take ``frexp``'s exponent, which
+    is the bit length of any integer below 2**53 (every one is exactly a
+    float64).  Wider values take ``log2``, which rounds near powers of
+    two above 2**53, corrected by a shift test."""
+    if deltas.dtype.kind == "u" and deltas.dtype.itemsize <= 4:
+        return np.frexp(deltas.astype(np.float64))[1].astype(np.uint8)
     d = deltas.astype(np.uint64, copy=False)
     nz = d > 0
     bl = np.zeros(len(d), dtype=np.uint8)
@@ -95,39 +107,20 @@ def encode_pfor(values: np.ndarray) -> bytes:
     # wall for zero width-choice benefit.
     sample = deltas[:: max(1, n // (1 << 17))]
     w, _ = choose_base_width(sample)
-    wbits = 8 * deltas.dtype.itemsize
-    if w >= wbits:
-        w = wbits
-        base = deltas
-        exc_pos = np.empty(0, dtype=np.int64)
-        exc_high = np.empty(0, dtype=np.uint64)
-    else:
-        high = deltas >> deltas.dtype.type(w)
-        exc_pos = np.flatnonzero(high)
-        exc_high = high[exc_pos].astype(np.uint64)
-        base = None  # built lazily: byte-aligned widths never need it
-    pad = (-n) % 8
-    if w % 8 == 0 and w > 0:
-        # byte-aligned width: the low w//8 little-endian bytes of each
-        # delta ARE the packed stream — no mask copy, no pad concatenate
-        # (both were full passes over the column)
-        nb = w // 8
-        it = deltas.dtype.itemsize
-        u8 = np.ascontiguousarray(deltas).view(np.uint8).reshape(n, it)
-        base_bits = (u8.tobytes() if nb == it
-                     else u8[:, :nb].tobytes()) + b"\x00" * (pad * nb)
-    else:
-        if base is None:
-            # native-dtype mask (no widening: memory traffic matters)
-            base = deltas & deltas.dtype.type((1 << w) - 1)
-        # pad only the <8-value tail: concatenating the pad onto the
-        # full column would copy the whole array again
-        n_full = n - (n % 8)
-        base_bits = pack_bits_le(base[:n_full], w)
-        if n_full < n:
-            tail = np.zeros(8, dtype=base.dtype)
-            tail[: n - n_full] = base[n_full:]
-            base_bits += pack_bits_le(tail, w)
+    w = min(w, 8 * deltas.dtype.itemsize)
+    # exceptions: one compare and a gather of their high bits (a full
+    # ``deltas >> w`` array would be one more pass over the column)
+    exc_pos = np.flatnonzero(deltas > deltas.dtype.type((1 << w) - 1))
+    exc_high = deltas[exc_pos] >> deltas.dtype.type(w)
+    # pack_bits_le packs the low w bits of each delta: no mask copy. Pad
+    # only the <8-value tail: concatenating the pad onto the full column
+    # would copy the whole array again
+    n_full = n - (n % 8)
+    base_bits = pack_bits_le(deltas[:n_full], w)
+    if n_full < n:
+        tail = np.zeros(8, dtype=deltas.dtype)
+        tail[: n - n_full] = deltas[n_full:]
+        base_bits += pack_bits_le(tail, w)
     parts = [
         encode_varint(zigzag_encode(ref)),
         bytes([w, 0]),
@@ -138,13 +131,20 @@ def encode_pfor(values: np.ndarray) -> bytes:
     if len(exc_pos):
         gaps = np.diff(exc_pos, prepend=0).astype(np.int64)
         g = encode_int(gaps)
-        h = encode_int(exc_high.astype(np.int64, copy=False).view(np.int64))
+        h = encode_int(exc_high.astype(np.int64))
         parts += [encode_varint(len(g)), g, encode_varint(len(h)), h]
     return b"".join(parts)
 
 
 def decode_pfor(data: bytes, np_dtype, pos: int = 0) -> tuple[np.ndarray, int]:
+    """Decode a PFOR payload into ``np_dtype``.  Works in the column's
+    own unsigned dtype throughout: the base bits unpack straight into
+    it, and the exception patch and the reference add happen in place
+    there, whose wraparound equals the encoder's.  Exception data that
+    would patch a row outside the column, or one row twice, raises
+    ``ValueError``."""
     np_dtype = np.dtype(np_dtype)
+    udt = np.dtype(f"<u{np_dtype.itemsize}")
     zz, pos = decode_varint(data, pos)
     ref = zigzag_decode(zz)
     w = data[pos]
@@ -154,21 +154,29 @@ def decode_pfor(data: bytes, np_dtype, pos: int = 0) -> tuple[np.ndarray, int]:
         _, pos = decode_varint(data, pos)
         return np.empty(0, dtype=np_dtype), pos
     npad = n + ((-n) % 8)
-    base, pos = unpack_bits_le(data, w, npad, pos, dtype=np.uint64)
-    base = base[:n]
+    out, pos = unpack_bits_le(data, w, npad, pos, dtype=udt)
+    out = out[:n]
     n_exc, pos = decode_varint(data, pos)
     if n_exc:
-        glen, pos = decode_varint(data, pos)
-        gaps, used = decode_int(data, np.int64, pos)
-        pos = used
-        hlen, pos = decode_varint(data, pos)
-        highs, used = decode_int(data, np.int64, pos)
-        pos = used
+        at = pos
+        if w >= 8 * udt.itemsize:
+            raise ValueError(f"PFOR: {n_exc} exceptions at full base width {w} "
+                             f"(byte {at})")
+        _, pos = decode_varint(data, pos)
+        gaps, pos = decode_int(data, np.int64, pos)
+        _, pos = decode_varint(data, pos)
+        highs, pos = decode_int(data, np.int64, pos)
+        if len(gaps) != n_exc or len(highs) != n_exc:
+            raise ValueError(f"PFOR: {n_exc} exceptions but {len(gaps)} gaps and "
+                             f"{len(highs)} high parts (byte {at})")
+        if (gaps[1:] <= 0).any():
+            raise ValueError(f"PFOR: exception positions not increasing (byte {at})")
         exc_pos = np.cumsum(gaps)
-        base[exc_pos] |= highs.view(np.uint64) << np.uint64(w)
-    mask = (1 << (8 * np_dtype.itemsize)) - 1
-    out64 = base + np.uint64(ref & mask)
-    if np_dtype.itemsize == 8:
-        return out64.view(np_dtype), pos
-    narrowed = out64.astype({1: np.uint8, 2: np.uint16, 4: np.uint32}[np_dtype.itemsize])
-    return narrowed.view(np_dtype), pos
+        # every position, not the last alone: a wrapped int64 sum can end in range
+        bad = exc_pos[(exc_pos < 0) | (exc_pos >= n)]
+        if len(bad):
+            raise ValueError(f"PFOR: exception position {bad[0]} outside "
+                             f"{n} values (byte {at})")
+        out[exc_pos] |= highs.astype(udt) << udt.type(w)
+    out += udt.type(ref & ((1 << (8 * udt.itemsize)) - 1))
+    return out.view(np_dtype), pos

@@ -15,8 +15,12 @@ Spec pieces implemented here, all from the public parquet-format repo:
   prefix) for BYTE_ARRAY.  Two independent implementations: a general
   byte-string one (`xxh64`) following Yann Collet's published spec,
   and vectorized numpy ones for the fixed 4- and 8-byte short paths
-  (`xxh64_fixed4` / `xxh64_fixed8`); tests assert they agree, which
-  guards each against transcription slips.
+  (`xxh64_fixed4` / `xxh64_fixed8`) and for Arrow string/binary arrays
+  (`xxh64_binary`: values under 32 bytes in 8/4/1-byte lanes, one
+  length at a time; longer ones through `xxh64`); tests assert they
+  agree, which guards each against transcription slips.  Every
+  BYTE_ARRAY hash (kernel-writer Blooms, probes, manifest Blooms) goes
+  through `xxh64_binary`.
 - **Split-block bloom**: ``z`` 32-byte blocks, block chosen by
   ``((h >> 32) * z) >> 32``, one bit set per 32-bit word of the block
   via the eight spec salts applied to the LOW 32 bits of the hash.
@@ -120,15 +124,30 @@ def _avalanche_np(h: np.ndarray) -> np.ndarray:
     return h
 
 
+def _round8(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Fold one 8-byte lane ``k`` (uint64) into the short-input state."""
+    h = h ^ (_rotl_np(k * np.uint64(_P2), 31) * np.uint64(_P1))
+    return _rotl_np(h, 27) * np.uint64(_P1) + np.uint64(_P4)
+
+
+def _round4(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Fold one 4-byte lane ``k`` (uint32 widened to uint64)."""
+    h = h ^ (k * np.uint64(_P1))
+    return _rotl_np(h, 23) * np.uint64(_P2) + np.uint64(_P3)
+
+
+def _round1(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Fold one byte ``k`` (uint64)."""
+    return _rotl_np(h ^ (k * np.uint64(_P5)), 11) * np.uint64(_P1)
+
+
 def xxh64_fixed8(vals: np.ndarray, seed: int = 0) -> np.ndarray:
     """Vectorized XXH64 of many 8-byte little-endian values (the plain
     encoding of INT64/DOUBLE).  ``vals`` is viewed as uint64."""
     k = np.ascontiguousarray(vals).view(np.uint64).ravel()
     with np.errstate(over="ignore"):
         h = np.full(k.shape, (seed + _P5 + 8) & _M64, dtype=np.uint64)
-        h = h ^ (_rotl_np(k * np.uint64(_P2), 31) * np.uint64(_P1))
-        h = _rotl_np(h, 27) * np.uint64(_P1) + np.uint64(_P4)
-        return _avalanche_np(h)
+        return _avalanche_np(_round8(h, k))
 
 
 def xxh64_fixed4(vals: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -137,9 +156,74 @@ def xxh64_fixed4(vals: np.ndarray, seed: int = 0) -> np.ndarray:
     k = np.ascontiguousarray(vals).view(np.uint32).ravel().astype(np.uint64)
     with np.errstate(over="ignore"):
         h = np.full(k.shape, (seed + _P5 + 4) & _M64, dtype=np.uint64)
-        h = h ^ (k * np.uint64(_P1))
-        h = _rotl_np(h, 23) * np.uint64(_P2) + np.uint64(_P3)
-        return _avalanche_np(h)
+        return _avalanche_np(_round4(h, k))
+
+
+# The vector rounds cost ~70 us per call whatever the value count, the
+# scalar hash ~4 us per 16-byte value: below this many values (a lookup's
+# probes, a low-cardinality column's distinct values) the scalar one wins.
+_VECTOR_MIN = 16
+
+
+def xxh64_binary(arr, seed: int = 0) -> np.ndarray:
+    """XXH64 (uint64) of every value of an Arrow string, binary,
+    large_string or large_binary array, read from its offsets and data
+    buffers (a sliced array's offset honoured; a null slot hashes its
+    bytes, so callers drop nulls first).
+
+    Values shorter than 32 bytes are hashed together, one length at a
+    time: each 8-, 4- and 1-byte lane of that length is one gather
+    through an overlapping little-endian window view of the data buffer
+    and one vector round, as in :func:`xxh64_fixed8`.  Values of 32 bytes
+    or more, and every value of an array shorter than
+    :data:`_VECTOR_MIN`, take the scalar :func:`xxh64`."""
+    import pyarrow as pa
+
+    t = arr.type
+    if pa.types.is_string(t) or pa.types.is_binary(t):
+        odt = np.int32
+    elif pa.types.is_large_string(t) or pa.types.is_large_binary(t):
+        odt = np.int64
+    else:
+        raise TypeError(f"xxh64_binary: {t} is not a string or binary array")
+    n = len(arr)
+    _, obuf, dbuf = arr.buffers()
+    if n == 0:
+        return np.empty(0, dtype=np.uint64)
+    offs = np.frombuffer(obuf, dtype=odt, count=n + 1,
+                         offset=arr.offset * np.dtype(odt).itemsize)
+    data = (np.frombuffer(dbuf, dtype=np.uint8) if dbuf is not None
+            else np.empty(0, dtype=np.uint8))
+    if n < _VECTOR_MIN:
+        o = offs.tolist()
+        return np.array([xxh64(data[o[j]:o[j + 1]].tobytes(), seed) for j in range(n)],
+                        dtype=np.uint64)
+    starts = offs[:-1].astype(np.int64)
+    lens = np.diff(offs).astype(np.int64)
+    nbytes = len(data)
+    # every 8-byte (4-byte) window of the data buffer, one per byte offset
+    win8 = np.ndarray((max(0, nbytes - 7),), "<u8", data, 0, (1,))
+    win4 = np.ndarray((max(0, nbytes - 3),), "<u4", data, 0, (1,))
+    out = np.empty(n, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for length in np.unique(lens[lens < 32]).tolist():
+            idx = np.flatnonzero(lens == length)
+            s = starts[idx]
+            h = np.full(len(idx), (seed + _P5 + length) & _M64, dtype=np.uint64)
+            i = 0
+            while i + 8 <= length:
+                h = _round8(h, win8[s + i])
+                i += 8
+            if i + 4 <= length:
+                h = _round4(h, win4[s + i].astype(np.uint64))
+                i += 4
+            while i < length:
+                h = _round1(h, data[s + i].astype(np.uint64))
+                i += 1
+            out[idx] = _avalanche_np(h)
+    for j in np.flatnonzero(lens >= 32).tolist():
+        out[j] = xxh64(data[starts[j]:starts[j] + lens[j]].tobytes(), seed)
+    return out
 
 
 def hash_plain_values(leaf, physical: str) -> np.ndarray:
@@ -148,8 +232,8 @@ def hash_plain_values(leaf, physical: str) -> np.ndarray:
     INT32/INT64/FLOAT/DOUBLE (vectorized, plain int/uint/float storage
     only — the width check rejects arrow->numpy conversions that
     change the byte image, e.g. date32 -> datetime64[D]) and
-    BYTE_ARRAY (per-unique-value); anything else raises (callers
-    validate at the API edge)."""
+    BYTE_ARRAY (one hash per distinct value, :func:`xxh64_binary`);
+    anything else raises (callers validate at the API edge)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -164,12 +248,7 @@ def hash_plain_values(leaf, physical: str) -> np.ndarray:
                 f"{physical}")
         return (xxh64_fixed8 if width == 8 else xxh64_fixed4)(a)
     if physical == "BYTE_ARRAY":
-        if pa.types.is_string(vals.type) or pa.types.is_large_string(
-                vals.type):
-            vals = pc.cast(vals, pa.binary())
-        uniq = pc.unique(vals)
-        return np.fromiter((xxh64(v.as_py()) for v in uniq),
-                           dtype=np.uint64, count=len(uniq))
+        return xxh64_binary(pc.unique(vals))
     raise ValueError(
         f"bloom filter unsupported for physical type {physical}")
 
@@ -195,10 +274,11 @@ def hash_probe_values(values: list, physical: str) -> np.ndarray:
     if physical == "FLOAT":
         return xxh64_fixed4(np.array(values, dtype=np.float32))
     if physical == "BYTE_ARRAY":
-        bs = [v.encode() if isinstance(v, str) else bytes(v)
-              for v in values]
-        return np.fromiter((xxh64(b) for b in bs), dtype=np.uint64,
-                           count=len(bs))
+        import pyarrow as pa
+
+        return xxh64_binary(pa.array(
+            [v.encode() if isinstance(v, str) else bytes(v) for v in values],
+            pa.binary()))
     raise ValueError(
         f"bloom filter unsupported for physical type {physical}")
 
@@ -391,7 +471,7 @@ def build_manifest_bloom(arr) -> dict | None:
             f.add_hashes(xxh64_fixed8(
                 uniq.to_numpy(zero_copy_only=False).astype(np.int64)))
         else:
-            f.add_hashes(hash_probe_values(uniq.to_pylist(), "BYTE_ARRAY"))
+            f.add_hashes(xxh64_binary(uniq))
     return {"v": MANIFEST_BLOOM_VERSION, "kind": kind,
             "b64": base64.b64encode(f.tobytes()).decode()}
 

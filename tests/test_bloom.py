@@ -8,11 +8,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parquet_hs_ray.sources.bloom import (
     SplitBlockBloom, hash_plain_values, hash_probe_values,
-    prune_row_groups_by_bloom, read_bloom_filter, xxh64, xxh64_fixed4,
-    xxh64_fixed8)
+    _VECTOR_MIN, prune_row_groups_by_bloom, read_bloom_filter, xxh64,
+    xxh64_binary, xxh64_fixed4, xxh64_fixed8)
 from parquet_hs_ray.sources.parquet_footer import read_footer_via_kernels
 from parquet_hs_ray.sources.parquet_pages import read_parquet_via_kernels
 from parquet_hs_ray.sources.parquet_writer import write_parquet_via_kernels
@@ -42,6 +44,38 @@ def test_xxh64_known_vector_and_dual_impl():
     f64 = pa.array([1.5, -0.25, 3e9])
     assert (hash_plain_values(f64, "DOUBLE")
             == hash_probe_values([1.5, -0.25, 3e9], "DOUBLE")).all()
+
+
+@given(st.lists(st.binary(min_size=0, max_size=80), max_size=60),
+       st.integers(min_value=0, max_value=5),
+       st.sampled_from([pa.binary(), pa.large_binary()]))
+@settings(max_examples=150, deadline=None)
+def test_xxh64_binary_matches_scalar(values, cut, typ):
+    """The vectorized string hash equals the scalar spec implementation
+    on every length (short lanes and the >= 32-byte fallback), also on
+    an array sliced at a non-zero offset.  The values repeated past
+    ``_VECTOR_MIN`` take the vector lanes whatever the list's size."""
+    reps = 1 + _VECTOR_MIN // max(1, len(values))
+    arr = pa.array(values * reps, typ)
+    want = [xxh64(v) for v in values] * reps
+    assert xxh64_binary(arr).tolist() == want
+    assert xxh64_binary(arr.slice(cut)).tolist() == want[cut:]
+    assert xxh64_binary(arr.slice(cut, 7)).tolist() == want[cut:cut + 7]
+
+
+@given(st.lists(st.text(max_size=40), max_size=60),
+       st.integers(min_value=0, max_value=5),
+       st.sampled_from([pa.string(), pa.large_string()]))
+@settings(max_examples=100, deadline=None)
+def test_xxh64_binary_strings_hash_utf8(values, cut, typ):
+    values = values * (1 + _VECTOR_MIN // max(1, len(values)))
+    arr = pa.array(values, typ).slice(cut)
+    assert xxh64_binary(arr).tolist() == [xxh64(v.encode()) for v in values[cut:]]
+
+
+def test_xxh64_binary_rejects_other_types():
+    with pytest.raises(TypeError, match="xxh64_binary"):
+        xxh64_binary(pa.array([1, 2]))
 
 
 def test_split_block_bloom_properties():

@@ -3,6 +3,7 @@ reference imports QuickCheck but ships no property tests — Spec.hs:13; we
 add them)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -168,6 +169,117 @@ def test_pfor_int32():
     np.testing.assert_array_equal(out, vals)
 
 
+_PFOR_DTYPES = ["int8", "int16", "int32", "uint32", "int64"]
+
+
+@given(
+    st.sampled_from(_PFOR_DTYPES),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=0, max_value=64),
+    st.floats(min_value=0.0, max_value=0.2),
+)
+@settings(max_examples=120, deadline=None)
+def test_pfor_roundtrip_every_dtype(dtype, seed, n, width, exc_rate):
+    """Deltas below 2**width with a share of full-range exceptions decode
+    back to the same dtype and values."""
+    dt = np.dtype(dtype)
+    bits = 8 * dt.itemsize
+    rng = np.random.default_rng(seed)
+    width = min(width, bits)
+    u = (rng.integers(0, 1 << 63, n, dtype=np.uint64) << np.uint64(1)) >> np.uint64(64 - width) \
+        if width else np.zeros(n, dtype=np.uint64)
+    wild = rng.random(n) < exc_rate
+    u[wild] = rng.integers(0, 1 << 63, int(wild.sum()), dtype=np.uint64) << np.uint64(1)
+    vals = (u.astype(f"<u{dt.itemsize}") + np.dtype(f"<u{dt.itemsize}").type(
+        int(rng.integers(0, 1 << 62)) & ((1 << bits) - 1))).view(dt)
+    enc = encode_pfor(vals)
+    out, pos = decode_pfor(enc, dt)
+    assert pos == len(enc) and out.dtype == dt
+    np.testing.assert_array_equal(out, vals)
+
+
+def _bit_lengths_oracle(vals) -> list[int]:
+    return [int(v).bit_length() for v in vals]
+
+
+@pytest.mark.parametrize("dtype", ["uint8", "uint16", "uint32"])
+def test_bit_lengths_frexp_boundaries(dtype):
+    """The frexp exponent path (deltas of <= 32 bits) equals the 64-bit
+    log2 path and ``int.bit_length`` at every 2**k-1, 2**k, 2**k+1."""
+    from parquet_hs_ray.codecs.pfor import _bit_lengths
+
+    top = (1 << (8 * np.dtype(dtype).itemsize)) - 1
+    edges = sorted({min(max(0, (1 << k) + e), top)
+                    for k in range(8 * np.dtype(dtype).itemsize + 1) for e in (-1, 0, 1)})
+    vals = np.array(edges, dtype=dtype)
+    got = _bit_lengths(vals)
+    assert got.dtype == np.uint8
+    assert got.tolist() == _bit_lengths(vals.astype(np.uint64)).tolist() \
+        == _bit_lengths_oracle(edges)
+
+
+@given(st.sampled_from(["uint8", "uint16", "uint32"]),
+       st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=500))
+@settings(max_examples=60, deadline=None)
+def test_bit_lengths_frexp_random(dtype, seed, n):
+    from parquet_hs_ray.codecs.pfor import _bit_lengths
+
+    bits = 8 * np.dtype(dtype).itemsize
+    rng = np.random.default_rng(seed)
+    vals = (rng.integers(0, 1 << bits, n, dtype=np.uint64)
+            >> rng.integers(0, bits, n, dtype=np.uint64)).astype(dtype)
+    assert _bit_lengths(vals).tolist() == _bit_lengths(vals.astype(np.uint64)).tolist() \
+        == _bit_lengths_oracle(vals)
+
+
+def test_bit_lengths_64bit_above_2_53():
+    from parquet_hs_ray.codecs.pfor import _bit_lengths
+
+    edges = [0] + [min((1 << k) + e, 2**64 - 1) for k in range(64 + 1) for e in (-1, 0, 1)
+                   if (1 << k) + e >= 0]
+    assert _bit_lengths(np.array(edges, dtype=np.uint64)).tolist() == _bit_lengths_oracle(edges)
+
+
+def _pfor_payload(n: int, w: int, base: bytes, gaps, highs, n_exc=None) -> bytes:
+    """Hand-built PFOR payload, ref 0: header, base bits, exception block."""
+    from parquet_hs_ray.codecs.intpack import encode_int
+
+    out = encode_varint(0) + bytes([w, 0]) + encode_varint(n) + base
+    out += encode_varint(len(gaps) if n_exc is None else n_exc)
+    g = encode_int(np.array(gaps, dtype=np.int64))
+    h = encode_int(np.array(highs, dtype=np.int64))
+    return out + encode_varint(len(g)) + g + encode_varint(len(h)) + h
+
+
+@pytest.mark.parametrize("gaps,highs,n_exc,match", [
+    ([-3], [1], None, "position -3 outside 16 values"),  # would patch row 13
+    ([2, -1], [1, 1], None, "not increasing"),  # patches row 1 after row 2
+    ([4, 0], [1, 1], None, "not increasing"),   # one row patched twice
+    ([16], [1], None, "position 16 outside 16 values"),  # past the last row
+    ([3, 20], [1, 1], None, "position 23 outside 16 values"),
+    ([2**62, 2**62, 2**62, 2**62 + 5], [1] * 4, None,  # the sum wraps to row 5
+     "position 4611686018427387904 outside 16 values"),
+    ([1, 2], [1, 1], 3, "3 exceptions but 2 gaps"),
+    ([1, 2], [1], None, "2 exceptions but 2 gaps and 1 high"),
+])
+def test_pfor_rejects_bad_exceptions(gaps, highs, n_exc, match):
+    """Exception data that would patch the wrong row (or none) raises a
+    ValueError naming PFOR and the byte offset of the exception block."""
+    data = _pfor_payload(16, 4, bytes(8), gaps, highs, n_exc)
+    with pytest.raises(ValueError, match=rf"PFOR: .*{match}.*\(byte 13\)"):
+        decode_pfor(data, np.int32)
+    good = _pfor_payload(16, 4, bytes(8), [0, 15], [1, 2])
+    out, _ = decode_pfor(good, np.int32)
+    assert out.tolist() == [16] + [0] * 14 + [32]
+
+
+def test_pfor_rejects_exceptions_at_full_width():
+    data = _pfor_payload(8, 8, bytes(8), [1], [1])
+    with pytest.raises(ValueError, match=r"PFOR: .*full base width 8"):
+        decode_pfor(data, np.int8)
+
+
 def test_pfor_beats_for_on_zipf():
     from parquet_hs_ray.codecs.intpack import encode_int
 
@@ -325,7 +437,6 @@ def test_sample_weighted_rule_matches_bigint_reference(ids, weights, rate_denom,
 
 # --- FRONT (incremental / prefix) coding -------------------------------
 
-import pytest  # noqa: E402
 
 from parquet_hs_ray.codecs.front import (  # noqa: E402
     MAX_VALUE_LEN, decode_front, encode_front, front_prefix_lens)
