@@ -3,8 +3,13 @@
 Kernel writer: ``encode_parquet_bytes`` images of one mixed table
 (flat, nested, logical and map columns, nulls, runs, a Bloom filter on
 ``i64``), UNCOMPRESSED only, over page version x value-encoding mode x
-dictionary x pagination.  Compressed pages are left out: their bytes
-depend on the compression library's version.
+dictionary x pagination; plus, under both page versions, an F1 table
+written with the kernel-Parquet benchmark's writer options (long
+per-row repetition-level runs, wide dictionary indices) and an int64
+column whose runs of 14-17 equal values start at every offset mod 8
+(both sides of the RLE cut, every 8-alignment steal).  Compressed
+pages are left out: their bytes depend on the compression library's
+version.
 
 Blob store: per-column ``encode_array`` frames of fixed F1, F1-skew and
 runs/low-cardinality tables.  A frame carries no IPC schema bytes, so
@@ -46,6 +51,25 @@ def _mixed_table(n: int = 600) -> pa.Table:
         "mp": pa.array([[(f"k{k % 3}", k)] if k % 5 else [] for k in range(n)],
                        pa.map_(pa.string(), pa.int64())),
     })
+
+
+def _runs_table() -> pa.Table:
+    """``r``: runs of 14, 15, 16 and 17 equal values, each length
+    starting at every offset mod 8, between distinct single values.
+    ``rn``: the same with every run null, so the definition levels
+    carry the runs."""
+    vals, in_run, k = [], [], 0
+    for length in (14, 15, 16, 17):
+        for off in range(8):
+            pad = (off - len(vals)) % 8 or 8
+            vals.extend(1000 + (k + j) % 37 for j in range(pad))
+            in_run.extend([False] * pad)
+            k += pad
+            vals.extend([k % 29] * length)
+            in_run.extend([True] * length)
+            k += 1
+    r = np.asarray(vals, dtype=np.int64)
+    return pa.table({"r": r, "rn": pa.array(r, mask=np.asarray(in_run))})
 
 
 def _blob_tables() -> dict[str, pa.Table]:
@@ -100,6 +124,21 @@ KERNEL_SHA256 = {
         "d9be9dcd10f59a2c322be9fc509e518cb1b2df52143a02f3bd9685f96da37a28",
 }
 
+# the kernel-Parquet benchmark's writer options
+_PARQUET_READ_OPTS = dict(compression="NONE", row_group_size=256,
+                          data_page_rows=64, bloom_filters=["doc_id"])
+
+KERNEL_RUNS_SHA256 = {
+    "f1/v1.0":
+        "f302403e7549c244bdefaa6d4faa2f0ef2b6b0c31c7a6c76be6003db0b6c8670",
+    "f1/v2.0":
+        "0801e6e01e7424f698ad929b9eec82f1899b8bae491e33134dd04be1147ce809",
+    "runs/v1.0":
+        "8455f2185bd943af43aef539ccd02d3933f543e84959ed8cc9f4e7d860b1784e",
+    "runs/v2.0":
+        "98a42c45909ac608e8662e2ca5a4816301220385a0c8266b7037728a263c9dd2",
+}
+
 BLOB_SHA256 = {
     "f1/doc_id":
         "f29d579d32136ce926741130850c38638da2826315894cf23c538a5b1045cb62",
@@ -146,6 +185,16 @@ def test_kernel_writer_bytes(mixed, case):
         use_dictionary=dic, encodings=enc, page_version=pv,
         data_page_rows=rows, bloom_filters=["i64"])
     assert hashlib.sha256(image).hexdigest() == KERNEL_SHA256[_kernel_key(case)]
+
+
+@pytest.mark.parametrize("pv", ["1.0", "2.0"])
+def test_kernel_writer_run_bytes(pv):
+    f1 = encode_parquet_bytes(gen_batch(300, seed=7), page_version=pv,
+                              **_PARQUET_READ_OPTS)
+    runs = encode_parquet_bytes(_runs_table(), page_version=pv,
+                                compression="UNCOMPRESSED")
+    assert hashlib.sha256(f1).hexdigest() == KERNEL_RUNS_SHA256[f"f1/v{pv}"]
+    assert hashlib.sha256(runs).hexdigest() == KERNEL_RUNS_SHA256[f"runs/v{pv}"]
 
 
 def test_blob_frame_bytes():
