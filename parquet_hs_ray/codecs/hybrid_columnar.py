@@ -35,7 +35,8 @@ from .varint import decode_varint, encode_varint
 
 # shortest equal-value run emitted as an RLE run, in this container and
 # in the Parquet stream of :mod:`.rle_hybrid`; above 7, so the
-# 8-alignment steal of :func:`long_runs` never empties a run
+# 8-alignment steal of :func:`long_runs` never empties a run, and at
+# least 16, so its no-run test over 8-aligned blocks is exact
 RLE_MIN_RUN = 16
 
 
@@ -51,9 +52,17 @@ def long_runs(values: np.ndarray, neq: np.ndarray | None = None
     that follows (stolen values equal the run value, so they pack
     losslessly); the values after the last run form the terminal span,
     which is not aligned.  ``neq`` is ``values[1:] != values[:-1]`` when
-    the caller already has it."""
+    the caller already has it.
+
+    A run of ``RLE_MIN_RUN`` (>= 16) values has at least 15 equal
+    adjacent pairs, so it covers a whole 8-aligned block of 8 equal
+    pairs, a zero word of ``neq``: with no such word (one compare per
+    8 pairs) there is no run to search for."""
     if neq is None:
         neq = values[1:] != values[:-1]
+    if neq[:len(neq) // 8 * 8].view(np.uint64).all():
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, none
     boundaries = np.flatnonzero(neq) + 1
     starts = np.concatenate([np.zeros(1, dtype=np.int64), boundaries])
     ends = np.concatenate([boundaries, np.asarray([len(values)], dtype=np.int64)])

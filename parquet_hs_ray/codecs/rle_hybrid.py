@@ -19,18 +19,21 @@ layout from :func:`.hybrid_columnar.long_runs`, the one run rule it
 shares with the blob store's columnar hybrid — runs of at least
 ``RLE_MIN_RUN`` equal values become RLE runs, the values between them one
 bit-packed span, 8-aligned by stealing up to 7 values from the head of
-the following run.  The terminal span is zero-padded and the decoder
-truncates it via ``n_values``.  The Python-level loop is over the RLE
-runs only, so short-run data costs O(1) Python operations regardless of
-size.
+the following run.  Every span is gathered into one array and packed by
+ONE :func:`pack_bits_le` call; the payload is cut at ``groups * width``
+byte offsets, so the Python loop (over the RLE runs only) just joins
+headers, run values and payload slices.  The terminal span is
+zero-padded and the decoder truncates it via ``n_values``.  Values are
+encoded in their own integer dtype (no widening copy): the bytes depend
+only on the values and ``width``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bitpack import _as_unsigned, pack_bits_le, unpack_bits_le
-from .hybrid_columnar import _ragged_indices, long_runs
+from .bitpack import pack_bits_le, unpack_bits_le
+from .hybrid_columnar import RLE_MIN_RUN, _ragged_indices, long_runs
 from .varint import decode_varint, encode_varint
 
 
@@ -48,42 +51,38 @@ def decode_rle_run(data: bytes, width: int, run_len: int, pos: int = 0) -> tuple
 
 
 def encode_hybrid(values: np.ndarray, width: int) -> bytes:
-    """Encode ``values`` (non-negative, < 2**width) as a multi-run
-    RLE/bit-packed hybrid stream."""
+    """Encode ``values`` (non-negative, < 2**width, any integer dtype) as
+    a multi-run RLE/bit-packed hybrid stream."""
     n = len(values)
     if n == 0:
         return b""
-    values = _as_unsigned(values, width)
-    nb = _fixed_width_bytes(width)
     if width == 0:
         # all values are zero; a single RLE run with a zero-byte value
         return encode_varint(n << 1)
-
+    nb = _fixed_width_bytes(width)
+    neq = values[1:] != values[:-1]
+    if n >= RLE_MIN_RUN and not neq.any():
+        # one run covers the stream (a page of a column without nulls)
+        return encode_varint(n << 1) + int(values[0]).to_bytes(nb, "little")
+    bp_lens, starts, ends = long_runs(values, neq)
+    # one bit-packed span before each RLE run, then the terminal span
+    span_from = np.concatenate([np.zeros(1, np.int64), ends])
+    span_lens = np.append(bp_lens, n - span_from[-1])
+    span = values if len(ends) == 0 else values[_ragged_indices(span_from, span_lens)]
+    pad = (-len(span)) % 8
+    if pad:
+        span = np.concatenate([span, np.zeros(pad, dtype=span.dtype)])
+    payload = pack_bits_le(span, width)
+    groups = ((span_lens + 7) // 8).tolist()
     parts: list[bytes] = []
-
-    def emit_rle(value: int, run: int) -> None:
-        parts.append(encode_varint(run << 1))
-        parts.append(int(value).to_bytes(nb, "little"))
-
-    def emit_bp(span: np.ndarray, terminal: bool) -> None:
-        m = len(span)
-        if m == 0:
-            return
-        pad = (-m) % 8
-        if pad:
-            if not terminal:
-                raise AssertionError("non-terminal bit-packed span must be 8-aligned")
-            span = np.concatenate([span, np.zeros(pad, dtype=span.dtype)])
-        groups = len(span) // 8
-        parts.append(encode_varint((groups << 1) | 1))
-        parts.append(pack_bits_le(span, width))
-
-    pos = 0
-    for bp_len, s, e in zip(*(a.tolist() for a in long_runs(values))):
-        emit_bp(values[pos:pos + bp_len], terminal=False)
-        emit_rle(int(values[s]), e - s)
-        pos = e
-    emit_bp(values[pos:], terminal=True)
+    cut = 0
+    for g, run, value in zip(groups, (ends - starts).tolist(), values[starts].tolist()):
+        if g:
+            parts += (encode_varint((g << 1) | 1), payload[cut:cut + g * width])
+            cut += g * width
+        parts += (encode_varint(run << 1), value.to_bytes(nb, "little"))
+    if groups[-1]:
+        parts += (encode_varint((groups[-1] << 1) | 1), payload[cut:])
     return b"".join(parts)
 
 
@@ -160,25 +159,3 @@ def decode_hybrid_single_run(data: bytes, width: int, n_values: int, pos: int = 
     run = header >> 1
     vals, pos = decode_rle_run(data, width, run, pos)
     return vals, pos
-
-
-def encode_rle_only(values: np.ndarray, width: int) -> bytes:
-    """Pure-RLE stream (every maximal run becomes an RLE run). Best for
-    constant / long-run columns; decodable by :func:`decode_hybrid`."""
-    n = len(values)
-    if n == 0:
-        return b""
-    values = _as_unsigned(values, width)
-    if width == 0:
-        return encode_varint(n << 1)
-    nb = _fixed_width_bytes(width)
-    boundaries = np.flatnonzero(values[1:] != values[:-1]) + 1
-    starts = np.concatenate([np.zeros(1, dtype=np.int64), boundaries])
-    ends = np.concatenate([boundaries, np.asarray([n], dtype=np.int64)])
-    run_vals = values[starts]
-    run_lens = ends - starts
-    parts = []
-    for v, r in zip(run_vals.tolist(), run_lens.tolist()):
-        parts.append(encode_varint(r << 1))
-        parts.append(int(v).to_bytes(nb, "little"))
-    return b"".join(parts)

@@ -195,15 +195,28 @@ def encode_dataset(
     return result
 
 
-def _stats_can_match(entry: dict, preds: list) -> bool:
+def _probe_hashes(preds: list) -> list:
+    """Per predicate: its membership probes (`predicates.members`) hashed
+    once per manifest Bloom kind, or None for ops a Bloom cannot decide."""
+    from ..sources.bloom import manifest_probe_hashes
+
+    return [None if (m := P.members(op, v)) is None else manifest_probe_hashes(m)
+            for _, op, v in preds]
+
+
+def _stats_can_match(entry: dict, preds: list, probe_hashes: list | None = None) -> bool:
     """False only when the partition's manifest stats PROVE no row can
     satisfy the conjunction: min/max and null counts through the one
     predicate engine (`predicates.py`), then the per-partition Bloom
     for membership ops — the payoff for the per-column stats the
-    reference parses but never uses (Types/Primitives.hs:79-87)."""
+    reference parses but never uses (Types/Primitives.hs:79-87).
+    ``probe_hashes`` is ``_probe_hashes(preds)``, computed once by a
+    caller that checks many partitions."""
     from ..sources.bloom import manifest_bloom_may_contain
 
-    for col, op, v in preds:
+    if probe_hashes is None:
+        probe_hashes = _probe_hashes(preds)
+    for (col, op, v), hashes in zip(preds, probe_hashes):
         st = entry.get("columns", {}).get(col)
         if st is None:  # an entry keys every column its blob holds
             if not P.absent_may_match(op, v, entry.get("row_count")):
@@ -215,9 +228,8 @@ def _stats_can_match(entry: dict, preds: list) -> bool:
         # membership ops: the Bloom proves absence min/max can't
         # (uniform high-cardinality ids); a false positive only costs
         # a wasted decode
-        probes = P.members(op, v)
-        if probes is not None and \
-                not manifest_bloom_may_contain(st.get("bloom"), probes):
+        if hashes is not None and \
+                not manifest_bloom_may_contain(st.get("bloom"), hashes):
             return False
     return True
 
@@ -276,7 +288,8 @@ def _plan_read(out_dir: str, columns: list[str] | None = None, predicate=None,
         delete_vectors = snaps.snapshot_delete_vectors(snap) if apply_deletes else {}
     elif apply_deletes:
         deleted_pids = dvs.list_delete_pids(out_dir, filesystem)
-    rows = _blob_rows(e for e in entries if _stats_can_match(e, preds))
+    probe_hashes = _probe_hashes(preds)
+    rows = _blob_rows(e for e in entries if _stats_can_match(e, preds, probe_hashes))
     pids = {r["partition_id"] for r in rows}
     aux: dict[str, tuple[dict[int, int], set[str]]] = {}
     for fam, (adir, fes) in zip(dict.fromkeys(aux_families or ()), families.items()):

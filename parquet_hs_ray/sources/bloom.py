@@ -476,26 +476,32 @@ def build_manifest_bloom(arr) -> dict | None:
             "b64": base64.b64encode(f.tobytes()).decode()}
 
 
-def manifest_bloom_may_contain(bloom: dict | None, values: list) -> bool:
-    """False only when the manifest Bloom PROVES every one of ``values``
-    absent.  No filter, another version, or a probe whose type does not
-    match the filter's kind (``"5"`` or ``True`` on an int column)
-    answers True: cross-type equality is the exact filter's business."""
+def manifest_probe_hashes(values: list) -> dict:
+    """``values`` hashed once for every manifest Bloom kind: ``{"int":
+    INT64 hashes, "str": BYTE_ARRAY hashes}``, with None for a kind
+    whose type some probe does not match (``"5"`` or ``True`` against
+    ``"int"``).  A membership predicate's probes are hashed once per
+    read plan and checked against each partition's filter."""
+    ints = not any(isinstance(x, bool) or not isinstance(x, (int, np.integer))
+                   for x in values)
+    return {"int": xxh64_fixed8(np.array([int(x) & _M64 for x in values],
+                                         dtype=np.uint64)) if ints else None,
+            "str": hash_probe_values(values, "BYTE_ARRAY")
+            if all(isinstance(x, str) for x in values) else None}
+
+
+def manifest_bloom_may_contain(bloom: dict | None, hashes: dict) -> bool:
+    """False only when the manifest Bloom PROVES every probe absent;
+    ``hashes`` is :func:`manifest_probe_hashes` of the probes.  No
+    filter, another version, or probes whose type does not match the
+    filter's kind answer True: cross-type equality is the exact
+    filter's business."""
     import base64
 
     if not bloom or bloom.get("v") != MANIFEST_BLOOM_VERSION:
         return True
-    if bloom["kind"] == "int":
-        if any(isinstance(x, bool) or not isinstance(x, (int, np.integer))
-               for x in values):
-            return True
-        h = xxh64_fixed8(np.array([int(x) & _M64 for x in values],
-                                  dtype=np.uint64))
-    elif bloom["kind"] == "str":
-        if not all(isinstance(x, str) for x in values):
-            return True
-        h = hash_probe_values(values, "BYTE_ARRAY")
-    else:
+    h = hashes.get(bloom["kind"])
+    if h is None:
         return True
     f = SplitBlockBloom.from_bytes(base64.b64decode(bloom["b64"]))
     return bool(f.check_hashes(h).any())

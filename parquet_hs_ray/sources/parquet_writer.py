@@ -52,6 +52,9 @@ _PT = {name: pid for pid, name in _PHYSICAL.items()}
 _CODECS = {name: cid for cid, name in _CODEC.items()
            if name not in ("LZO", "BROTLI")}
 _CONVERTED_UTF8, _CONVERTED_MAP, _CONVERTED_LIST = 0, 1, 3
+# dtype of the shredded rep/def level arrays: a level is at most the
+# nesting depth, which the recursive shredder keeps far below 2**15
+_LEVEL = np.int16
 
 
 def _crc32_signed(*parts: bytes) -> int:
@@ -272,8 +275,8 @@ def _plain_size(arr: pa.Array, physical: str,
 
 
 def _dict_encode(arr: pa.Array, physical: str):
-    """Classic PLAIN_DICTIONARY chunk: (dict-page PLAIN values, int64
-    index codes in non-null order, index bit width, dictionary size),
+    """Classic PLAIN_DICTIONARY chunk: (dict-page PLAIN values, Arrow's
+    int32 index codes in non-null order, index bit width, dictionary size),
     or None when the type/cardinality makes a dictionary pointless.
     The caller encodes codes (or per-page slices of them) with
     ``_dict_index_body``."""
@@ -286,7 +289,7 @@ def _dict_encode(arr: pa.Array, physical: str):
     dictionary = denc.dictionary
     if len(dictionary) > max(1, len(vals) // 2) or len(dictionary) > 65536:
         return None  # high cardinality: dictionary would not pay
-    idx = np.asarray(denc.indices, dtype=np.int64)
+    idx = np.asarray(denc.indices)
     width = max(1, int(len(dictionary) - 1).bit_length())
     return (_plain_encode(dictionary, physical), idx, width,
             len(dictionary))
@@ -294,7 +297,7 @@ def _dict_encode(arr: pa.Array, physical: str):
 
 def _dict_index_body(idx: np.ndarray, width: int) -> bytes:
     """Dictionary data-page body: 1-byte bit width + hybrid indices."""
-    return bytes([width]) + encode_hybrid(idx.astype(np.uint64), width)
+    return bytes([width]) + encode_hybrid(idx, width)
 
 
 def _delta_bp_encode(vals: np.ndarray, bits: int = 64,
@@ -429,10 +432,11 @@ def _statistics(arr: pa.Array, physical: str, n_values: int):
 
 
 def _level_stream(levels: np.ndarray, max_level: int) -> bytes:
-    """V1 level stream: u32-LE byte length + RLE/BP hybrid runs."""
-    width = int(max_level).bit_length()
-    body = encode_hybrid(levels.astype(np.uint64), width)
-    return len(body).to_bytes(4, "little") + body
+    """RLE/BP hybrid level runs (none when ``max_level`` is 0): a v2
+    page's level section as is; v1 prefixes its u32-LE byte length."""
+    if not max_level:
+        return b""
+    return encode_hybrid(levels, int(max_level).bit_length())
 
 
 def _is_listish(t: pa.DataType) -> bool:
@@ -494,7 +498,7 @@ def _shred_node(arr: pa.Array, t: pa.DataType, nullable: bool, r: int,
         valid = np.asarray(valid_pa, dtype=bool)
         all_valid = bool(valid.all())
         if not all_valid and rep_in is None:
-            rep_in = np.zeros(len(arr), np.int64)
+            rep_in = np.zeros(len(arr), _LEVEL)
         child_rep = rep_in if all_valid else rep_in[valid]
         streams = []
         for i, f in enumerate(t):
@@ -506,7 +510,7 @@ def _shred_node(arr: pa.Array, t: pa.DataType, nullable: bool, r: int,
         miss = ~valid
         return _splice_placeholders(
             streams, miss, None if rep_in is None else rep_in[miss],
-            np.full(int(miss.sum()), d_par, np.int64), r)
+            np.full(int(miss.sum()), d_par, _LEVEL), r)
 
     if _is_listish(t):
         import pyarrow.compute as pc
@@ -519,14 +523,14 @@ def _shred_node(arr: pa.Array, t: pa.DataType, nullable: bool, r: int,
                                              nullable=False)))
             t = arr.type
         if rep_in is None:
-            rep_in = np.zeros(len(arr), np.int64)
+            rep_in = np.zeros(len(arr), _LEVEL)
         valid = np.asarray(arr.is_valid(), dtype=bool)
         counts = np.asarray(pc.fill_null(pc.list_value_length(arr), 0),
                             dtype=np.int64)
         flat = pc.list_flatten(arr)  # valid lists' elements, in order
         has = counts > 0
         n_child = int(counts.sum())
-        child_rep = np.full(n_child, r + 1, np.int64)
+        child_rep = np.full(n_child, r + 1, _LEVEL)
         if has.any():
             starts = np.concatenate([[0], np.cumsum(counts[has])[:-1]])
             child_rep[starts] = rep_in[has]
@@ -535,16 +539,16 @@ def _shred_node(arr: pa.Array, t: pa.DataType, nullable: bool, r: int,
         miss = ~has  # null or empty: no element entries
         miss_def = np.where(valid[miss], d_def, d_par)
         return _splice_placeholders(streams, miss, rep_in[miss],
-                                    miss_def.astype(np.int64), r)
+                                    miss_def.astype(_LEVEL), r)
 
     if not (pa.types.is_nested(t) or pa.types.is_dictionary(t)):
         if d_def == 0:
             dfl = None  # required all the way down: no def stream
         elif arr.null_count:
             dfl = np.where(np.asarray(arr.is_valid(), bool), d_def,
-                           d_par).astype(np.int64)
+                           d_par).astype(_LEVEL)
         else:
-            dfl = np.full(len(arr), d_def, np.int64)
+            dfl = np.full(len(arr), d_def, _LEVEL)
         return [(rep_in, dfl, arr)]
     raise NotImplementedError(f"kernel parquet writer: node type {t}")
 
@@ -760,13 +764,9 @@ def _write_column_chunk(out: bytearray, col_chunks: list, leaf: pa.Array,
         n_vals_pg = b - a
         value_body = page_value_body(a, b, leaf_pg)
         page_off = len(out)
+        rep_b = _level_stream(rep_pg, max_rep)
+        def_b = _level_stream(dfl_pg, max_def)
         if page_version == "2.0":
-            rep_b = (encode_hybrid(rep_pg.astype(np.uint64),
-                                   int(max_rep).bit_length())
-                     if max_rep else b"")
-            def_b = (encode_hybrid(dfl_pg.astype(np.uint64),
-                                   int(max_def).bit_length())
-                     if max_def else b"")
             vals_comp = (codec.compress(value_body).to_pybytes()
                          if codec else value_body)
             num_rows = (int((rep_pg == 0).sum()) if max_rep
@@ -782,12 +782,9 @@ def _write_column_chunk(out: bytearray, col_chunks: list, leaf: pa.Array,
                  .i32(4, _crc32_signed(rep_b, def_b, vals_comp))
                  .struct(8, dph2), uncomp, rep_b, def_b, vals_comp)
         else:
-            levels = b""
-            if max_rep:
-                levels += _level_stream(rep_pg, max_rep)
-            if max_def:
-                levels += _level_stream(dfl_pg, max_def)
-            body = levels + value_body
+            body = b"".join([len(lv).to_bytes(4, "little") + lv
+                             for lv, m in ((rep_b, max_rep), (def_b, max_def))
+                             if m] + [value_body])
             comp = codec.compress(body).to_pybytes() if codec else body
             dph = (_Struct().i32(1, n_vals_pg).i32(2, value_enc)
                    .i32(3, _ENC_RLE).i32(4, _ENC_RLE))

@@ -12,12 +12,13 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from parquet_hs_ray.sources.bloom import (build_manifest_bloom,
-                                          manifest_bloom_may_contain)
+                                          manifest_bloom_may_contain,
+                                          manifest_probe_hashes)
 from parquet_hs_ray.state import manifest as mf
 
 
 def _has(bloom, v) -> bool:
-    return manifest_bloom_may_contain(bloom, [v])
+    return manifest_bloom_may_contain(bloom, manifest_probe_hashes([v]))
 
 
 def test_bloom_kernel_membership_and_fpr():
@@ -47,7 +48,7 @@ def test_bloom_kernel_membership_and_fpr():
     assert _has(sb, 5)
     assert _has(bl, True)  # bool is not an int key
     # one mismatched member keeps the partition for the whole list
-    assert manifest_bloom_may_contain(bl, [1, "1"])
+    assert manifest_bloom_may_contain(bl, manifest_probe_hashes([1, "1"]))
 
     # nulls contribute nothing; an all-null column's bloom prunes any probe
     nb = build_manifest_bloom(pa.array([None, None], type=pa.int64()))
@@ -83,7 +84,7 @@ def test_legacy_manifest_bloom_is_ignored():
 
     legacy = {"kind": "str", "m": 64, "k": 4,
               "b64": base64.b64encode(bytes(8)).decode()}
-    assert manifest_bloom_may_contain(legacy, ["doc-1"])
+    assert manifest_bloom_may_contain(legacy, manifest_probe_hashes(["doc-1"]))
     entry = {"row_count": 2, "columns": {"doc_id": {
         "min": "doc-0", "max": "doc-9", "null_count": 0, "bloom": legacy}}}
     assert _stats_can_match(entry, [("doc_id", "==", "doc-1")])

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parquet_hs_ray.codecs.bitpack import bit_width_of, pack_bits_le, unpack_bits_le
-from parquet_hs_ray.codecs.rle_hybrid import decode_hybrid, encode_hybrid, encode_rle_only
+from parquet_hs_ray.codecs.hybrid_columnar import RLE_MIN_RUN, long_runs
+from parquet_hs_ray.codecs.rle_hybrid import decode_hybrid, encode_hybrid
 from parquet_hs_ray.codecs.varint import decode_varint, encode_varint, zigzag_decode, zigzag_encode
 
 
@@ -69,15 +70,74 @@ def test_hybrid_roundtrip(width, seed, n, run_prob):
     np.testing.assert_array_equal(out, vals)
 
 
-@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=500))
-@settings(max_examples=40, deadline=None)
-def test_rle_only_roundtrip(seed, n):
+def _plain_long_runs(vals) -> tuple[list, list, list]:
+    """``long_runs`` written as a walk over the maximal equal-value runs."""
+    bp_lens, starts, ends = [], [], []
+    prev_end = i = 0
+    while i < len(vals):
+        j = i
+        while j < len(vals) and vals[j] == vals[i]:
+            j += 1
+        if j - i >= RLE_MIN_RUN:
+            steal = (prev_end - i) % 8  # 8-aligns the span before the run
+            bp_lens.append(i - prev_end + steal)
+            starts.append(i + steal)
+            ends.append(j)
+            prev_end = j
+        i = j
+    return bp_lens, starts, ends
+
+
+def _runs_at_every_offset(rng, hi: int) -> np.ndarray:
+    """Random values < ``hi`` with runs of 14-17 equal values, each
+    length starting at every offset mod 8, in random order."""
+    out = []
+    for length, off in rng.permutation([(ln, o) for ln in range(14, 18) for o in range(8)]):
+        pad = (off - len(out)) % 8 + 8 * int(rng.integers(0, 2))
+        out.extend(rng.integers(0, hi, pad).tolist())
+        out.extend([int(rng.integers(0, hi))] * int(length))
+    out.extend(rng.integers(0, hi, int(rng.integers(0, 20))).tolist())
+    return np.asarray(out, dtype=np.uint64)
+
+
+@given(st.integers(min_value=1, max_value=32), st.integers(min_value=0, max_value=2**32),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_hybrid_bytes_independent_of_dtype(width, seed, narrow):
+    """Same values, same bytes: uint8, int16, int32, int64 and uint64 inputs
+    (each where it holds the values) encode identically, decode back,
+    and ``long_runs`` places the runs where a plain walk does."""
     rng = np.random.default_rng(seed)
-    vals = rng.integers(0, 8, size=n, dtype=np.uint64)
-    width = 3
-    enc = encode_rle_only(vals, width)
-    out, _ = decode_hybrid(enc, width, n)
+    vals = _runs_at_every_offset(rng, 1 << (min(width, 8) if narrow else width))
+    ref = encode_hybrid(vals, width)
+    for dt in ("uint8", "int16", "int32", "int64"):
+        if int(vals.max()) <= np.iinfo(dt).max:
+            assert encode_hybrid(vals.astype(dt), width) == ref, dt
+    out, pos = decode_hybrid(ref, width, len(vals))
+    assert pos == len(ref)
     np.testing.assert_array_equal(out, vals)
+    got = [a.tolist() for a in long_runs(vals.astype(np.int64))]
+    assert got == list(_plain_long_runs(vals.tolist()))
+
+
+@pytest.mark.parametrize("length", [14, 15, 16, 17])
+def test_long_runs_lone_run_at_every_offset(length):
+    """One run among distinct values, so only that run's 8-aligned block
+    of equal pairs tells ``long_runs`` a run exists."""
+    for off in range(8):
+        for tail in (0, 1, 7, 8, 9):
+            vals = np.arange(off + length + tail, dtype=np.int64) + 1
+            vals[off:off + length] = 0
+            got = [a.tolist() for a in long_runs(vals)]
+            assert got == list(_plain_long_runs(vals.tolist())), (off, tail)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 40)), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_long_runs_matches_plain_walk(segments):
+    vals = [v for v, count in segments for _ in range(count)]
+    got = [a.tolist() for a in long_runs(np.asarray(vals, dtype=np.int32))]
+    assert got == list(_plain_long_runs(vals))
 
 
 def test_bit_width_of():
