@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bitpack import pack_bits_le, unpack_bits_le
-from .hybrid_columnar import RLE_MIN_RUN, _ragged_indices, long_runs
+from .hybrid_columnar import _ragged_indices, long_runs
 from .varint import decode_varint, encode_varint
 
 
@@ -60,11 +60,7 @@ def encode_hybrid(values: np.ndarray, width: int) -> bytes:
         # all values are zero; a single RLE run with a zero-byte value
         return encode_varint(n << 1)
     nb = _fixed_width_bytes(width)
-    neq = values[1:] != values[:-1]
-    if n >= RLE_MIN_RUN and not neq.any():
-        # one run covers the stream (a page of a column without nulls)
-        return encode_varint(n << 1) + int(values[0]).to_bytes(nb, "little")
-    bp_lens, starts, ends = long_runs(values, neq)
+    bp_lens, starts, ends = long_runs(values)
     # one bit-packed span before each RLE run, then the terminal span
     span_from = np.concatenate([np.zeros(1, np.int64), ends])
     span_lens = np.append(bp_lens, n - span_from[-1])

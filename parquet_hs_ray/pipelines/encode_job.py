@@ -204,18 +204,16 @@ def _probe_hashes(preds: list) -> list:
             for _, op, v in preds]
 
 
-def _stats_can_match(entry: dict, preds: list, probe_hashes: list | None = None) -> bool:
+def _stats_can_match(entry: dict, preds: list, probe_hashes: list) -> bool:
     """False only when the partition's manifest stats PROVE no row can
     satisfy the conjunction: min/max and null counts through the one
     predicate engine (`predicates.py`), then the per-partition Bloom
     for membership ops — the payoff for the per-column stats the
     reference parses but never uses (Types/Primitives.hs:79-87).
-    ``probe_hashes`` is ``_probe_hashes(preds)``, computed once by a
-    caller that checks many partitions."""
+    ``probe_hashes`` is ``_probe_hashes(preds)``, computed once per
+    plan, not once per partition."""
     from ..sources.bloom import manifest_bloom_may_contain
 
-    if probe_hashes is None:
-        probe_hashes = _probe_hashes(preds)
     for (col, op, v), hashes in zip(preds, probe_hashes):
         st = entry.get("columns", {}).get(col)
         if st is None:  # an entry keys every column its blob holds

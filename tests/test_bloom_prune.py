@@ -80,19 +80,22 @@ def test_legacy_manifest_bloom_is_ignored():
     """A pre-split-block entry (``{"kind", "m", "k", "b64"}``, no
     ``"v"``) whose all-zero bits would prune every probe is ignored:
     the partition is kept."""
-    from parquet_hs_ray.pipelines.encode_job import _stats_can_match
+    from parquet_hs_ray.pipelines.encode_job import _probe_hashes, _stats_can_match
+
+    def can_match(preds):
+        return _stats_can_match(entry, preds, _probe_hashes(preds))
 
     legacy = {"kind": "str", "m": 64, "k": 4,
               "b64": base64.b64encode(bytes(8)).decode()}
     assert manifest_bloom_may_contain(legacy, manifest_probe_hashes(["doc-1"]))
     entry = {"row_count": 2, "columns": {"doc_id": {
         "min": "doc-0", "max": "doc-9", "null_count": 0, "bloom": legacy}}}
-    assert _stats_can_match(entry, [("doc_id", "==", "doc-1")])
-    assert _stats_can_match(entry, [("doc_id", "in", ["doc-1", "doc-2"])])
+    assert can_match([("doc_id", "==", "doc-1")])
+    assert can_match([("doc_id", "in", ["doc-1", "doc-2"])])
     # the same entry with a current, empty filter prunes
     entry["columns"]["doc_id"]["bloom"] = build_manifest_bloom(
         pa.array([None], pa.string()))
-    assert not _stats_can_match(entry, [("doc_id", "==", "doc-1")])
+    assert not can_match([("doc_id", "==", "doc-1")])
 
 
 def test_bloom_equality_pruning_e2e(ray_session, tmp_path):

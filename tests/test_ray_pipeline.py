@@ -512,13 +512,17 @@ def test_decode_unknown_column_raises(ray_session, tmp_path):
 def test_stats_type_mismatch_degrades_to_no_prune():
     """Numeric predicate against string min/max stats (ADVICE r2,
     encode_job.py:195): incomparable -> keep the partition, don't crash."""
-    from parquet_hs_ray.pipelines.encode_job import _stats_can_match
+    from parquet_hs_ray.pipelines.encode_job import _probe_hashes, _stats_can_match
 
     entry = {"columns": {"name": {"min": "alpha", "max": "zeta"}}}
-    assert _stats_can_match(entry, [("name", "==", 5)]) is True
-    assert _stats_can_match(entry, [("name", ">=", 3.5)]) is True
+
+    def can_match(preds):
+        return _stats_can_match(entry, preds, _probe_hashes(preds))
+
+    assert can_match([("name", "==", 5)]) is True
+    assert can_match([("name", ">=", 3.5)]) is True
     # comparable predicates still prune
-    assert _stats_can_match(entry, [("name", "==", "zz")]) is False
+    assert can_match([("name", "==", "zz")]) is False
 
 
 def test_decode_to_parquet_partition_cols(ray_session, f1_dir, tmp_path):
