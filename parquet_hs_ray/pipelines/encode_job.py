@@ -1,16 +1,18 @@
 """Encode / decode / verify jobs — Ray Data orchestration.
 
-Lifecycle (SURVEY.md §3.5): plan (n_tok-pruned scan, skew-aware token
-budget) -> resume-filter on manifest -> control Dataset of partitions ->
+Lifecycle (SURVEY.md §3.5): plan on the driver (n_tok-pruned scan,
+skew-aware token budget; ``plan.build_plan`` starts no Ray task) ->
+resume-filter on manifest -> control Dataset of partitions ->
 ``map_batches(encode_partitions)`` -> blobs + per-partition manifest.
 Decode is the inverse: manifest -> control Dataset ->
 ``map_batches(DecoderStage)`` -> Arrow tables streaming onward.
 
 Every job (encode, decode, export, compact, backfill, delete, verify)
-has one task shape, ``_map_partitions``: a control Dataset with one row
-per partition, cut into ``plan.task_count`` contiguous runs (one per CPU
-slot, the rule the kernel Parquet read uses too), one plain task per
-run; each stage body handles its batch's one row. The rows of a blob
+has one task shape, ``_map_partitions``, and it is the job's only Ray
+execution (the encode plan is made on the driver): a control Dataset
+with one row per partition, cut into ``plan.task_count`` contiguous
+runs (one per CPU slot, the rule the kernel Parquet read uses too), one
+plain task per run; each stage body handles its batch's one row. The rows of a blob
 read (``partition_id`` and the manifest ``crc32``) come from
 ``_blob_rows``. The stage is passed as a callable (an instance, a
 closure or a ``functools.partial``), never through ``fn_kwargs``, and
@@ -154,7 +156,7 @@ def encode_dataset(
     if resume and fsio.exists(plan_path, filesystem):
         plan = load_plan(plan_path, filesystem)
         plan_paths = sorted({p.path for p in plan})
-        if input_path is not None and plan_paths != sorted(paths):
+        if plan_paths != sorted(paths):
             new_files = sorted(set(paths) - set(plan_paths))
             missing = sorted(set(plan_paths) - set(paths))
             if append and new_files and not missing:

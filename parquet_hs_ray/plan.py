@@ -19,6 +19,11 @@ except when one row group alone exceeds the budget, in which case it is
 split by row ranges using the row group's n_tok prefix sums; a single row
 larger than the whole budget gets its own partition (never silently
 dropped).
+
+Planning runs on the driver, one file after another: it starts no Ray
+task, so every Ray execution of the blob-store jobs is
+``encode_job._map_partitions``. ``cpu_slots``/``task_count`` are the
+one task-count rule those executions and the kernel Parquet read share.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ class Partition:
 
 
 def plan_file(path: str, token_col: str | None = "n_tok", token_budget: int = DEFAULT_TOKEN_BUDGET,
-              row_budget: int = DEFAULT_ROW_BUDGET, filesystem=None) -> list[dict]:
+              filesystem=None) -> list[dict]:
     """Plan one parquet file into partition dicts (partition_id assigned later)."""
     from .state import fsio
 
@@ -75,7 +80,7 @@ def plan_file(path: str, token_col: str | None = "n_tok", token_budget: int = DE
             rg_tokens = int(ntok.sum())
         else:
             ntok = None
-            rg_tokens = n * max(1, token_budget // row_budget)  # weight rows as uniform
+            rg_tokens = n * max(1, token_budget // DEFAULT_ROW_BUDGET)  # weight rows as uniform
         if rg_tokens > token_budget and ntok is not None:
             # split inside the row group on n_tok prefix sums
             flush()
@@ -103,23 +108,13 @@ def plan_file(path: str, token_col: str | None = "n_tok", token_budget: int = DE
 
 
 def build_plan(paths: list[str], token_col: str | None = "n_tok",
-               token_budget: int = DEFAULT_TOKEN_BUDGET, parallel: bool = True,
-               filesystem=None) -> list[Partition]:
-    """Plan all input files. Uses a Ray Data control dataset when a Ray
-    session is up (per-file planning fans out; each task reads only the
-    token column), else runs locally."""
-    paths = sorted(paths)
-    entries: list[dict] = []
-    if parallel and len(paths) > 1 and ray.is_initialized():
-        @ray.remote(num_cpus=1)
-        def _plan(p):
-            return plan_file(p, token_col, token_budget, filesystem=filesystem)
-
-        for chunk in ray.get([_plan.remote(p) for p in paths]):
-            entries.extend(chunk)
-    else:
-        for p in paths:
-            entries.extend(plan_file(p, token_col, token_budget, filesystem=filesystem))
+               token_budget: int = DEFAULT_TOKEN_BUDGET, filesystem=None) -> list[Partition]:
+    """Plan all input files on the driver, in sorted path order, and
+    number their partitions from 0. Each file costs one footer read and,
+    if it holds ``token_col``, one read of that column per row group; no
+    Ray task is started."""
+    entries = [e for p in sorted(paths)
+               for e in plan_file(p, token_col, token_budget, filesystem=filesystem)]
     return [Partition(partition_id=i, **e) for i, e in enumerate(entries)]
 
 

@@ -663,18 +663,36 @@ def _write_column_chunk(out: bytearray, col_chunks: list, leaf: pa.Array,
     n_values = len(dfl) if dfl is not None else len(leaf)
     type_length = lm.get("type_length", 0)
 
+    # page split: row-aligned leaves only (one leaf entry per level
+    # entry, no repetition) — every page starts on a record boundary
+    paginate = (data_page_rows is not None and max_rep == 0
+                and len(leaf) == n_values
+                and n_values > int(data_page_rows))
+    if paginate:
+        step = int(data_page_rows)
+        bounds = [(a, min(a + step, n_values))
+                  for a in range(0, n_values, step)]
+    else:
+        bounds = [(0, n_values)]
+
     # dictionary attempt: classic PLAIN_DICTIONARY (dict page +
-    # 1-byte-width hybrid indices) when it actually shrinks the
-    # chunk; PLAIN otherwise
+    # 1-byte-width hybrid indices per data page) when the dict page
+    # plus the index bodies written shrink the chunk; PLAIN otherwise
     dict_blob = None
     if use_dictionary:
         enc = _dict_encode(leaf, physical)
         if enc is not None:
             dict_plain, dict_idx, dict_width, n_dict = enc
-            full_index_body = _dict_index_body(dict_idx, dict_width)
-            if (len(dict_plain) + len(full_index_body)
+            cuts = []
+            if len(bounds) > 1:
+                # a page's index slice ends at its non-null prefix count
+                nn = np.cumsum(~leaf.is_null().to_numpy(zero_copy_only=False))
+                cuts = nn[[b - 1 for _, b in bounds[:-1]]]
+            index_bodies = [_dict_index_body(i, dict_width)
+                            for i in np.split(dict_idx, cuts)]
+            if (len(dict_plain) + sum(map(len, index_bodies))
                     < _plain_size(leaf, physical)):
-                dict_blob = (dict_plain, full_index_body)
+                dict_blob = (dict_plain, index_bodies)
     value_enc = None
     if dict_blob is not None:
         value_enc = _ENC_PLAIN_DICT
@@ -699,29 +717,9 @@ def _write_column_chunk(out: bytearray, col_chunks: list, leaf: pa.Array,
     else:
         encodings = [value_enc, _ENC_RLE]
 
-    # page split: row-aligned leaves only (one leaf entry per level
-    # entry, no repetition) — every page starts on a record boundary
-    paginate = (data_page_rows is not None and max_rep == 0
-                and len(leaf) == n_values
-                and n_values > int(data_page_rows))
-    if paginate:
-        step = int(data_page_rows)
-        bounds = [(a, min(a + step, n_values))
-                  for a in range(0, n_values, step)]
-    else:
-        bounds = [(0, n_values)]
-    if dict_blob is not None and len(bounds) > 1:
-        # per-page index slices need the non-null prefix counts
-        nn_prefix = np.concatenate(
-            [[0], np.cumsum(~leaf.is_null().to_numpy(
-                zero_copy_only=False))])
-
-    def page_value_body(a: int, b: int, leaf_pg: pa.Array) -> bytes:
+    def page_value_body(page: int, leaf_pg: pa.Array) -> bytes:
         if dict_blob is not None:
-            if len(bounds) == 1:
-                return dict_blob[1]
-            return _dict_index_body(
-                dict_idx[nn_prefix[a]:nn_prefix[b]], dict_width)
+            return dict_blob[1][page]
         if value_enc == _ENC_DELTA_BP:
             v = leaf_pg.drop_null().to_numpy(zero_copy_only=False)
             return _delta_bp_encode(
@@ -756,13 +754,13 @@ def _write_column_chunk(out: bytearray, col_chunks: list, leaf: pa.Array,
 
     data_page_offset = len(out)
     pages = []  # per page: location + stats for the page index
-    for a, b in bounds:
+    for page, (a, b) in enumerate(bounds):
         leaf_pg = leaf if len(bounds) == 1 else leaf.slice(a, b - a)
         rep_pg = rep if len(bounds) == 1 else None  # paginate => no rep
         dfl_pg = (dfl if len(bounds) == 1
                   else (dfl[a:b] if dfl is not None else None))
         n_vals_pg = b - a
-        value_body = page_value_body(a, b, leaf_pg)
+        value_body = page_value_body(page, leaf_pg)
         page_off = len(out)
         rep_b = _level_stream(rep_pg, max_rep)
         def_b = _level_stream(dfl_pg, max_def)

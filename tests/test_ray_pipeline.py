@@ -25,7 +25,7 @@ def f1_dir(tmp_path_factory):
 
 def test_plan_token_budget(f1_dir):
     paths = sorted(glob.glob(f"{f1_dir}/*.parquet"))
-    plan = build_plan(paths, token_budget=200_000, parallel=False)
+    plan = build_plan(paths, token_budget=200_000)
     assert len(plan) > 4
     ids = [p.partition_id for p in plan]
     assert ids == list(range(len(plan)))
@@ -43,6 +43,23 @@ def test_plan_token_budget(f1_dir):
             assert start == expect
             expect = start + count
         assert expect == pq.ParquetFile(path).metadata.num_rows
+
+
+def test_build_plan_starts_no_ray_task(f1_dir, ray_session, monkeypatch):
+    """With a session up and several input files, planning still runs on
+    the driver: ``ray.remote`` is never called."""
+    import ray
+
+    def no_remote(*a, **k):
+        raise AssertionError("build_plan started a Ray task")
+
+    monkeypatch.setattr(ray, "remote", no_remote)
+    paths = sorted(glob.glob(f"{f1_dir}/*.parquet"))
+    assert ray.is_initialized() and len(paths) >= 2
+    plan = build_plan(paths, token_budget=200_000)
+    assert [p.partition_id for p in plan] == list(range(len(plan))) and len(plan) > 4
+    assert sum(p.row_count for p in plan) == sum(pq.ParquetFile(p).metadata.num_rows
+                                                 for p in paths)
 
 
 def test_plan_skew_single_row_partition(tmp_path):
