@@ -29,6 +29,8 @@ still-active row at once).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .intpack import decode_int, encode_int
@@ -229,11 +231,10 @@ def _encode_with_table(
     return count_per_row, codes, literals
 
 
-def encode_fsst(lens: np.ndarray, raw: bytes, table: list[bytes] | None = None) -> bytes:
+def encode_fsst(lens: np.ndarray, raw: bytes, table: list[bytes]) -> bytes:
     """Encode a variable-binary column (per-value ``lens`` + contiguous
-    ``raw`` bytes) with FSST."""
-    if table is None:
-        table = build_symbol_table(_deterministic_sample(lens, raw))
+    ``raw`` bytes) with FSST under a symbol ``table`` built from a sample
+    of the column (``table_for_sample``)."""
     counts, codes, literals = _encode_with_table(np.asarray(lens, dtype=np.int64), raw, table)
     parts = [encode_varint(len(table))]
     parts.append(bytes(len(s) for s in table))
@@ -291,18 +292,6 @@ def decode_fsst(data: bytes, pos: int = 0) -> tuple[np.ndarray, bytes, int]:
     row_of = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     out_lens = np.bincount(row_of, weights=exp_len, minlength=len(counts)).astype(np.int64)
     return out_lens, out.tobytes(), pos
-
-
-def _deterministic_sample(lens: np.ndarray, raw: bytes, max_vals: int = 384) -> list[bytes]:
-    n = len(lens)
-    if n == 0:
-        return []
-    offs = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(np.asarray(lens, dtype=np.int64))])
-    stride = max(1, n // max_vals)
-    return [bytes(raw[offs[i] : offs[i + 1]]) for i in range(0, n, stride)][:max_vals]
-
-
-import functools
 
 
 @functools.lru_cache(maxsize=8)

@@ -340,9 +340,8 @@ def encode_array(arr: pa.Array | pa.ChunkedArray, codec_override: int | None = N
 
     if pa.types.is_string(t) or pa.types.is_binary(t) or pa.types.is_large_string(t) or pa.types.is_large_binary(t):
         lens_np, raw = _binary_parts(arr, valid)
-        sample = None
+        sample = _sample_binary(lens_np, raw)  # the selector's and FSST's one sample
         if codec_override is None:
-            sample = _sample_binary(lens_np, raw)
             codec, stats = select_binary_codec(
                 lens_np, len(raw), sample,
                 front_ratio=_front_trial_ratio(lens_np, raw))
@@ -361,8 +360,8 @@ def encode_array(arr: pa.Array | pa.ChunkedArray, codec_override: int | None = N
                 + encode_hybrid_columnar(didx, width)
             )
         elif codec == FSST:
-            table = fsst_codec.table_for_sample(tuple(sample)) if sample else None
-            payload = fsst_codec.encode_fsst(lens_np, raw, table=table)
+            payload = fsst_codec.encode_fsst(
+                lens_np, raw, fsst_codec.table_for_sample(tuple(sample)))
         elif codec == FRONT:
             payload = front_codec.encode_front(lens_np, raw)
         else:

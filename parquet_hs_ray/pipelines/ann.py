@@ -12,11 +12,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
+
+from .blocktasks import run_pairs
 
 
 def _emb_matrix(col) -> np.ndarray:
@@ -846,17 +850,14 @@ def ann_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         rmat = rmat.repartition(rb).materialize()
     lrefs, rrefs = lmat.to_arrow_refs(), rmat.to_arrow_refs()
 
-    def _norm(t):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
+    def _norm(t: pa.Table):
         ids = t.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
         M = _emb_matrix(t.column("embedding"))
         if len(ids) == 0:
             return ids, M.reshape(0, max(M.shape[-1], 1))
         return ids, M / np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-300)
 
-    @ray.remote(num_cpus=1)
-    def pair_topk(tl, tr, k_: int) -> pd.DataFrame:
+    def pair_topk(tl, tr) -> pd.DataFrame:
         ids_l, Lb = _norm(tl)
         ids_r, Rb = _norm(tr)
         if not len(ids_l) or not len(ids_r):
@@ -864,7 +865,7 @@ def ann_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                                  "neighbor_id": np.empty(0, np.int64),
                                  "sim": np.empty(0, np.float64)})
         sims = Lb @ Rb.T
-        kk = min(k_, sims.shape[1])
+        kk = min(k, sims.shape[1])
         idx = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
         rows = np.repeat(np.arange(len(ids_l)), kk)
         cols = idx.reshape(-1)
@@ -872,16 +873,7 @@ def ann_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                              "neighbor_id": ids_r[cols],
                              "sim": sims[rows, cols]})
 
-    if max_in_flight is None:
-        max_in_flight = max(8, 4 * int(ray.available_resources().get("CPU", 8)))
-    frames, pending = [], []
-    for lr in lrefs:
-        for rr in rrefs:
-            if len(pending) >= max_in_flight:
-                done, pending = ray.wait(pending, num_returns=1)
-                frames.append(ray.get(done[0]))
-            pending.append(pair_topk.remote(lr, rr, k))
-    frames.extend(ray.get(pending))
+    frames, _ = run_pairs(pair_topk, itertools.product(lrefs, rrefs), max_in_flight)
     partials = ray.data.from_pandas([f for f in frames if len(f)] or
                                     [frames[0]])
     return _ann_join_final(partials, k)

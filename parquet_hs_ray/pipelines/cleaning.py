@@ -19,6 +19,7 @@ import ray.data
 
 from ..functions import sketches as sk
 from ..functions.text import md5_hex
+from .blocktasks import drop_empty_blocks
 
 # order key packs (doc_id, line_no) into one int64 so "first occurrence"
 # is a plain Min aggregate: doc_id < 2^43, line_no < 2^20 assumed (8.8e12
@@ -67,7 +68,7 @@ def line_dedup(docs: "ray.data.Dataset", words_per_line: Optional[int] = None,
     carries 32-B hashes + one int64, never line text; the keep/drop
     decision is a hash join back on md5 plus a column compare, exactly
     the ``dedup_assign`` shape."""
-    from .dedup import _drop_empty_blocks, _enforce_schema
+    from .dedup import _enforce_schema
     import pyarrow as pa
 
     if num_partitions is None:
@@ -123,7 +124,7 @@ def line_dedup(docs: "ray.data.Dataset", words_per_line: Optional[int] = None,
         ["h"], {"first_okey": "min"})
     firsts = _enforce_schema(firsts, pa.schema([("h", pa.string()),
                                                 ("first_okey", pa.int64())]))
-    firsts = _drop_empty_blocks(firsts.materialize())
+    firsts = drop_empty_blocks(firsts.materialize())
     if firsts is None:
         return lines.select_columns(["doc_id", "line_no", "line"])
     j = lines.join(firsts, join_type="inner", num_partitions=num_partitions,
@@ -307,7 +308,7 @@ def span_dedup(docs: "ray.data.Dataset", window: int = 5,
     docs?" without a count-distinct), one hash join back on h, and a
     per-doc sum.  Matching is hash equality — at 64-bit, collisions are
     ~n²/2^64 and both the kernel and the twin share them by design."""
-    from .dedup import _drop_empty_blocks, _enforce_schema
+    from .dedup import _enforce_schema
     from .groupagg import grouped_agg
     import pyarrow as pa
 
@@ -339,7 +340,7 @@ def span_dedup(docs: "ray.data.Dataset", window: int = 5,
     reach = _enforce_schema(reach, pa.schema([("h", pa.uint64()),
                                               ("mn", pa.int64()),
                                               ("mx", pa.int64())]))
-    reach = _drop_empty_blocks(reach.materialize())
+    reach = drop_empty_blocks(reach.materialize())
 
     # base per-doc span counts (map-only, keeps zero-span docs)
     def base(batch: pd.DataFrame) -> pd.DataFrame:
@@ -679,9 +680,7 @@ def span_dedup_rewrite(docs: "ray.data.Dataset", window: int = 5,
     import pyarrow as pa
 
     from ..functions.text import flatten_words
-    from .dedup import _drop_empty_blocks, _enforce_schema
-    from .groupagg import grouped_agg
-    from .relational import collect_list
+    from .dedup import _enforce_schema
 
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -772,7 +771,7 @@ def _span_removals(occ: "ray.data.Dataset", key_type, num_partitions: int):
     None when nothing is duplicated."""
     import pyarrow as pa
 
-    from .dedup import _drop_empty_blocks, _enforce_schema
+    from .dedup import _enforce_schema
     from .groupagg import grouped_agg
     from .relational import collect_list
 
@@ -783,7 +782,7 @@ def _span_removals(occ: "ray.data.Dataset", key_type, num_partitions: int):
                       ["h"], {"c": "sum", "mo": "min"})
     dupset = agg.map_batches(lambda b: b[b["c"] >= 2][["h", "mo"]],
                              batch_format="pandas")
-    dupset = _drop_empty_blocks(_enforce_schema(
+    dupset = drop_empty_blocks(_enforce_schema(
         dupset, pa.schema([("h", pa.uint64()),
                            ("mo", pa.int64())])).materialize())
     if dupset is None:

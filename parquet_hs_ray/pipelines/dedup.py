@@ -27,6 +27,7 @@ import ray.data
 
 from ..functions import sketches as sk
 from ..functions.text import md5_hex
+from .blocktasks import as_arrow, drop_empty_blocks, run_pairs
 
 
 def dedup_exact(docs: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -55,8 +56,13 @@ def dedup_exact(docs: "ray.data.Dataset") -> "ray.data.Dataset":
 ALL_PAIRS_MAX_BLOCKS = 512
 
 
-def _check_all_pairs_blocks(n_blocks: int, max_blocks: int | None,
-                            fn: str, scale_path: str) -> None:
+def _pair_block_refs(ds: "ray.data.Dataset", rows_per_block: int,
+                     max_blocks: int | None, fn: str, scale_path: str) -> list:
+    """Refs of ``ds`` as ceil(rows / ``rows_per_block``) blocks, for an
+    EXACT all-pairs twin: B blocks bound per-task memory (2 blocks) and
+    mean B*(B+1)/2 block-pair tasks, so B over the cap raises."""
+    ds = ds.materialize()
+    n_blocks = max(1, -(-ds.count() // rows_per_block))
     cap = ALL_PAIRS_MAX_BLOCKS if max_blocks is None else int(max_blocks)
     if n_blocks > cap:
         raise ValueError(
@@ -66,6 +72,20 @@ def _check_all_pairs_blocks(n_blocks: int, max_blocks: int | None,
             f"verifier twin — at this scale use {scale_path}, or raise "
             "max_blocks / rows_per_block explicitly if you really want "
             "the quadratic run.")
+    if ds.num_blocks() != n_blocks:
+        ds = ds.repartition(n_blocks).materialize()
+    return ds.to_arrow_refs()
+
+
+def _unordered_pairs(refs: list):
+    """Every unordered block pair, each block with itself included."""
+    return ((refs[i], refs[j]) for i in range(len(refs)) for j in range(i, len(refs)))
+
+
+def _sketch_block(t: pa.Table) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(doc ids, per-doc shingle-hash sets) of one sketch block."""
+    return (t["doc_id"].to_numpy(zero_copy_only=False),
+            _sketch_rows(t["shingles"].combine_chunks()))
 
 
 def _sig_batch(batch: pd.DataFrame, n_bands: int, ngram: int,
@@ -249,30 +269,6 @@ def _enforce_schema(ds: "ray.data.Dataset", target: pa.Schema) -> "ray.data.Data
     return ds.map_batches(norm, batch_format="pyarrow")
 
 
-def _drop_empty_blocks(ds: "ray.data.Dataset") -> "ray.data.Dataset | None":
-    """Groupby aggregates emit zero-COLUMN empty pandas blocks for empty
-    partitions; they sail through map_batches (no batch to call the UDF on)
-    and then break hash joins (FieldRef(key) has no match). Rebuild the
-    small, already-materialized dataset from its non-empty Arrow blocks —
-    block refs move, data stays in the object store. None = fully empty."""
-    refs = ds.to_arrow_refs()
-
-    @ray.remote(num_cpus=0)
-    def nrows(t) -> int:
-        return t.num_rows if isinstance(t, pa.Table) else len(t)
-
-    @ray.remote(num_cpus=0)
-    def as_arrow(t):
-        # refs may still be pandas blocks (to_arrow_refs passes some through)
-        return t if isinstance(t, pa.Table) else pa.Table.from_pandas(t, preserve_index=False)
-
-    counts = ray.get([nrows.remote(r) for r in refs])  # only ints reach the driver
-    keep = [as_arrow.remote(r) for r, c in zip(refs, counts) if c > 0]
-    if not keep:
-        return None
-    return ray.data.from_arrow_refs(keep)
-
-
 def minhash_sketches(docs: "ray.data.Dataset", ngram: int = 3,
                      shingler=None) -> "ray.data.Dataset":
     """Per-doc sorted-unique shingle hash sets, packed as a ``binary``
@@ -361,7 +357,7 @@ def dedup_minhash(docs: "ray.data.Dataset", threshold: float = 0.8, ngram: int =
         # harmless here, no need for the empty-block scrub the join needs
         out = _minhash_verify_broadcast(docs, cand, threshold, ngram, shingler)
     else:
-        cand = _drop_empty_blocks(cand)
+        cand = drop_empty_blocks(cand)
         out = _minhash_verify_join(docs, cand, threshold, ngram, idt, num_partitions,
                                    shingler)
     if len(out) == 0 or "a" not in out.columns:
@@ -392,9 +388,7 @@ def _minhash_verify_broadcast(docs, cand, threshold: float, ngram: int,
         """(sorted doc ids, sketches in that order) — arrays, not a dict,
         so verify can gather by searchsorted position."""
         ids_parts, row_parts = [], []
-        for t in tables:
-            if not isinstance(t, pa.Table):
-                t = pa.Table.from_pandas(t, preserve_index=False)
+        for t in map(as_arrow, tables):
             if t.num_rows == 0 or "doc_id" not in t.column_names:
                 continue
             ids_parts.append(t["doc_id"].to_numpy(zero_copy_only=False))
@@ -544,25 +538,12 @@ def dedup_jaccard(docs: "ray.data.Dataset", threshold: float = 0.8,
     ``ray.wait``-windowed task per unordered block pair intersects the
     sets. Pairs of zero-shingle docs score jaccard 1.0, matching
     ``sketches.jaccard_pairs``."""
-    sk_ds = minhash_sketches(docs, ngram=ngram).materialize()
-    n = sk_ds.count()
-    target_blocks = max(1, -(-n // rows_per_block))
-    _check_all_pairs_blocks(target_blocks, max_blocks, "dedup_jaccard",
-                            "dedup_minhash (LSH)")
-    if sk_ds.num_blocks() != target_blocks:
-        sk_ds = sk_ds.repartition(target_blocks).materialize()
-    refs = sk_ds.to_arrow_refs()
+    refs = _pair_block_refs(minhash_sketches(docs, ngram=ngram), rows_per_block,
+                            max_blocks, "dedup_jaccard", "dedup_minhash (LSH)")
 
-    def _rows(t) -> tuple[np.ndarray, list[np.ndarray]]:
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        return ids, _sketch_rows(t["shingles"].combine_chunks())
-
-    @ray.remote(num_cpus=1)
-    def block_pair(ta, tb, thr: float) -> pd.DataFrame:
-        ids_a, rows_a = _rows(ta)
-        ids_b, rows_b = _rows(tb)
+    def block_pair(ta, tb) -> pd.DataFrame:
+        ids_a, rows_a = _sketch_block(ta)
+        ids_b, rows_b = _sketch_block(tb)
         same = ta is tb or (len(ids_a) == len(ids_b) and (ids_a == ids_b).all())
         out_a, out_b, out_j = [], [], []
         for i in range(len(ids_a)):
@@ -576,7 +557,7 @@ def dedup_jaccard(docs: "ray.data.Dataset", threshold: float = 0.8,
                 else:
                     inter = len(np.intersect1d(a_set, b_set, assume_unique=True))
                     jac = inter / (len(a_set) + len(b_set) - inter)
-                if jac >= thr:
+                if jac >= threshold:
                     lo, hi = (ids_a[i], ids_b[j]) if ids_a[i] < ids_b[j] else (ids_b[j], ids_a[i])
                     out_a.append(lo)
                     out_b.append(hi)
@@ -585,16 +566,7 @@ def dedup_jaccard(docs: "ray.data.Dataset", threshold: float = 0.8,
                              "b": np.asarray(out_b, dtype=np.int64),
                              "jaccard": np.asarray(out_j, dtype=np.float64)})
 
-    if max_in_flight is None:
-        max_in_flight = max(8, 4 * int(ray.available_resources().get("CPU", 8)))
-    frames, pending = [], []
-    for i in range(len(refs)):
-        for j in range(i, len(refs)):
-            if len(pending) >= max_in_flight:
-                done, pending = ray.wait(pending, num_returns=1)
-                frames.extend(ray.get(done))
-            pending.append(block_pair.remote(refs[i], refs[j], threshold))
-    frames.extend(ray.get(pending))
+    frames, _ = run_pairs(block_pair, _unordered_pairs(refs), max_in_flight)
     out = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame(
         {"a": pd.Series([], dtype=np.int64), "b": pd.Series([], dtype=np.int64),
          "jaccard": pd.Series([], dtype=np.float64)})
@@ -656,25 +628,12 @@ def dedup_containment(docs: "ray.data.Dataset", threshold: float = 0.8,
     as object-store blocks, bounded ``ray.wait``-windowed block-pair
     tasks, each unordered pair intersected ONCE and emitted in both
     directions as its threshold allows."""
-    sk_ds = minhash_sketches(docs, ngram=ngram).materialize()
-    n = sk_ds.count()
-    target_blocks = max(1, -(-n // rows_per_block))
-    _check_all_pairs_blocks(target_blocks, max_blocks, "dedup_containment",
-                            "dedup_minhash (LSH)")
-    if sk_ds.num_blocks() != target_blocks:
-        sk_ds = sk_ds.repartition(target_blocks).materialize()
-    refs = sk_ds.to_arrow_refs()
+    refs = _pair_block_refs(minhash_sketches(docs, ngram=ngram), rows_per_block,
+                            max_blocks, "dedup_containment", "dedup_minhash (LSH)")
 
-    def _rows(t) -> tuple[np.ndarray, list[np.ndarray]]:
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        return ids, _sketch_rows(t["shingles"].combine_chunks())
-
-    @ray.remote(num_cpus=1)
-    def block_pair(ta, tb, thr: float) -> pd.DataFrame:
-        ids_a, rows_a = _rows(ta)
-        ids_b, rows_b = _rows(tb)
+    def block_pair(ta, tb) -> pd.DataFrame:
+        ids_a, rows_a = _sketch_block(ta)
+        ids_b, rows_b = _sketch_block(tb)
         same = ta is tb or (len(ids_a) == len(ids_b) and (ids_a == ids_b).all())
         src, dst, cont = [], [], []
         for i in range(len(ids_a)):
@@ -686,26 +645,17 @@ def dedup_containment(docs: "ray.data.Dataset", threshold: float = 0.8,
                 if not len(a_set) and not len(b_set):
                     continue
                 inter = len(np.intersect1d(a_set, b_set, assume_unique=True))
-                if len(a_set) and inter / len(a_set) >= thr:
+                if len(a_set) and inter / len(a_set) >= threshold:
                     src.append(ids_a[i]); dst.append(ids_b[j])
                     cont.append(inter / len(a_set))
-                if len(b_set) and inter / len(b_set) >= thr:
+                if len(b_set) and inter / len(b_set) >= threshold:
                     src.append(ids_b[j]); dst.append(ids_a[i])
                     cont.append(inter / len(b_set))
         return pd.DataFrame({"src": np.asarray(src, dtype=np.int64),
                              "dst": np.asarray(dst, dtype=np.int64),
                              "containment": np.asarray(cont, dtype=np.float64)})
 
-    if max_in_flight is None:
-        max_in_flight = max(8, 4 * int(ray.available_resources().get("CPU", 8)))
-    frames, pending = [], []
-    for i in range(len(refs)):
-        for j in range(i, len(refs)):
-            if len(pending) >= max_in_flight:
-                done, pending = ray.wait(pending, num_returns=1)
-                frames.extend(ray.get(done))
-            pending.append(block_pair.remote(refs[i], refs[j], threshold))
-    frames.extend(ray.get(pending))
+    frames, _ = run_pairs(block_pair, _unordered_pairs(refs), max_in_flight)
     out = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame(
         {"src": pd.Series([], dtype=np.int64), "dst": pd.Series([], dtype=np.int64),
          "containment": pd.Series([], dtype=np.float64)})
@@ -793,20 +743,11 @@ def embedding_neardup_pairs(emb: "ray.data.Dataset", tau: float = 0.5,
     approximate near-dup at corpus scale, bucket by IVF centroid first
     (``ann.ivf_build_index``) and run this within buckets."""
 
-    mat = emb.materialize()
-    n = mat.count()
-    target_blocks = max(1, -(-n // rows_per_block))
-    _check_all_pairs_blocks(target_blocks, max_blocks,
-                            "embedding_neardup_pairs",
+    # block refs only — no data touches the driver
+    refs = _pair_block_refs(emb, rows_per_block, max_blocks, "embedding_neardup_pairs",
                             "embedding_neardup_pairs_ivf / semdedup")
-    if mat.num_blocks() != target_blocks:
-        # bound per-task memory (2 blocks) and task count (B*(B+1)/2)
-        mat = mat.repartition(target_blocks).materialize()
-    refs = mat.to_arrow_refs()  # block refs only — no data touches the driver
 
-    def _norm_block(t) -> tuple[np.ndarray, np.ndarray]:
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
+    def _norm_block(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         ids = t["vec_id"].combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64)
         arr = t["embedding"].combine_chunks()
         flat = arr.values.to_numpy(zero_copy_only=False).astype(np.float64)
@@ -814,28 +755,15 @@ def embedding_neardup_pairs(emb: "ray.data.Dataset", tau: float = 0.5,
         Mn = M / np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-300)
         return ids, Mn
 
-    @ray.remote(num_cpus=1)
-    def block_pair(ta, tb, tau_: float) -> pd.DataFrame:
+    def block_pair(ta, tb) -> pd.DataFrame:
         ids_a, A = _norm_block(ta)
         ids_b, B = _norm_block(tb)
         sims = A @ B.T
-        ii, jj = np.nonzero(sims >= tau_)
+        ii, jj = np.nonzero(sims >= tau)
         m = ids_a[ii] < ids_b[jj]  # strict: drops self and dedupes order
         return pd.DataFrame({"a": ids_a[ii][m], "b": ids_b[jj][m]})
 
-    if max_in_flight is None:
-        max_in_flight = max(8, 4 * int(ray.available_resources().get("CPU", 8)))
-    frames: list[pd.DataFrame] = []
-    pending: list = []
-    peak = 0
-    for i in range(len(refs)):
-        for j in range(i, len(refs)):
-            if len(pending) >= max_in_flight:
-                done, pending = ray.wait(pending, num_returns=1)
-                frames.extend(ray.get(done))
-            pending.append(block_pair.remote(refs[i], refs[j], tau))
-            peak = max(peak, len(pending))
-    frames.extend(ray.get(pending))
+    frames, peak = run_pairs(block_pair, _unordered_pairs(refs), max_in_flight)
     out = pd.concat(frames) if frames else pd.DataFrame()
     if len(out) == 0 or "a" not in out.columns:
         out = pd.DataFrame({"a": pd.Series([], dtype=np.int64), "b": pd.Series([], dtype=np.int64)})
@@ -987,7 +915,7 @@ def dedup_assign(docs: "ray.data.Dataset", num_partitions: int | None = None) ->
         ["h"], {"canonical_id": "min"},
     )
     mapping = _enforce_schema(mapping, pa.schema([("h", pa.string()), ("canonical_id", idt)]))
-    mapping = _drop_empty_blocks(mapping.materialize())
+    mapping = drop_empty_blocks(mapping.materialize())
     if mapping is None:
         return hashed.select_columns(["doc_id"])
     j = hashed.join(mapping, join_type="inner", num_partitions=num_partitions, on=("h",))

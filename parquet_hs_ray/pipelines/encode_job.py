@@ -421,11 +421,17 @@ def verify_roundtrip(input_path: str | list[str], out_dir: str,
                      filesystem=None, input_filesystem=None) -> dict:
     """Distributed per-partition equality check: decode each blob and compare
     with the exact input slice it came from (per-row token-array equality =
-    full Arrow table equality). Returns counts; raises on mismatch."""
+    full Arrow table equality). Returns counts; raises on mismatch, and
+    ``ValueError`` before any task when a planned partition is unfinished."""
     plan = load_plan(fsio.join(out_dir, "plan.json"), filesystem)
     crcs = {e["partition_id"]: e.get("checksum_crc32", -1)
-            for e in mf.load_manifest(out_dir, filesystem)}
-    items = [dict(vars(p), crc32=crcs.get(p.partition_id, -1)) for p in plan]
+            for e in mf.finished_entries(out_dir, filesystem)}
+    unfinished = [p.partition_id for p in plan if p.partition_id not in crcs]
+    if unfinished:
+        raise ValueError(
+            f"{len(unfinished)} of {len(plan)} planned partitions are unfinished "
+            f"(e.g. {unfinished[:10]}); run encode to completion first")
+    items = [dict(vars(p), crc32=crcs[p.partition_id]) for p in plan]
 
     def check(batch: dict) -> dict:
         pid = int(batch["partition_id"][0])

@@ -20,6 +20,11 @@ This module provides the scale shape instead:
    2 rows per block (not per group) leave the object store for the
    driver-side merge — bounded by block count, never by data size.
 
+Row-ordered operators that need state from EARLIER blocks rather than a
+merge (running totals, ranks, lag/lead, as-of joins) use the sibling
+shape in ``blocktasks.carry_scan``: the same global sort, a zero-CPU
+summary per block folded into carries on the driver, one task per block.
+
 Reference analogue: the reference engine has no aggregation at all
 (SURVEY.md §2.5); this is infrastructure for the training-data operators
 (windows, dedup, term stats) mandated on top of it.

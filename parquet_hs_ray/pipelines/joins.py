@@ -13,7 +13,9 @@ each block's LAST key (keys are contiguous after the sort, so only the
 single boundary key can straddle blocks); those one-row summaries fold
 left-to-right on the driver (#blocks tiny rows — same driver footprint
 as a partition plan), and each block gets at most one carry row
-prepended. No shuffle beyond the sort, no per-group Python.
+prepended. No shuffle beyond the sort, no per-group Python.  Both joins
+run that scan through ``blocktasks.carry_scan`` and drop empty output
+blocks with ``blocktasks.nonempty_refs``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
+
+from .blocktasks import carry_scan, nonempty_refs
 
 
 def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -71,13 +74,8 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     srt = both.sort([key, ts, "_side", f"r_{rid}"]).materialize()
     refs = srt.to_arrow_refs()
 
-    @ray.remote(num_cpus=0)
     def block_summary(t):
         """(last key, latest right row's values for that key, or None)."""
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_rows == 0:
-            return None
         df = t.to_pandas()
         last_key = df[key].iloc[-1]
         g = df[(df[key] == last_key) & (df["_side"] == 0)]
@@ -85,32 +83,21 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
             return (last_key, None)
         return (last_key, g.iloc[-1][[ts] + [f"r_{c}" for c in right_cols]].to_dict())
 
-    summaries = ray.get([block_summary.remote(r) for r in refs])
-
-    # fold carries left-to-right: carry into block i = the latest right row
-    # of the boundary key as of the end of block i-1
-    carries: list[tuple | None] = [None] * len(refs)
-    running: tuple | None = None
-    for i, s in enumerate(summaries):
-        carries[i] = running
-        if s is None:
-            continue
+    def step(running, s):
+        # carry into the next block = the latest right row of the
+        # boundary key as of the end of this one
         last_key, row = s
         if row is not None:
-            running = (last_key, row)
-        elif running is not None and running[0] == last_key:
-            pass  # key continues with no new right rows: carry flows
-        else:
-            running = None  # new key with no right rows yet
+            return s
+        if running is not None and running[0] == last_key:
+            return running  # key continues with no new right rows
+        return None  # new key with no right rows yet
 
     left_schema = left.schema()
     l_dtypes = {c: left_schema.types[left_schema.names.index(c)].to_pandas_dtype()
                 for c in left_cols}
 
-    @ray.remote(num_cpus=1)
     def block_join(t, carry):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
         df = t.to_pandas()
         rmask = df["_side"] == 0
         out = df[df["_side"] == 1].copy()
@@ -135,13 +122,7 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
 
     # block outputs become the result Dataset — nothing is concatenated
     # on the driver (rows flow out block-ordered, i.e. (key, ts)-sorted)
-    out_refs = [block_join.remote(r, carries[i]) for i, r in enumerate(refs)]
-
-    @ray.remote(num_cpus=0)
-    def _n(df):
-        return len(df)
-
-    keep = [r for r, n in zip(out_refs, ray.get([_n.remote(r) for r in out_refs])) if n]
+    keep = nonempty_refs(carry_scan(refs, block_summary, step, block_join))
     if not keep:
         return ray.data.from_pandas(pd.DataFrame(
             columns=[key, ts, *left_cols, *(prefix + c for c in right_cols)]))
@@ -181,14 +162,9 @@ def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     srt = both.sort([key, ts, "_side"]).materialize()
     refs = srt.to_arrow_refs()
 
-    @ray.remote(num_cpus=0)
     def summary(t):
         """Rights of the block's LAST key within window_us of its last ts
         (the only rows that can match lefts in later blocks)."""
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_rows == 0:
-            return None
         df = t.to_pandas()
         last_key = df[key].iloc[-1]
         last_ts = df[ts].iloc[-1]
@@ -196,22 +172,17 @@ def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         g = g[g[ts] >= last_ts - pd.Timedelta(microseconds=window_us)]
         return (last_key, last_ts, g[[key, ts] + rcols])
 
-    sums = ray.get([summary.remote(r) for r in refs])
-    carries: list[pd.DataFrame | None] = [None] * len(refs)
-    running: pd.DataFrame | None = None
-    run_key = None
-    for i, s in enumerate(sums):
-        carries[i] = running if (running is not None and len(running)) else None
-        if s is None:
-            continue
+    def step(running, s):
+        # running = (key, its rights still in the window at the edge)
         last_key, last_ts, rows = s
-        if run_key is not None and run_key == last_key and running is not None:
+        if running is not None and running[0] == last_key:
             # same key continues: keep earlier-block rights still in window
             # (row sets from different blocks are disjoint — no dedup, a
             # legitimate duplicate right event must stay duplicated)
-            prev = running[running[ts] >= last_ts - pd.Timedelta(microseconds=window_us)]
+            prev = running[1]
+            prev = prev[prev[ts] >= last_ts - pd.Timedelta(microseconds=window_us)]
             rows = pd.concat([prev, rows], ignore_index=True)
-        running, run_key = rows, last_key
+        return last_key, rows
 
     left_schema, right_schema = left.schema(), right.schema()
     l_dtypes = {c: left_schema.types[left_schema.names.index(c)].to_pandas_dtype()
@@ -219,17 +190,13 @@ def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     r_dtypes = {c: right_schema.types[right_schema.names.index(c)].to_pandas_dtype()
                 for c in right_cols}
 
-    @ray.remote(num_cpus=1)
     def block_match(t, carry):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
         df = t.to_pandas()
         frames = []
         lefts = df[df["_side"] == 1]
         rights = df[df["_side"] == 0][[key, ts] + rcols]
         if carry is not None and len(lefts):
-            first_key = df[key].iloc[0]
-            c = carry[carry[key] == first_key]
+            c = carry[1][carry[1][key] == df[key].iloc[0]]
             if len(c):
                 rights = pd.concat([c, rights], ignore_index=True).sort_values(
                     [key, ts], kind="stable")
@@ -269,13 +236,7 @@ def range_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         return pd.concat(frames, ignore_index=True)
 
     # block outputs become the result Dataset — no driver concatenation
-    out_refs = [block_match.remote(r, carries[i]) for i, r in enumerate(refs)]
-
-    @ray.remote(num_cpus=0)
-    def _n(df):
-        return len(df)
-
-    keep = [r for r, n in zip(out_refs, ray.get([_n.remote(r) for r in out_refs])) if n]
+    keep = nonempty_refs(carry_scan(refs, summary, step, block_match))
     if not keep:
         return ray.data.from_pandas(pd.DataFrame(
             columns=[key, ts, *left_cols,

@@ -14,14 +14,30 @@ remainders waste at most one chunk per partition, negligible at a
 
 Deterministic given the same input blocking (files -> blocks is stable
 for a fixed input layout).
+
+The canonical, blocking-independent variants (``pack_sequences_global``,
+``length_bucket_batches``, ``pack_global_doc_starts``) are sorted
+carry-scans: one global sort, per-block counts folded into offsets on
+the driver by ``blocktasks.carry_scan`` / ``scan_carries``, then one
+task per block.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
+
+from .blocktasks import as_arrow, carry_scan, scan_carries
+
+
+def _token_count(token_col: str):
+    """Block summary of the canonical packers: the block's token count."""
+    return lambda t: len(t[token_col].combine_chunks().flatten())
 
 
 def pack_sequences(ds: "ray.data.Dataset", context_len: int = 2048,
@@ -64,15 +80,8 @@ def pack_sequences_global(ds: "ray.data.Dataset", context_len: int = 2048,
     global remainder keeps n_tok < context_len."""
     srt = ds.sort(order_col).materialize()
     refs = srt.to_arrow_refs()
-
-    @ray.remote(num_cpus=0)
-    def count_tokens(t) -> int:
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        return len(t[token_col].combine_chunks().flatten())
-
-    counts = ray.get([count_tokens.remote(r) for r in refs])  # ints only
-    offsets = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
+    # each block's global token offset (ints only reach the driver)
+    offsets = scan_carries(refs, _token_count(token_col), operator.add, 0)
 
     sch = srt.schema()
     val_type = sch.types[sch.names.index(token_col)].value_type
@@ -131,16 +140,15 @@ def pack_sequences_global(ds: "ray.data.Dataset", context_len: int = 2048,
             })
         return full, piece_tbl
 
+    # the one block task with two outputs, so it is not a carry_scan apply
     @ray.remote(num_cpus=1, num_returns=2)
     def pack_block(t, s: int):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        flat = t[token_col].combine_chunks().flatten()
-        return _tables(flat, int(s), int(s) + len(flat), context_len)
+        flat = as_arrow(t)[token_col].combine_chunks().flatten()
+        return _tables(flat, s, s + len(flat), context_len)
 
     full_refs, piece_refs = [], []
-    for i, r in enumerate(refs):
-        f, p = pack_block.remote(r, offsets[i])  # two refs, nothing fetched
+    for r, s in zip(refs, offsets):
+        f, p = pack_block.remote(r, s)  # two refs, nothing fetched
         full_refs.append(f)
         piece_refs.append(p)
 
@@ -191,8 +199,6 @@ def length_bucket_batches(ds: "ray.data.Dataset", id_col: str = "doc_id",
     come from per-block per-bucket counts (bucket-count x block-count
     ints folded on the driver, the deterministic_shuffle carry pattern)
     plus an in-block segmented arange — no second data pass."""
-    import pandas as pd
-
     w = int(width)
 
     def key(b: "pd.DataFrame") -> "pd.DataFrame":
@@ -204,32 +210,20 @@ def length_bucket_batches(ds: "ray.data.Dataset", id_col: str = "doc_id",
     srt = ds.map_batches(key, batch_format="pandas").sort(["bucket", id_col]).materialize()
     refs = srt.to_arrow_refs()
     if not refs:
-        import pandas as pd
-
         return ray.data.from_pandas(
             pd.DataFrame(columns=[id_col, "bucket", "batch_id", "pos"]))
 
-    @ray.remote(num_cpus=0)
     def bucket_counts(t):
-        cols = (t.column_names if hasattr(t, "column_names")
-                else list(t.columns))
-        if "bucket" not in cols or not len(t):
-            # empty blocks (schema-less after a sparse sort) hold no keys
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        bk = (t.column("bucket").to_numpy() if hasattr(t, "column")
-              else t["bucket"].to_numpy())
-        uniq, counts = np.unique(bk, return_counts=True)
-        return uniq.astype(np.int64), counts.astype(np.int64)
+        return np.unique(t["bucket"].to_numpy(), return_counts=True)
 
-    per_block = ray.get([bucket_counts.remote(r) for r in refs])
-    running: dict[int, int] = {}
-    block_offsets: list[dict[int, int]] = []
-    for uniq, counts in per_block:
-        block_offsets.append({int(u): running.get(int(u), 0) for u in uniq})
-        for u, c in zip(uniq, counts):
+    def step(running, s):
+        # rows per bucket in all earlier blocks (a new dict: earlier
+        # blocks hold the old one)
+        running = dict(running)
+        for u, c in zip(*s):
             running[int(u)] = running.get(int(u), 0) + int(c)
+        return running
 
-    @ray.remote(num_cpus=1)
     def rank_block(t, off_map):
         df = t.to_pandas()
         if not len(df):  # a range-partitioned sort can emit empty blocks
@@ -243,7 +237,7 @@ def length_bucket_batches(ds: "ray.data.Dataset", id_col: str = "doc_id",
         seg_len = np.diff(np.concatenate([starts, [len(bk)]]))
         seg_id = np.repeat(np.arange(len(starts)), seg_len)
         local = np.arange(len(bk), dtype=np.int64) - starts[seg_id]
-        base = np.asarray([off_map[int(bk[s])] for s in starts],
+        base = np.asarray([off_map.get(int(bk[s]), 0) for s in starts],
                           dtype=np.int64)[seg_id]
         rank = base + local  # 0-based within-bucket rank in id order
         df["batch_id"] = rank // batch_rows
@@ -252,7 +246,7 @@ def length_bucket_batches(ds: "ray.data.Dataset", id_col: str = "doc_id",
 
     # block outputs become the result Dataset (no driver concatenation)
     return ray.data.from_pandas_refs(
-        [rank_block.remote(r, block_offsets[i]) for i, r in enumerate(refs)])
+        carry_scan(refs, bucket_counts, step, rank_block, init={}))
 
 
 def pack_global_doc_starts(ds: "ray.data.Dataset", context_len: int = 2048,
@@ -273,27 +267,11 @@ def pack_global_doc_starts(ds: "ray.data.Dataset", context_len: int = 2048,
     srt = ds.sort(order_col).materialize()
     refs = srt.to_arrow_refs()
     if not refs:
-        import pandas as pd
-
         return ray.data.from_pandas(pd.DataFrame(
             {"seq_id": pd.Series([], dtype=np.int64),
              "doc_starts": pd.Series([], dtype=object)}))
 
-    @ray.remote(num_cpus=0)
-    def count_tokens(t) -> int:
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        return len(t[token_col].combine_chunks().flatten())
-
-    counts = ray.get([count_tokens.remote(r) for r in refs])
-    offsets = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
-
-    @ray.remote(num_cpus=1)
     def starts_block(t, off: int):
-        import pandas as pd
-
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
         arr = t[token_col].combine_chunks()
         if len(arr) == 0:
             return pd.DataFrame({"seq_id": pd.Series([], dtype=np.int64),
@@ -303,8 +281,8 @@ def pack_global_doc_starts(ds: "ray.data.Dataset", context_len: int = 2048,
         return pd.DataFrame({"seq_id": g // context_len,
                              "rel_start": g % context_len})
 
-    rows = ray.data.from_pandas_refs(
-        [starts_block.remote(r, int(offsets[i])) for i, r in enumerate(refs)])
+    rows = ray.data.from_pandas_refs(carry_scan(
+        refs, _token_count(token_col), operator.add, starts_block, init=0))
     from .relational import collect_list
 
     return collect_list(rows, "seq_id", "rel_start",

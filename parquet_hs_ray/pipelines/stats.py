@@ -17,11 +17,14 @@ bit-identical (values are selected, never interpolated: no float math).
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
 import pandas as pd
 import ray.data
+
+from .blocktasks import carry_scan
 
 
 def _estimate_domain_size(n: int, d: int) -> float:
@@ -702,35 +705,21 @@ def ntile_bucket(ds: "ray.data.Dataset", col: str, n: int,
     zero-CPU per-block row counts folded into offsets on the driver
     (#blocks ints); the bucket is pure arithmetic on the position — no
     second data pass, no value histogram needed."""
-    import pyarrow as pa
-    import ray
-
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 
     srt = (ds.map_batches(lambda t: t.select([id_col, col]),
                           batch_format="pyarrow")
            .sort([col, id_col]).materialize())
-    refs = srt.to_arrow_refs()
-
-    @ray.remote(num_cpus=0)
-    def nrows(t):
-        return t.num_rows if isinstance(t, pa.Table) else len(t)
-
-    counts = ray.get([nrows.remote(r) for r in refs])
-    total = int(sum(counts))
+    total = srt.count()  # block metadata of the materialized sort
     if total == 0:
         return ray.data.from_pandas(
             pd.DataFrame({id_col: pd.Series(dtype=np.int64),
                           col: pd.Series(dtype=np.float64),
                           "bucket": pd.Series(dtype=np.int64)}))
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
     base, rem = divmod(total, n)
 
-    @ray.remote(num_cpus=1)
     def bucketize(t, off):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
         df = t.to_pandas()
         r = off + np.arange(len(df), dtype=np.int64)  # 0-based global rank
         cut = rem * (base + 1)
@@ -743,8 +732,8 @@ def ntile_bucket(ds: "ray.data.Dataset", col: str, n: int,
 
     # block outputs become the result Dataset (no driver concatenation);
     # rows flow out sorted by (col, id)
-    return ray.data.from_pandas_refs(
-        [bucketize.remote(r, int(offsets[i])) for i, r in enumerate(refs)])
+    return ray.data.from_pandas_refs(carry_scan(
+        srt.to_arrow_refs(), lambda t: t.num_rows, operator.add, bucketize, init=0))
 
 
 def grouped_mode(ds: "ray.data.Dataset", key: str, col: str) -> "ray.data.Dataset":

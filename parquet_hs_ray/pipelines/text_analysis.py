@@ -3,6 +3,8 @@ kernel is SQL-expressible; see __ray_entry__.oracle_sql)."""
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 import pandas as pd
 import ray.data
@@ -10,6 +12,7 @@ import ray.data
 from ..functions import sketches as sk
 from ..functions import text as tx
 from ..functions.text import flatten_words
+from .blocktasks import carry_scan
 
 
 def token_counts(docs: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -667,8 +670,6 @@ def deterministic_shuffle(docs: "ray.data.Dataset", id_col: str = "doc_id",
     data pass beyond the sort.  Returns (id, shuffle_rank)."""
     import hashlib
 
-    import pyarrow as pa
-
     def key(batch: pd.DataFrame) -> pd.DataFrame:
         ids = batch[id_col]
         k = np.asarray([hashlib.md5(f"{seed}:{v}".encode()).hexdigest()
@@ -682,25 +683,15 @@ def deterministic_shuffle(docs: "ray.data.Dataset", id_col: str = "doc_id",
         return ray.data.from_pandas(
             pd.DataFrame(columns=[id_col, "shuffle_rank"]))
 
-    @ray.remote(num_cpus=0)
-    def nrows(t):
-        return (t.num_rows if isinstance(t, pa.Table) else len(t))
-
-    counts = ray.get([nrows.remote(r) for r in refs])
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-
-    @ray.remote(num_cpus=1)
     def rank_block(t, off):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
         df = t.to_pandas()
         df["shuffle_rank"] = off + 1 + np.arange(len(df), dtype=np.int64)
         return df[[id_col, "shuffle_rank"]]
 
     # block outputs become the result Dataset (no driver concatenation);
     # rows flow out in shuffled order, ranks 1..n
-    return ray.data.from_pandas_refs(
-        [rank_block.remote(r, int(offsets[i])) for i, r in enumerate(refs)])
+    return ray.data.from_pandas_refs(carry_scan(
+        refs, lambda t: t.num_rows, operator.add, rank_block, init=0))
 
 
 def temperature_mix(docs: "ray.data.Dataset", total: int,

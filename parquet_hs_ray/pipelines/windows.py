@@ -10,6 +10,13 @@ ts-sorted groups).
 Ordering assumption: sessionization sorts each user's events by ``ts``
 inside its group (no global sort); tumbling windows need no ordering at
 all (the window id is a pure function of ts).
+
+The row-ordered analytics (running totals, gaps, transitions, rolling
+windows, lag/lead, time-range sums, EWMA) share one scale shape: ONE
+global sort, then ``blocktasks.carry_scan`` — a zero-CPU summary per
+sorted block, a driver fold of the summaries into per-boundary carries,
+one block task per block.  Each operator here supplies only its summary,
+fold step and block body.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import ray.data
+
+from .blocktasks import carry_scan
 
 _HOUR_US = 3_600_000_000
 
@@ -244,7 +253,6 @@ def running_totals(events: "ray.data.Dataset", key: str = "user_id",
     carried total.  No per-key Python anywhere.
     """
     import pyarrow as pa
-    import ray
 
     def prep(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -261,43 +269,20 @@ def running_totals(events: "ray.data.Dataset", key: str = "user_id",
         return ray.data.from_pandas(pd.DataFrame(
             columns=[key, ts, id_col, "running_n", "running_cents"]))
 
-    @ray.remote(num_cpus=0)
     def summary(t):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_rows == 0:
-            return None
         k = t[key].to_numpy(zero_copy_only=False)
         c = t["_cents"].to_numpy(zero_copy_only=False)
-        first_k, last_k = k[0], k[-1]
-        n_first = int(np.searchsorted(k, first_k, side="right"))
-        i_last = int(np.searchsorted(k, last_k, side="left"))
-        return (first_k, int(c[:n_first].sum()), n_first,
-                last_k, int(c[i_last:].sum()), t.num_rows - i_last)
+        i_last = int(np.searchsorted(k, k[-1], side="left"))
+        return k[0], k[-1], int(c[i_last:].sum()), t.num_rows - i_last
 
-    sums = ray.get([summary.remote(r) for r in refs])
+    def step(run, s):
+        # run = (key, cum count, cum cents) of the key the scan ends in
+        fk, lk, cl, nl = s
+        if fk == lk and run is not None and run[0] == lk:
+            return lk, run[1] + nl, run[2] + cl  # the key spans the block
+        return lk, nl, cl
 
-    # fold: carry into block i = (key, cum count, cum cents) if block
-    # i starts with a key continued from earlier blocks
-    carries: list[tuple | None] = [None] * len(refs)
-    run_key, run_n, run_c = None, 0, 0
-    for i, s in enumerate(sums):
-        carries[i] = (run_key, run_n, run_c) if run_key is not None else None
-        if s is None:
-            continue
-        fk, cf, nf, lk, cl, nl = s
-        if fk == lk:  # single-key block: the key continues or starts here
-            if run_key == fk:
-                run_n, run_c = run_n + nl, run_c + cl
-            else:
-                run_key, run_n, run_c = lk, nl, cl
-        else:
-            run_key, run_n, run_c = lk, nl, cl
-
-    @ray.remote(num_cpus=1)
     def block_cumsum(t, carry):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
         df = t.to_pandas()
         if not len(df):
             # fully-empty sort outputs arrive with ZERO columns —
@@ -324,8 +309,7 @@ def running_totals(events: "ray.data.Dataset", key: str = "user_id",
     # block outputs stay in the object store: the result is a Dataset
     # built from the refs, never concatenated on the driver (rows flow
     # out block-ordered, i.e. sorted by (key, ts, id))
-    return ray.data.from_pandas_refs(
-        [block_cumsum.remote(r, carries[i]) for i, r in enumerate(refs)])
+    return ray.data.from_pandas_refs(carry_scan(refs, summary, step, block_cumsum))
 
 
 def event_gaps(events: "ray.data.Dataset", key: str = "user_id",
@@ -341,7 +325,6 @@ def event_gaps(events: "ray.data.Dataset", key: str = "user_id",
     grouped shift computes in-block gaps and only row 0 can inherit the
     carried timestamp (keys/rows are contiguous after the sort)."""
     import pyarrow as pa
-    import ray
 
     def prep(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -358,28 +341,11 @@ def event_gaps(events: "ray.data.Dataset", key: str = "user_id",
         return ray.data.from_pandas(pd.DataFrame(
             columns=[key, ts, id_col, "gap_us"]))
 
-    @ray.remote(num_cpus=0)
     def summary(t):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_rows == 0:
-            return None
-        k = t[key].to_numpy(zero_copy_only=False)
-        u = t["_us"].to_numpy(zero_copy_only=False)
-        return (k[0], k[-1], int(u[-1]))
+        return (t[key].to_numpy(zero_copy_only=False)[-1],
+                int(t["_us"].to_numpy(zero_copy_only=False)[-1]))
 
-    sums = ray.get([summary.remote(r) for r in refs])
-    carries: list[tuple | None] = [None] * len(refs)
-    run_key, run_us = None, None
-    for i, s in enumerate(sums):
-        carries[i] = (run_key, run_us) if run_key is not None else None
-        if s is not None:
-            run_key, run_us = s[1], s[2]
-
-    @ray.remote(num_cpus=1)
     def block_gaps(t, carry):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
         df = t.to_pandas()
         if not len(df):
             return pd.DataFrame({
@@ -401,7 +367,7 @@ def event_gaps(events: "ray.data.Dataset", key: str = "user_id",
     # block outputs become the result Dataset directly (no driver-side
     # concatenation); rows flow out sorted by (key, ts, id)
     return ray.data.from_pandas_refs(
-        [block_gaps.remote(r, carries[i]) for i, r in enumerate(refs)])
+        carry_scan(refs, summary, lambda _, s: s, block_gaps))
 
 
 def funnel(events: "ray.data.Dataset", stages: "list[str]",
@@ -598,7 +564,6 @@ def event_transitions(events: "ray.data.Dataset", key: str = "user_id",
     able to pair against the carried tuple; per-block pair counts merge
     through grouped_sum (type-vocabulary-bounded partials)."""
     import pyarrow as pa
-    import ray
 
     def prep(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -616,28 +581,11 @@ def event_transitions(events: "ray.data.Dataset", key: str = "user_id",
     if not refs:
         return ray.data.from_pandas(empty)
 
-    @ray.remote(num_cpus=0)
     def summary(t):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_rows == 0:
-            return None
-        k = t[key].to_numpy(zero_copy_only=False)
-        tp = t[type_col].to_numpy(zero_copy_only=False)
-        return (k[-1], tp[-1])
+        return (t[key].to_numpy(zero_copy_only=False)[-1],
+                t[type_col].to_numpy(zero_copy_only=False)[-1])
 
-    sums = ray.get([summary.remote(r) for r in refs])
-    carries: list = [None] * len(refs)
-    run = None
-    for i, s in enumerate(sums):
-        carries[i] = run
-        if s is not None:
-            run = s
-
-    @ray.remote(num_cpus=1)
     def block_pairs(t, carry) -> pd.DataFrame:
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
         df = t.to_pandas()
         if not len(df):
             return empty
@@ -658,22 +606,33 @@ def event_transitions(events: "ray.data.Dataset", key: str = "user_id",
     from .groupagg import grouped_sum
 
     partials = ray.data.from_pandas_refs(
-        [block_pairs.remote(r, carries[i]) for i, r in enumerate(refs)])
+        carry_scan(refs, summary, lambda _, s: s, block_pairs))
     return grouped_sum(partials, ["prev_type", "next_type"], ["n"])
 
 
+def _with_carry(kcol: np.ndarray, carry, *cols: np.ndarray):
+    """Prepend a carried tail ``(key, *col_tails)`` to a sorted block's
+    columns when the block starts with that key: ``(pre, kcol, *cols)``
+    where ``pre`` counts the prepended rows (0 when nothing carried)."""
+    if carry is None or kcol[0] != carry[0]:
+        return (0, kcol, *cols)
+    pre = len(carry[1])
+    return (pre, np.concatenate([np.repeat(carry[0], pre), kcol]),
+            *(np.concatenate([tail, c]) for tail, c in zip(carry[1:], cols)))
+
+
 def _rolling_carry_blocks(events: "ray.data.Dataset", k: int, key: str,
-                          ts_col: str, id_col: str, val_col: str):
+                          ts_col: str, id_col: str, val_col: str, block_roll):
     """Shared plumbing of the rolling-window family (rolling_mean /
     rolling_stats): NULL filter + integer-cents quantization, ONE sort
-    on (key, ts, id), zero-CPU per-block tail summaries (the last
-    user's final <= k cents values), and the driver fold into
-    per-boundary carries (<= k ints per block, never rows).  Returns
-    (refs, carries), or (None, None) on empty input."""
+    on (key, ts, id), then a ``blocktasks.carry_scan`` whose summaries
+    are the last user's final <= k cents values, folded on the driver
+    into per-boundary carries (<= k ints per block, never rows).
+    Returns the ``block_roll(table, carry)`` output refs, or None on
+    empty input."""
     if k < 1:
         raise ValueError(f"k must be >= 1: {k}")
     import pyarrow as pa
-    import ray
 
     def prep(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -692,34 +651,22 @@ def _rolling_carry_blocks(events: "ray.data.Dataset", k: int, key: str,
            .sort([key, "_us", id_col]).materialize())
     refs = srt.to_arrow_refs()
     if not refs:
-        return None, None
+        return None
 
-    @ray.remote(num_cpus=0)
     def tail_summary(t):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_rows == 0:
-            return None
         kcol = t[key].to_numpy(zero_copy_only=False)
         c = t["_c"].to_numpy(zero_copy_only=False)
         last = kcol[-1]
         m = np.flatnonzero(kcol == last)
         return (last, c[m[-k:]].astype(np.int64))
 
-    sums = ray.get([tail_summary.remote(r) for r in refs])
-    carries: list = [None] * len(refs)
-    run_key, run_tail = None, None
-    for i, s in enumerate(sums):
-        carries[i] = ((run_key, run_tail.copy())
-                      if run_key is not None else None)
-        if s is None:
-            continue
-        if run_key is not None and s[0] == run_key and len(s[1]) < k:
+    def step(run, s):
+        if run is not None and s[0] == run[0] and len(s[1]) < k:
             # a short all-one-user block extends the running tail
-            run_tail = np.concatenate([run_tail, s[1]])[-k:]
-        else:
-            run_key, run_tail = s[0], s[1][-k:]
-    return refs, carries
+            return s[0], np.concatenate([run[1], s[1]])[-k:]
+        return s
+
+    return carry_scan(refs, tail_summary, step, block_roll)
 
 
 def rolling_mean(events: "ray.data.Dataset", k: int = 3,
@@ -739,31 +686,15 @@ def rolling_mean(events: "ray.data.Dataset", k: int = 3,
     into per-boundary carries (<= k ints per block, never rows); each
     block then computes its windows vectorized with the carry prepended
     for its first user only."""
-    refs, carries = _rolling_carry_blocks(events, k, key, ts_col,
-                                          id_col, val_col)
-    import pyarrow as pa
-    import ray
 
-    if refs is None:
-        return ray.data.from_pandas(pd.DataFrame(
-            columns=[key, id_col, "rolling_mean_cents"]))
-
-    @ray.remote(num_cpus=1)
     def block_roll(t, carry) -> pd.DataFrame:
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
         df = t.to_pandas()
         if not len(df):
             return pd.DataFrame({key: pd.Series(dtype=np.int64),
                                  id_col: pd.Series(dtype=np.int64),
                                  "rolling_mean_cents": pd.Series(dtype=np.float64)})
-        kcol = df[key].to_numpy()
-        c = df["_c"].to_numpy(dtype=np.int64)
-        pre = 0
-        if carry is not None and kcol[0] == carry[0]:
-            pre = len(carry[1])
-            kcol = np.concatenate([np.repeat(carry[0], pre), kcol])
-            c = np.concatenate([carry[1], c])
+        pre, kcol, c = _with_carry(df[key].to_numpy(), carry,
+                                   df["_c"].to_numpy(dtype=np.int64))
         s = pd.Series(c)
         win = s.groupby(pd.Series(kcol)).rolling(k, min_periods=1)
         sums_ = win.sum().reset_index(drop=True).to_numpy()
@@ -773,8 +704,12 @@ def rolling_mean(events: "ray.data.Dataset", k: int = 3,
                              id_col: df[id_col],
                              "rolling_mean_cents": mean})
 
-    return ray.data.from_pandas_refs(
-        [block_roll.remote(r, carries[i]) for i, r in enumerate(refs)])
+    out = _rolling_carry_blocks(events, k, key, ts_col, id_col, val_col,
+                                block_roll)
+    if out is None:
+        return ray.data.from_pandas(pd.DataFrame(
+            columns=[key, id_col, "rolling_mean_cents"]))
+    return ray.data.from_pandas_refs(out)
 
 
 def rolling_stats(events: "ray.data.Dataset", k: int = 5,
@@ -793,19 +728,8 @@ def rolling_stats(events: "ray.data.Dataset", k: int = 5,
 
     Same scale shape as :func:`rolling_mean` (shared
     ``_rolling_carry_blocks`` plumbing)."""
-    refs, carries = _rolling_carry_blocks(events, k, key, ts_col,
-                                          id_col, val_col)
-    import pyarrow as pa
-    import ray
 
-    if refs is None:
-        return ray.data.from_pandas(pd.DataFrame(
-            columns=[key, id_col, "n_win", "rolling_var_cents2", "z_cents"]))
-
-    @ray.remote(num_cpus=1)
     def block_roll(t, carry) -> pd.DataFrame:
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
         df = t.to_pandas()
         empty = pd.DataFrame({key: pd.Series(dtype=np.int64),
                               id_col: pd.Series(dtype=np.int64),
@@ -814,13 +738,8 @@ def rolling_stats(events: "ray.data.Dataset", k: int = 5,
                               "z_cents": pd.Series(dtype=np.float64)})
         if not len(df):
             return empty
-        kcol = df[key].to_numpy()
-        c = df["_c"].to_numpy(dtype=np.int64)
-        pre = 0
-        if carry is not None and kcol[0] == carry[0]:
-            pre = len(carry[1])
-            kcol = np.concatenate([np.repeat(carry[0], pre), kcol])
-            c = np.concatenate([carry[1], c])
+        pre, kcol, c = _with_carry(df[key].to_numpy(), carry,
+                                   df["_c"].to_numpy(dtype=np.int64))
         s = pd.Series(c)
         sq = pd.Series(c * c)
         g = pd.Series(kcol)
@@ -842,8 +761,12 @@ def rolling_stats(events: "ray.data.Dataset", k: int = 5,
                              "rolling_var_cents2": var,
                              "z_cents": z})
 
-    return ray.data.from_pandas_refs(
-        [block_roll.remote(r, carries[i]) for i, r in enumerate(refs)])
+    out = _rolling_carry_blocks(events, k, key, ts_col, id_col, val_col,
+                                block_roll)
+    if out is None:
+        return ray.data.from_pandas(pd.DataFrame(
+            columns=[key, id_col, "n_win", "rolling_var_cents2", "z_cents"]))
+    return ray.data.from_pandas_refs(out)
 
 
 def growth_accounting(events: "ray.data.Dataset", key: str = "user_id",
@@ -913,8 +836,6 @@ def with_lag(events: "ray.data.Dataset", n: int = 1,
         raise ValueError(f"how must be 'lag' or 'lead', got {how!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1: {n}")
-    import pyarrow as pa
-    import ray
 
     out_col = f"{how}_{val_col}"
 
@@ -928,47 +849,25 @@ def with_lag(events: "ray.data.Dataset", n: int = 1,
         return ray.data.from_pandas(
             pd.DataFrame(columns=[key, id_col, out_col]))
 
-    @ray.remote(num_cpus=0)
     def edge_summary(t):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_rows == 0:
-            return None
+        # the boundary key's <= n values at the block's far edge in scan
+        # order: the last key's tail for lag, the first key's head for lead
         kcol = t[key].to_numpy(zero_copy_only=False)
         v = t[val_col].to_numpy(zero_copy_only=False)
-        fk, lk = kcol[0], kcol[-1]
-        head = v[np.flatnonzero(kcol == fk)[:n]]
-        tail = v[np.flatnonzero(kcol == lk)[-n:]]
-        return fk, head, lk, tail
-
-    sums = ray.get([edge_summary.remote(r) for r in refs])
-    carries: list = [None] * len(refs)
-    run_key, run_vals = None, None
-    order = range(len(refs)) if how == "lag" else reversed(range(len(refs)))
-    for i in order:
-        carries[i] = ((run_key, run_vals.copy())
-                      if run_key is not None else None)
-        s = sums[i]
-        if s is None:
-            continue
-        fk, head, lk, tail = s
         if how == "lag":
-            # under global sort contiguity, lk == run_key forces the
-            # whole block to be that key, so short tails EXTEND the run
-            if run_key is not None and lk == run_key and len(tail) < n:
-                run_vals = np.concatenate([run_vals, tail])[-n:]
-            else:
-                run_key, run_vals = lk, tail[-n:]
-        else:
-            if run_key is not None and fk == run_key and len(head) < n:
-                run_vals = np.concatenate([head, run_vals])[:n]
-            else:
-                run_key, run_vals = fk, head[:n]
+            return kcol[-1], v[np.flatnonzero(kcol == kcol[-1])[-n:]]
+        return kcol[0], v[np.flatnonzero(kcol == kcol[0])[:n]]
 
-    @ray.remote(num_cpus=1)
+    def step(run, s):
+        # under global sort contiguity, a repeat of the run's key forces
+        # the whole block to be that key, so short edges EXTEND the run
+        if run is None or s[0] != run[0] or len(s[1]) >= n:
+            return s
+        if how == "lag":
+            return s[0], np.concatenate([run[1], s[1]])[-n:]
+        return s[0], np.concatenate([s[1], run[1]])[:n]
+
     def block_shift(t, carry) -> pd.DataFrame:
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
         df = t.to_pandas()
         out = df[[key, id_col]].copy()
         if not len(df):
@@ -977,11 +876,7 @@ def with_lag(events: "ray.data.Dataset", n: int = 1,
         kcol = df[key].to_numpy()
         v = df[val_col].to_numpy()
         if how == "lag":
-            pre = 0
-            if carry is not None and kcol[0] == carry[0]:
-                pre = len(carry[1])
-                kcol = np.concatenate([np.repeat(carry[0], pre), kcol])
-                v = np.concatenate([carry[1], v])
+            pre, kcol, v = _with_carry(kcol, carry, v)
             sh = (pd.Series(v).groupby(pd.Series(kcol)).shift(n)
                   .to_numpy()[pre:])
         else:
@@ -994,8 +889,12 @@ def with_lag(events: "ray.data.Dataset", n: int = 1,
         out[out_col] = sh
         return out
 
+    if how == "lag":
+        return ray.data.from_pandas_refs(
+            carry_scan(refs, edge_summary, step, block_shift))
+    # lead folds right to left: the same scan over the reversed blocks
     return ray.data.from_pandas_refs(
-        [block_shift.remote(r, carries[i]) for i, r in enumerate(refs)])
+        carry_scan(refs[::-1], edge_summary, step, block_shift)[::-1])
 
 
 def first_last_value(events: "ray.data.Dataset", key: str = "user_id",
@@ -1075,7 +974,6 @@ def rolling_time_sum(events: "ray.data.Dataset", interval_us: int,
     density, never block size).  Events then stream through a composite
     -key join against the (key, ts) window sums."""
     import pyarrow as pa
-    import ray
 
     def prep(t: "pa.Table") -> "pd.DataFrame":
         import pyarrow.compute as pc
@@ -1098,19 +996,13 @@ def rolling_time_sum(events: "ray.data.Dataset", interval_us: int,
     srt = totals.sort([key, "_us"]).materialize()
     refs = srt.to_arrow_refs()
 
-    out_cols = [key, "_us", "win_c"]
     if not refs:
         return ray.data.from_pandas(pd.DataFrame(
             {key: pd.Series(dtype=np.int64),
              id_col: pd.Series(dtype=np.int64),
              "win_c": pd.Series(dtype=np.int64)}))
 
-    @ray.remote(num_cpus=0)
     def tail_summary(t):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_rows == 0:
-            return None
         kcol = t[key].to_numpy(zero_copy_only=False)
         us = t["_us"].to_numpy(zero_copy_only=False)
         c = t["_c"].to_numpy(zero_copy_only=False)
@@ -1120,38 +1012,25 @@ def rolling_time_sum(events: "ray.data.Dataset", interval_us: int,
         return (last, us[keepm].astype(np.int64), c[keepm].astype(np.int64),
                 int(us[-1]))
 
-    sums = ray.get([tail_summary.remote(r) for r in refs])
-    carries: list = [None] * len(refs)
-    run = None  # (key, ts_arr, c_arr)
-    for i, s in enumerate(sums):
-        carries[i] = (run[0], run[1].copy(), run[2].copy()) if run else None
-        if s is None:
-            continue
+    def step(run, s):
+        # run = (key, ts, cents) of the last key's totals within the
+        # window of the scan's edge
         lk, tss, cs, last_ts = s
         if run is not None and run[0] == lk:
             tss = np.concatenate([run[1], tss])
             cs = np.concatenate([run[2], cs])
         keep = tss >= last_ts - interval_us
-        run = (lk, tss[keep], cs[keep])
+        return lk, tss[keep], cs[keep]
 
-    @ray.remote(num_cpus=1)
     def block_win(t, carry) -> pd.DataFrame:
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
         df = t.to_pandas()
         if not len(df):
             return pd.DataFrame({key: pd.Series(dtype=np.int64),
                                  "_us": pd.Series(dtype=np.int64),
                                  "win_c": pd.Series(dtype=np.int64)})
-        kcol = df[key].to_numpy()
-        us = df["_us"].to_numpy(dtype=np.int64)
-        c = df["_c"].to_numpy(dtype=np.int64)
-        pre = 0
-        if carry is not None and kcol[0] == carry[0]:
-            pre = len(carry[1])
-            kcol = np.concatenate([np.repeat(carry[0], pre), kcol])
-            us = np.concatenate([carry[1], us])
-            c = np.concatenate([carry[2], c])
+        pre, kcol, us, c = _with_carry(df[key].to_numpy(), carry,
+                                       df["_us"].to_numpy(dtype=np.int64),
+                                       df["_c"].to_numpy(dtype=np.int64))
         win = np.empty(len(us), dtype=np.int64)
         starts = np.flatnonzero(np.concatenate(
             [[True], kcol[1:] != kcol[:-1]]))
@@ -1165,7 +1044,7 @@ def rolling_time_sum(events: "ray.data.Dataset", interval_us: int,
                              "win_c": win[pre:]})
 
     winsums = ray.data.from_pandas_refs(
-        [block_win.remote(r, carries[i]) for i, r in enumerate(refs)])
+        carry_scan(refs, tail_summary, step, block_win))
 
     def ev_slim(t: "pa.Table") -> "pd.DataFrame":
         import pyarrow.compute as pc
@@ -1213,7 +1092,6 @@ def ewma(events: "ray.data.Dataset", alpha: float = 0.2,
         raise ValueError(f"alpha must be in (0, 1): {alpha}")
     b = 1.0 - alpha
     import pyarrow as pa
-    import ray
 
     def prep(t: "pa.Table") -> "pa.Table":
         import pyarrow.compute as pc
@@ -1253,12 +1131,7 @@ def ewma(events: "ray.data.Dataset", alpha: float = 0.2,
         out[has] = L[j_of_row[has] - 1]
         return out, m, float(L[m - 1]), float(vv[0]), j_of_row
 
-    @ray.remote(num_cpus=0)
     def summary(t):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_rows == 0:
-            return None
         kcol = t[key].to_numpy(zero_copy_only=False)
         v = t["_v"].to_numpy(zero_copy_only=False)
         fk, lk = kcol[0], kcol[-1]
@@ -1266,29 +1139,18 @@ def ewma(events: "ray.data.Dataset", alpha: float = 0.2,
         _, m, L_last, x1, _ = _seg_scan(v[seg])
         return fk, lk, m, L_last, x1, float(b ** m)
 
-    sums = ray.get([summary.remote(r) for r in refs])
-    carries: list = [None] * len(refs)
-    run_key, run_c = None, None          # carry = state BEFORE next block
-    for i, s in enumerate(sums):
-        carries[i] = (run_key, run_c) if run_c is not None else None
-        if s is None:
-            continue
+    def step(run, s):
+        # run = (key, state after its last valid sample, None before one)
+        run_key, run_c = run if run is not None else (None, None)
         fk, lk, m, L_last, x1, decay = s
-        same = run_key == lk and fk == lk and run_c is not None
         if m == 0:
-            if run_key != lk:
-                run_key, run_c = lk, None   # key started, no valid yet
-            continue
-        if same:
-            run_c = L_last + decay * (run_c - x1)
-        else:
-            run_c = L_last                   # fresh (or carry was None)
-        run_key = lk
+            # key started, no valid yet; or the run's key flows through
+            return run if run_key == lk else (lk, None)
+        if run_key == lk and fk == lk and run_c is not None:
+            return lk, L_last + decay * (run_c - x1)
+        return lk, L_last                   # fresh (or carry was None)
 
-    @ray.remote(num_cpus=1)
     def block_ewma(t, carry) -> pd.DataFrame:
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
         df = t.to_pandas()
         if not len(df):
             return pd.DataFrame({key: pd.Series(dtype=np.int64),
@@ -1312,5 +1174,4 @@ def ewma(events: "ray.data.Dataset", alpha: float = 0.2,
             out[a0:b0] = seg_out
         return pd.DataFrame({key: df[key], id_col: df[id_col], "ewma": out})
 
-    return ray.data.from_pandas_refs(
-        [block_ewma.remote(r, carries[i]) for i, r in enumerate(refs)])
+    return ray.data.from_pandas_refs(carry_scan(refs, summary, step, block_ewma))

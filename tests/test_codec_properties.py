@@ -396,12 +396,17 @@ from parquet_hs_ray.codecs.fsst import (  # noqa: E402
     build_symbol_table,
     decode_fsst,
     encode_fsst,
+    table_for_sample,
 )
 
 
 def _fsst_roundtrip(values: list[bytes], table=None):
+    from parquet_hs_ray.format import _sample_binary
+
     lens = np.asarray([len(v) for v in values], dtype=np.int64)
     raw = b"".join(values)
+    if table is None:  # the table encode_array would build for the column
+        table = table_for_sample(tuple(_sample_binary(lens, raw)))
     enc = encode_fsst(lens, raw, table)
     out_lens, out_raw, pos = decode_fsst(enc)
     assert pos == len(enc), "decode must consume the full payload (incl. literals)"

@@ -146,6 +146,18 @@ def test_string_codecs_roundtrip():
         roundtrip_array(vals, codec)
 
 
+def test_forced_fsst_frame_equals_selected_fsst_frame():
+    """Forcing FSST on a column the selector codes as FSST must give the
+    same frame: both paths build the symbol table from the one sample
+    ``encode_array`` takes of the column."""
+    rng = np.random.default_rng(11)
+    col = pa.array([f"{rng.integers(0, 10**9)}.example.com/page" for _ in range(5000)])
+    auto, stats = encode_array(col)
+    assert stats.codec == "fsst"
+    forced, _ = roundtrip_array(col, FSST)
+    assert forced == auto
+
+
 def test_float_roundtrip():
     rng = np.random.default_rng(7)
     vals = pa.array(rng.normal(size=500), pa.float64())

@@ -150,6 +150,25 @@ def test_encode_decode_verify_resume(ray_session, f1_dir, tmp_path):
     assert verify_roundtrip(f1_dir, out)["mismatched_partitions"] == 0
 
 
+def test_verify_unfinished_store_names_partitions(ray_session, f1_dir, tmp_path, monkeypatch):
+    """A planned partition with no blob is refused on the driver with the
+    unfinished ids, before any verify task starts."""
+    from parquet_hs_ray.pipelines import encode_job
+    from parquet_hs_ray.pipelines.encode_job import encode_dataset, verify_roundtrip
+
+    out = str(tmp_path / "enc")
+    encode_dataset(f1_dir, out, token_budget=300_000)
+    victim = json.load(open(os.path.join(out, "plan.json")))[-1]["partition_id"]
+    os.remove(mf.blob_path(out, victim))
+
+    def no_tasks(*a, **k):
+        raise AssertionError("verify started tasks on an unfinished store")
+
+    monkeypatch.setattr(encode_job, "_map_partitions", no_tasks)
+    with pytest.raises(ValueError, match=rf"\[{victim}\].*run encode to completion first"):
+        verify_roundtrip(f1_dir, out)
+
+
 def test_retry_idempotent_blob(ray_session, f1_dir, tmp_path):
     """Re-encoding a finished partition yields byte-identical output."""
     from parquet_hs_ray.pipelines.encode_job import encode_dataset
