@@ -10,6 +10,10 @@ operator keeps only its own block kernels:
 - a block-pair loop (:func:`run_pairs`): one 1-CPU task per block pair,
   at most ``max_in_flight`` pending, results collected as they finish.
 
+Both defaults that scale with the cluster (``run_pairs``' in-flight cap
+and :func:`shuffle_partitions`, the operators' hash-join width) read the
+session's CPU slots through ``plan.cpu_slots``, the rule both stores use.
+
 Blocks reach every callback as Arrow tables (``to_arrow_refs`` passes
 some pandas blocks through); :func:`as_arrow` is the one coercion.
 """
@@ -19,6 +23,8 @@ from __future__ import annotations
 import pyarrow as pa
 import ray
 import ray.data
+
+from ..plan import cpu_slots
 
 
 def as_arrow(t) -> pa.Table:
@@ -73,11 +79,11 @@ def carry_scan(refs: list, summarize, step, apply, init=None) -> list:
 def run_pairs(fn, pairs, max_in_flight: int | None = None) -> tuple[list, int]:
     """Run ``fn(table_a, table_b)`` as one 1-CPU task per ``(ref_a,
     ref_b)`` in ``pairs``, with at most ``max_in_flight`` tasks pending
-    (default 4x the cluster's CPUs, at least 8), so a quadratic pair
+    (default 4x the session's CPU slots, at least 8), so a quadratic pair
     grid never holds all its task handles at once.  Returns (results in
     completion order, peak number of pending tasks)."""
     if max_in_flight is None:
-        max_in_flight = max(8, 4 * int(ray.available_resources().get("CPU", 8)))
+        max_in_flight = max(8, 4 * cpu_slots())
     fn_ref = ray.put(fn)
     out, pending, peak = [], [], 0
     for a, b in pairs:
@@ -88,6 +94,12 @@ def run_pairs(fn, pairs, max_in_flight: int | None = None) -> tuple[list, int]:
         peak = max(peak, len(pending))
     out.extend(ray.get(pending))
     return out, peak
+
+
+def shuffle_partitions() -> int:
+    """Default ``num_partitions`` of the operators' hash joins: one per
+    CPU slot of the session, at least 2 and at most 16."""
+    return max(2, min(16, cpu_slots()))
 
 
 def nonempty_refs(refs: list) -> list:

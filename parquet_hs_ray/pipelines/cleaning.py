@@ -19,7 +19,7 @@ import ray.data
 
 from ..functions import sketches as sk
 from ..functions.text import md5_hex
-from .blocktasks import drop_empty_blocks
+from .blocktasks import drop_empty_blocks, shuffle_partitions
 
 # order key packs (doc_id, line_no) into one int64 so "first occurrence"
 # is a plain Min aggregate: doc_id < 2^43, line_no < 2^20 assumed (8.8e12
@@ -72,7 +72,7 @@ def line_dedup(docs: "ray.data.Dataset", words_per_line: Optional[int] = None,
     import pyarrow as pa
 
     if num_partitions is None:
-        num_partitions = max(2, min(16, int(ray.available_resources().get("CPU", 4))))
+        num_partitions = shuffle_partitions()
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
         texts = batch["text"].fillna("")
@@ -315,7 +315,7 @@ def span_dedup(docs: "ray.data.Dataset", window: int = 5,
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if num_partitions is None:
-        num_partitions = max(2, min(16, int(ray.available_resources().get("CPU", 4))))
+        num_partitions = shuffle_partitions()
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
         n_sh, h = sk.word_ngram_hashes(batch["text"], n=window)
@@ -685,7 +685,7 @@ def span_dedup_rewrite(docs: "ray.data.Dataset", window: int = 5,
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if num_partitions is None:
-        num_partitions = max(2, min(16, int(ray.available_resources().get("CPU", 4))))
+        num_partitions = shuffle_partitions()
 
     def occurrences(batch: pd.DataFrame) -> pd.DataFrame:
         n_sh, h = sk.word_ngram_hashes(batch["text"], n=window)
@@ -830,7 +830,7 @@ def span_dedup_rewrite_tokens(tok: "ray.data.Dataset", window: int = 5,
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if num_partitions is None:
-        num_partitions = max(2, min(16, int(ray.available_resources().get("CPU", 4))))
+        num_partitions = shuffle_partitions()
 
     def occurrences(batch: pd.DataFrame) -> pd.DataFrame:
         n_sh, h = sk.token_ngram_hashes(batch["tokens"], n=window)
@@ -991,8 +991,7 @@ def ngram_novelty_tokens(tok: "ray.data.Dataset", ngram: int = 3,
     if ngram < 1:
         raise ValueError(f"ngram must be >= 1, got {ngram}")
     if num_partitions is None:
-        num_partitions = max(2, min(16, int(
-            ray.available_resources().get("CPU", 4))))
+        num_partitions = shuffle_partitions()
 
     def pairs_partial(batch: pd.DataFrame) -> pd.DataFrame:
         n_sh, h = sk.token_ngram_hashes(batch["tokens"], n=ngram)

@@ -27,7 +27,7 @@ import ray.data
 
 from ..functions import sketches as sk
 from ..functions.text import md5_hex
-from .blocktasks import as_arrow, drop_empty_blocks, run_pairs
+from .blocktasks import as_arrow, drop_empty_blocks, run_pairs, shuffle_partitions
 
 
 def dedup_exact(docs: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -419,7 +419,7 @@ def _minhash_verify_join(docs, cand, threshold: float, ngram: int, idt,
                          num_partitions: int | None,
                          shingler=None) -> pd.DataFrame:
     if num_partitions is None:
-        num_partitions = max(2, int(ray.available_resources().get("CPU", 4)))
+        num_partitions = shuffle_partitions()
     sketches = minhash_sketches(docs, ngram=ngram, shingler=shingler)
     sk_a = _enforce_schema(sketches.rename_columns({"doc_id": "a", "shingles": "sh_a"}),
                            pa.schema([("a", idt), ("sh_a", pa.binary())]))
@@ -580,8 +580,8 @@ def dedup_stats_by_source(docs: "ray.data.Dataset") -> "ray.data.Dataset":
 
     Scale shape: per-batch DISTINCT (source, md5) partials (16-byte
     hashes, never text) -> global grouped distinct (max-of-constant, the
-    retention_cohorts pattern) -> one per-source count; doc totals ride
-    the same partial-agg shuffle.  SQL twin: count(*) vs
+    retention_cohorts pattern) -> one per-source ``grouped_count``; doc
+    totals are a second ``grouped_count`` over the documents.  SQL twin: count(*) vs
     count(DISTINCT text)."""
 
     def pairs(batch: pd.DataFrame) -> pd.DataFrame:
@@ -590,22 +590,12 @@ def dedup_stats_by_source(docs: "ray.data.Dataset") -> "ray.data.Dataset":
                               "one": np.int64(1)})
                 .drop_duplicates(subset=["source", "h"]))
 
-    def totals(batch: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame({"source": batch["source"], "n_docs": np.int64(1)})
-        return g.groupby("source", sort=False, as_index=False).sum()
+    from .groupagg import grouped_agg, grouped_count
 
-    from .groupagg import grouped_agg, grouped_sum
-
-    uniq = (grouped_agg(docs.map_batches(pairs, batch_format="pandas"),
-                        ["source", "h"], {"one": "max"})
-            .map_batches(lambda b: (pd.DataFrame({"source": b["source"],
-                                                  "n_distinct": np.int64(1)})
-                                    .groupby("source", sort=False,
-                                             as_index=False).sum()),
-                         batch_format="pandas"))
-    nd = grouped_sum(uniq, ["source"], ["n_distinct"]).to_pandas()
-    tot = grouped_sum(docs.map_batches(totals, batch_format="pandas"),
-                      ["source"], ["n_docs"]).to_pandas()
+    uniq = grouped_agg(docs.map_batches(pairs, batch_format="pandas"),
+                       ["source", "h"], {"one": "max"})
+    nd = grouped_count(uniq, ["source"], name="n_distinct").to_pandas()
+    tot = grouped_count(docs, ["source"], name="n_docs").to_pandas()
     out = tot.merge(nd, on="source")
     out["n_dups"] = (out["n_docs"] - out["n_distinct"]).astype(np.int64)
     out = out.sort_values("source").reset_index(drop=True)
@@ -897,7 +887,7 @@ def dedup_assign(docs: "ray.data.Dataset", num_partitions: int | None = None) ->
     (h, canonical_id) — the downstream keep/drop decision is then a pure
     column compare (keep iff doc_id == canonical_id)."""
     if num_partitions is None:
-        num_partitions = max(2, min(16, int(ray.available_resources().get("CPU", 4))))
+        num_partitions = shuffle_partitions()
 
     def add_hash(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"doc_id": batch["doc_id"], "h": md5_hex(batch["text"])})

@@ -35,19 +35,13 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-from .groupagg import grouped_sum
+from .groupagg import grouped_count, grouped_sum
 from .relational import hash_join
 
 
 def _distinct_pairs(edges: "ray.data.Dataset", src: str, dst: str
                     ) -> "ray.data.Dataset":
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[[src, dst]].drop_duplicates()
-        out["_one"] = np.int64(1)
-        return out
-
-    e = grouped_sum(edges.map_batches(partial, batch_format="pandas"),
-                    [src, dst], ["_one"])
+    e = grouped_count(edges, [src, dst], name="_one")
     return e.map_batches(lambda d: d[[src, dst]], batch_format="pandas")
 
 
@@ -64,23 +58,16 @@ def pagerank(edges: "ray.data.Dataset", src: str = "src", dst: str = "dst",
         raise ValueError("damp_pct must be in (0, 100)")
     e = _distinct_pairs(edges, src, dst).materialize()
 
-    def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(src, sort=False).size().reset_index(name="outdeg")
-        g["outdeg"] = g["outdeg"].astype(np.int64)
-        return g
-
-    deg = grouped_sum(e.map_batches(deg_partial, batch_format="pandas"),
-                      [src], ["outdeg"])
+    deg = grouped_count(e, [src], name="outdeg")
     # outdeg rides along every edge for the per-edge floor division
     e_deg = hash_join(e, deg, src, src).materialize()
 
-    def node_partial(df: pd.DataFrame) -> pd.DataFrame:
-        vals = pd.unique(np.concatenate(
-            [df[src].to_numpy(), df[dst].to_numpy()]))
-        return pd.DataFrame({"node": vals, "_one": np.int64(1)})
+    def endpoints(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"node": np.concatenate(
+            [df[src].to_numpy(), df[dst].to_numpy()])})
 
-    nodes = grouped_sum(e.map_batches(node_partial, batch_format="pandas"),
-                        ["node"], ["_one"]) \
+    nodes = grouped_count(e.map_batches(endpoints, batch_format="pandas"),
+                          ["node"], name="_one") \
         .map_batches(lambda d: d[["node"]], batch_format="pandas") \
         .materialize()
 
@@ -95,8 +82,7 @@ def pagerank(edges: "ray.data.Dataset", src: str = "src", dst: str = "dst",
         def contrib(df: pd.DataFrame) -> pd.DataFrame:
             c = (df["val"].to_numpy(dtype=np.int64) * damp_pct) \
                 // (100 * df["outdeg"].to_numpy(dtype=np.int64))
-            g = pd.DataFrame({dst: df[dst].to_numpy(), "c": c})
-            return g.groupby(dst, sort=False, as_index=False).sum()
+            return pd.DataFrame({dst: df[dst].to_numpy(), "c": c})
 
         inflow = grouped_sum(
             joined.map_batches(contrib, batch_format="pandas"), [dst], ["c"])

@@ -9,8 +9,9 @@ partial ROW, so it scales with the data, not with the group count: at
 
 This module provides the scale shape instead:
 
-1. callers pre-aggregate per batch (one partial row per group per block —
-   the shuffle carries aggregates, not events);
+1. the helper pre-combines each input block (one partial row per group
+   per block — the shuffle carries aggregates, not events); callers
+   keep only their row projection and their finish;
 2. ``sort(keys)`` — Ray's sort is a vectorized range shuffle (sample →
    range partition → Arrow merge), no per-row Python;
 3. one vectorized pandas ``groupby`` per sorted block;
@@ -39,10 +40,10 @@ import pandas as pd
 import ray.data
 
 
-# Below this many partial rows (one per group per block after the callers'
-# pre-combine) the final merge happens on the driver in one vectorized
-# pandas pass instead of paying Ray sort's ~5 s fixed scheduling cost.
-# This bounds driver memory by construction (~tens of MB), the same
+# Below this many partial rows (one per group per block after the
+# per-block pre-combine) the final merge happens on the driver in one
+# vectorized pandas pass instead of paying Ray sort's ~5 s fixed
+# scheduling cost.  This bounds driver memory by construction (~tens of MB), the same
 # cost-model choice real engines make between broadcast-final and
 # shuffle-final aggregation; past it, the sort path engages.
 SMALL_MERGE_ROWS = 500_000
@@ -112,18 +113,33 @@ def grouped_sum(
     small_merge_rows: int = SMALL_MERGE_ROWS,
     dropna: bool = True,
 ) -> "ray.data.Dataset":
-    """Sum ``sum_cols`` per distinct ``keys`` combination (the common case:
-    callers' per-batch partials carry additive columns).  ``dropna=False``
-    keeps NULL-keyed groups (SQL GROUP BY / set-op semantics: NULLs
-    compare equal and form their own group)."""
-    keys, sum_cols = list(keys), list(sum_cols)
+    """Sum ``sum_cols`` per distinct ``keys`` combination: the sum
+    spelling of :func:`grouped_agg`, so each input block is pre-combined
+    before the merge.  ``dropna=False`` keeps NULL-keyed groups (SQL
+    GROUP BY / set-op semantics: NULLs compare equal and form their own
+    group)."""
+    return grouped_agg(partials, keys, dict.fromkeys(sum_cols, "sum"),
+                       small_merge_rows=small_merge_rows, dropna=dropna)
 
-    def block_agg(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(keys, sort=True, as_index=False,
-                          dropna=dropna)[sum_cols].sum()
 
-    return sorted_block_aggregate(partials, keys, block_agg, block_agg,
-                                  small_merge_rows=small_merge_rows)
+def grouped_count(
+    rows: "ray.data.Dataset",
+    keys: Sequence[str],
+    name: str = "cnt",
+    small_merge_rows: int = SMALL_MERGE_ROWS,
+) -> "ray.data.Dataset":
+    """Rows per distinct non-null ``keys`` combination, as int64 column
+    ``name`` (pandas ``groupby(keys).size()``: a row with a NULL in any
+    key is not counted).  The value-count histogram behind the
+    quantile, rank and term-frequency operators: each block is counted
+    once, and the counts merge as a sum."""
+    keys = list(keys)
+
+    def count(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(keys, sort=True).size().reset_index(name=name)
+
+    return _pre_combined(rows, keys, count, _agg(keys, {name: "sum"}, True),
+                         small_merge_rows)
 
 
 def grouping_sets_sum(
@@ -139,9 +155,9 @@ def grouping_sets_sum(
     (bit for ``keys[0]`` is the most significant; bit set = key rolled up).
 
     Scale shape: the FINEST level (all ``keys``) is aggregated once from
-    the callers' per-batch partials via :func:`grouped_sum`; every coarser
-    set then re-aggregates the finest RESULT — strictly smaller than the
-    input (one row per full key combination), and each further level only
+    the input via :func:`grouped_sum`; every coarser set then
+    re-aggregates the finest RESULT — strictly smaller than the input
+    (one row per full key combination), and each further level only
     shrinks.  The input is scanned exactly once regardless of how many
     grouping sets are requested; the grand total touches one partial row
     per block.  The union of levels is a metadata concat (no data moves).
@@ -220,6 +236,26 @@ def cube_sum(partials, keys, sum_cols, **kw):
     return grouping_sets_sum(partials, keys, sum_cols, sets, **kw)
 
 
+def _agg(keys: list, spec: dict, dropna: bool):
+    cols = list(spec)
+
+    def block_agg(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(keys, sort=True, as_index=False,
+                          dropna=dropna)[cols].agg(spec)
+
+    return block_agg
+
+
+def _pre_combined(rows, keys, block_agg, merge, small_merge_rows):
+    """The one per-block pre-combine: ``block_agg`` runs once per input
+    block BEFORE the sort, so the shuffle carries one row per (group,
+    input block), not one per input row; ``merge`` then combines those
+    partials (``sorted_block_aggregate``)."""
+    partials = rows.map_batches(block_agg, batch_format="pandas")
+    return sorted_block_aggregate(partials, keys, merge, merge,
+                                  small_merge_rows=small_merge_rows)
+
+
 def grouped_agg(
     rows: "ray.data.Dataset",
     keys: Sequence[str],
@@ -229,16 +265,8 @@ def grouped_agg(
 ) -> "ray.data.Dataset":
     """General decomposable aggregate: ``spec`` maps column -> 'sum' |
     'min' | 'max' (all self-decomposable: agg of partial aggs == agg of
-    rows).  A per-batch pre-combine runs BEFORE the sort so the shuffle
-    carries one row per (group, input block), not one per input row.
-    ``dropna=False`` keeps NULL-keyed groups (SQL semantics)."""
+    rows), pre-combined per input block.  ``dropna=False`` keeps
+    NULL-keyed groups (SQL semantics)."""
     keys = list(keys)
-    cols = list(spec)
-
-    def block_agg(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(keys, sort=True, as_index=False,
-                          dropna=dropna)[cols].agg(spec)
-
-    partials = rows.map_batches(block_agg, batch_format="pandas")
-    return sorted_block_aggregate(partials, keys, block_agg, block_agg,
-                                  small_merge_rows=small_merge_rows)
+    block_agg = _agg(keys, spec, dropna)
+    return _pre_combined(rows, keys, block_agg, block_agg, small_merge_rows)

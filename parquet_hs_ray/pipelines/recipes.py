@@ -72,8 +72,8 @@ def top_revenue_orders(lineitem: "ray.data.Dataset", orders: "ray.data.Dataset",
     order-independent and the DuckDB twin hash-exact.
 
     Scale shape: customer is dimension-sized -> broadcast semi-join onto
-    orders (no shuffle); lineitem is pre-reduced in-block to (orderkey,
-    cents) partials before the grouped sum; the orders<->revenue join is
+    orders (no shuffle); lineitem projects to (orderkey, cents) rows
+    that ``grouped_sum`` pre-combines per block; the orders<->revenue join is
     the Ray-native hash join; only k rows per block reach the driver."""
     from .groupagg import grouped_sum
     from .relational import broadcast_join, hash_join
@@ -93,9 +93,8 @@ def top_revenue_orders(lineitem: "ray.data.Dataset", orders: "ray.data.Dataset",
         m = b[b["l_shipdate"] > cutoff_ts]
         cents = np.round(m["l_extendedprice"].to_numpy()
                          * (1 - m["l_discount"].to_numpy()) * 100).astype(np.int64)
-        return (pd.DataFrame({"l_orderkey": m["l_orderkey"].to_numpy(),
-                              "revenue_cents": cents})
-                .groupby("l_orderkey", sort=False).sum().reset_index())
+        return pd.DataFrame({"l_orderkey": m["l_orderkey"].to_numpy(),
+                             "revenue_cents": cents})
 
     rev = grouped_sum(lineitem.map_batches(rev_partial, batch_format="pandas"),
                       ["l_orderkey"], ["revenue_cents"])
@@ -195,15 +194,10 @@ def pricing_summary(lineitem: "ray.data.Dataset",
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         m = b[b["l_shipdate"] <= cutoff_ts]
-        if not len(m):
-            return pd.DataFrame({"l_returnflag": pd.Series([], dtype=object),
-                                 "l_linestatus": pd.Series([], dtype=object),
-                                 **{c: pd.Series([], dtype=np.int64)
-                                    for c in sum_cols}})
         p = m["l_extendedprice"].to_numpy()
         d = m["l_discount"].to_numpy()
         t = m["l_tax"].to_numpy()
-        part = pd.DataFrame({
+        return pd.DataFrame({
             "l_returnflag": m["l_returnflag"].to_numpy(),
             "l_linestatus": m["l_linestatus"].to_numpy(),
             "sum_qty_c": np.round(m["l_quantity"].to_numpy() * 100).astype(np.int64),
@@ -213,8 +207,6 @@ def pricing_summary(lineitem: "ray.data.Dataset",
             "sum_discount_c": np.round(d * 100).astype(np.int64),
             "n_rows": np.ones(len(m), dtype=np.int64),
         })
-        return (part.groupby(["l_returnflag", "l_linestatus"], sort=False)
-                .sum().reset_index())
 
     sums = grouped_sum(lineitem.map_batches(partial, batch_format="pandas"),
                        ["l_returnflag", "l_linestatus"], sum_cols)
@@ -247,12 +239,11 @@ def small_quantity_revenue(lineitem: "ray.data.Dataset") -> "ray.data.Dataset":
     from .relational import hash_join
 
     def qpart(b: pd.DataFrame) -> pd.DataFrame:
-        p = pd.DataFrame({
+        return pd.DataFrame({
             "pk": b["l_partkey"].to_numpy(),
             "sq_c": np.round(b["l_quantity"].to_numpy() * 100).astype(np.int64),
             "cnt": np.ones(len(b), dtype=np.int64),
         })
-        return p.groupby("pk", sort=False).sum().reset_index()
 
     per_part = grouped_sum(
         lineitem.map_batches(qpart, batch_format="pandas"), ["pk"],
@@ -291,29 +282,20 @@ def order_count_distribution(customer: "ray.data.Dataset",
     sum (shuffle carries one row per (cust, block)), LEFT hash join onto
     the customer keys to surface the zero-order customers, then a second
     grouped count over the k values — each level strictly smaller."""
-    from .groupagg import grouped_sum
+    from .groupagg import grouped_count
     from .relational import hash_join
 
-    def opart(b: pd.DataFrame) -> pd.DataFrame:
-        return (pd.DataFrame({"o_custkey": b["o_custkey"].to_numpy(),
-                              "n_orders": np.ones(len(b), dtype=np.int64)})
-                .groupby("o_custkey", sort=False).sum().reset_index())
-
-    per_cust = grouped_sum(
-        orders.map_batches(opart, batch_format="pandas"),
-        ["o_custkey"], ["n_orders"])
+    per_cust = grouped_count(orders, ["o_custkey"], name="n_orders")
     cust = customer.map_batches(lambda b: b[["c_custkey"]],
                                 batch_format="pandas")
     j = hash_join(cust, per_cust, "c_custkey", "o_custkey", how="left")
 
     def kpart(b: pd.DataFrame) -> pd.DataFrame:
-        k = b["n_orders"].fillna(0).to_numpy().astype(np.int64)
-        return (pd.DataFrame({"n_orders": k,
-                              "n_cust": np.ones(len(k), dtype=np.int64)})
-                .groupby("n_orders", sort=False).sum().reset_index())
+        return pd.DataFrame({
+            "n_orders": b["n_orders"].fillna(0).to_numpy().astype(np.int64)})
 
-    return grouped_sum(j.map_batches(kpart, batch_format="pandas"),
-                       ["n_orders"], ["n_cust"])
+    return grouped_count(j.map_batches(kpart, batch_format="pandas"),
+                         ["n_orders"], name="n_cust")
 
 
 def regional_revenue(lineitem, orders, customer, supplier, nation, region,
@@ -380,11 +362,6 @@ def regional_revenue(lineitem, orders, customer, supplier, nation, region,
     named = broadcast_join(same, nat, "s_nationkey", "n_nationkey",
                            right_cols=["n_name"])
 
-    def part(b: pd.DataFrame) -> pd.DataFrame:
-        return (b[["n_name", "rev_c"]]
-                .groupby("n_name", sort=False, as_index=False).sum())
-
-    return grouped_sum(named.map_batches(part, batch_format="pandas"),
-                       ["n_name"], ["rev_c"]).map_batches(
+    return grouped_sum(named, ["n_name"], ["rev_c"]).map_batches(
         lambda b: b.rename(columns={"rev_c": "revenue_c"}),
         batch_format="pandas")

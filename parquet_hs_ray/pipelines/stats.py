@@ -98,16 +98,9 @@ def grouped_quantiles(ds: "ray.data.Dataset", key: str, col: str,
                     "(grouped_quantile_sketch), or set guard_sample=0 if "
                     "the domain really is bounded")
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = (batch.groupby([key, col], sort=False).size()
-             .reset_index(name="cnt"))
-        g["cnt"] = g["cnt"].astype(np.int64)
-        return g
+    from .groupagg import grouped_count
 
-    from .groupagg import grouped_sum
-
-    hist = grouped_sum(ds.map_batches(partial, batch_format="pandas"),
-                       [key, col], ["cnt"])
+    hist = grouped_count(ds, [key, col])
 
     def select(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) > max_hist_rows_per_group:
@@ -140,29 +133,23 @@ def category_balance(ds: "ray.data.Dataset", key: str,
     (key, n, n_cats, entropy, gini).
 
     Float-exact twin discipline: category counts are exact integers from
-    one partial-agg shuffle; per-category terms use libm ``log`` via
+    one ``grouped_count``; per-category terms use libm ``log`` via
     ``math.log`` (DuckDB's ln — the BM25 precedent; numpy's SIMD log can
     differ by 1 ulp) and accumulate in a DETERMINISTIC order (category
     asc) exactly as the twin's ``list_sum(list(x ORDER BY cat))``; gini
     is ``1 - Σ(c/n)²`` with the same op order."""
     import math
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame({key: batch[key], "cat": batch[cat_col],
-                          "c": np.int64(1)})
-        return g.groupby([key, "cat"], sort=False, as_index=False).sum()
+    from .groupagg import grouped_count
 
-    from .groupagg import grouped_sum
-
-    counts = grouped_sum(ds.map_batches(partial, batch_format="pandas"),
-                         [key, "cat"], ["c"])
+    counts = grouped_count(ds, [key, cat_col], name="_n")
 
     def finish(b: pd.DataFrame) -> pd.DataFrame:
         # category-count-bounded per key; sorted accumulation order
-        b = b.sort_values([key, "cat"], kind="mergesort")
+        b = b.sort_values([key, cat_col], kind="mergesort")
         rows = []
         for kval, g in b.groupby(key, sort=True):
-            c = g["c"].to_numpy(dtype=np.int64)
+            c = g["_n"].to_numpy(dtype=np.int64)
             n = int(c.sum())
             ent = 0.0
             gini_acc = 0.0
@@ -192,9 +179,8 @@ def grouped_stddev(ds: "ray.data.Dataset", key: str, val_col: str) -> "ray.data.
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         b = batch.dropna(subset=[val_col])
         x = np.round(b[val_col].to_numpy(dtype=np.float64) * 100.0).astype(np.int64)
-        g = pd.DataFrame({key: b[key].to_numpy(), "n": np.int64(1),
-                          "sx": x, "sxx": x * x})
-        return g.groupby(key, sort=False, as_index=False).sum()
+        return pd.DataFrame({key: b[key].to_numpy(), "n": np.int64(1),
+                             "sx": x, "sxx": x * x})
 
     from .groupagg import grouped_sum
 
@@ -233,9 +219,8 @@ def target_encode(ds: "ray.data.Dataset", key: str, val_col: str,
         b = batch.dropna(subset=[val_col])
         cents = np.round(b[val_col].to_numpy(dtype=np.float64)
                          * 100.0).astype(np.int64)
-        g = pd.DataFrame({key: b[key].to_numpy(), "sc": cents,
-                          "n": np.int64(1)})
-        return g.groupby(key, sort=False, as_index=False).sum()
+        return pd.DataFrame({key: b[key].to_numpy(), "sc": cents,
+                             "n": np.int64(1)})
 
     from .groupagg import grouped_sum
 
@@ -294,10 +279,9 @@ def grouped_corr(ds: "ray.data.Dataset", key: str, x_col: str, y_col: str,
         b = batch.dropna(subset=[x_col, y_col])
         x = q(b[x_col], x_scale)
         y = q(b[y_col], y_scale)
-        g = pd.DataFrame({key: b[key].to_numpy(), "n": np.int64(1),
-                          "sx": x, "sy": y, "sxx": x * x, "syy": y * y,
-                          "sxy": x * y})
-        return g.groupby(key, sort=False, as_index=False).sum()
+        return pd.DataFrame({key: b[key].to_numpy(), "n": np.int64(1),
+                             "sx": x, "sy": y, "sxx": x * x, "syy": y * y,
+                             "sxy": x * y})
 
     from .groupagg import grouped_sum
 
@@ -431,44 +415,45 @@ def percent_rank(ds: "ray.data.Dataset", col: str,
     are not).  Null values are dropped, matching window NULL exclusion
     in the twin's WHERE clause.
 
-    Scale shape: pass 1 builds a (value, count) histogram through the
-    partial-agg shuffle (distinct-value bounded, same documented
+    Scale shape: pass 1 builds a (value, count) histogram with
+    ``grouped_count`` (distinct-value bounded, same documented
     assumption as grouped_quantiles); ranks come from one cumulative sum
     over the sorted histogram, broadcast via ray.put; pass 2 is a
     streaming vectorized searchsorted — no row ever reaches the driver."""
+    return _score_values(
+        ds, col, id_cols, "pr",
+        lambda below, cum, n: below / (n - 1) if n > 1 else np.zeros(len(cum)))
+
+
+def _score_values(ds: "ray.data.Dataset", col: str, id_cols: Sequence[str],
+                  out_col: str, score) -> "ray.data.Dataset":
+    """Shared body of :func:`percent_rank` and :func:`cume_dist`: score
+    each distinct non-null ``col`` value as ``score(below, cum, n)`` from
+    its value-count histogram (rows strictly below it, rows at or below
+    it, non-null rows), then attach the score to every non-null row by
+    a broadcast ``searchsorted``.  Output: ``id_cols`` (or every
+    column), ``col`` and ``out_col``."""
     id_cols = list(id_cols)
+    from .groupagg import grouped_count
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = (batch.dropna(subset=[col]).groupby(col, sort=False).size()
-             .reset_index(name="cnt"))
-        g["cnt"] = g["cnt"].astype(np.int64)
-        return g
-
-    from .groupagg import grouped_sum
-
-    hist = grouped_sum(ds.map_batches(partial, batch_format="pandas"),
-                       [col], ["cnt"]).to_pandas()
+    hist = grouped_count(ds, [col]).to_pandas()
     if col not in hist.columns or not len(hist):
         # zero non-null values: no rows survive (window NULL exclusion)
         return ray.data.from_pandas(
-            pd.DataFrame(columns=[*(id_cols or ()), col, "pr"]))
+            pd.DataFrame(columns=[*id_cols, col, out_col]))
     hist = hist.sort_values(col)
     counts = hist["cnt"].to_numpy(dtype=np.int64)
-    vals = hist[col].to_numpy()
-    n = int(counts.sum())
-    min_rank = np.concatenate([[1], counts.cumsum()[:-1] + 1]).astype(np.int64)
-    pr = ((min_rank - 1) / (n - 1)) if n > 1 else np.zeros(len(vals))
-    import ray as _ray
-
-    ref = _ray.put((vals, pr))
+    cum = counts.cumsum()
+    ref = ray.put((hist[col].to_numpy(),
+                   score(cum - counts, cum, int(cum[-1]))))
 
     def f(batch: pd.DataFrame) -> pd.DataFrame:
-        v, p = _ray.get(ref)
+        v, p = ray.get(ref)
         batch = batch.dropna(subset=[col])
         out = pd.DataFrame({c: batch[c] for c in (id_cols or batch.columns)})
         if id_cols and col not in out.columns:
             out[col] = batch[col]
-        out["pr"] = p[np.searchsorted(v, batch[col].to_numpy())]
+        out[out_col] = p[np.searchsorted(v, batch[col].to_numpy())]
         return out
 
     return ds.map_batches(f, batch_format="pandas")
@@ -524,18 +509,15 @@ def grouped_histogram(ds: "ray.data.Dataset", key: str, col: str,
     matches SQL ``floor(col / width)`` bit-for-bit (same IEEE ops)."""
     w = float(width)
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def binned(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.dropna(subset=[col])  # null values have no bin
         b = np.floor(batch[col].to_numpy(dtype=np.float64) / w)
-        g = (pd.DataFrame({key: batch[key], "bin": b.astype(np.int64)})
-             .groupby([key, "bin"], sort=False).size().reset_index(name="n"))
-        g["n"] = g["n"].astype(np.int64)
-        return g
+        return pd.DataFrame({key: batch[key], "bin": b.astype(np.int64)})
 
-    from .groupagg import grouped_sum
+    from .groupagg import grouped_count
 
-    return grouped_sum(ds.map_batches(partial, batch_format="pandas"),
-                       [key, "bin"], ["n"])
+    return grouped_count(ds.map_batches(binned, batch_format="pandas"),
+                         [key, "bin"], name="n")
 
 
 def grouped_distinct_count(ds: "ray.data.Dataset", key: str,
@@ -545,10 +527,9 @@ def grouped_distinct_count(ds: "ray.data.Dataset", key: str,
 
     Scale shape: two-level reduction — blocks emit their DISTINCT
     (key, col) pairs (the only shuffle; cardinality-bounded, not
-    row-bounded), ``grouped_sum`` merges them into globally-distinct
-    pairs, then a per-block count per key is summed by a second, tiny
-    ``grouped_sum``.  Nulls are not counted (SQL COUNT(DISTINCT)
-    semantics)."""
+    row-bounded), ``grouped_agg`` merges them into globally-distinct
+    pairs, then a second, tiny ``grouped_count`` counts them per key.
+    Nulls are not counted (SQL COUNT(DISTINCT) semantics)."""
 
     def pairs(batch: pd.DataFrame) -> pd.DataFrame:
         g = batch[[key, col]].dropna(subset=[col]).drop_duplicates()
@@ -556,18 +537,11 @@ def grouped_distinct_count(ds: "ray.data.Dataset", key: str,
         g["one"] = np.int64(1)
         return g
 
-    from .groupagg import grouped_agg, grouped_sum
+    from .groupagg import grouped_agg, grouped_count
 
     distinct = grouped_agg(ds.map_batches(pairs, batch_format="pandas"),
                            [key, col], {"one": "min"})
-
-    def count_per_key(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.groupby(key, sort=False).size().reset_index(name="ndv")
-        g["ndv"] = g["ndv"].astype(np.int64)
-        return g
-
-    return grouped_sum(distinct.map_batches(count_per_key, batch_format="pandas"),
-                       [key], ["ndv"])
+    return grouped_count(distinct, [key], name="ndv")
 
 
 def top_k_global(ds: "ray.data.Dataset", score_col: str, k: int,
@@ -643,16 +617,11 @@ def column_profile(ds: "ray.data.Dataset",
                 "one": np.int64(1)}))
         return pd.concat(frames, ignore_index=True)
 
-    from .groupagg import grouped_agg
+    from .groupagg import grouped_agg, grouped_count
 
     distinct = grouped_agg(ds.map_batches(pairs, batch_format="pandas"),
                            ["column", "value"], {"one": "min"})
-    ndv_parts = pd.concat(
-        list(distinct.map_batches(
-            lambda b: b.groupby("column", sort=False).size().reset_index(name="ndv"),
-            batch_format="pandas").iter_batches(batch_format="pandas")),
-        ignore_index=True)
-    ndv = ndv_parts.groupby("column", sort=False)["ndv"].sum().reset_index()
+    ndv = grouped_count(distinct, ["column"], name="ndv").to_pandas()
     out = agg.merge(ndv, on="column", how="left")
     out["ndv"] = out["ndv"].fillna(0).astype(np.int64)
     for c in ("n", "n_null"):
@@ -746,16 +715,9 @@ def grouped_mode(ds: "ray.data.Dataset", key: str, col: str) -> "ray.data.Datase
     final per-key argmax is one vectorized pass over each group's merged
     histogram."""
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = (batch[[key, col]].dropna(subset=[col])
-             .groupby([key, col], sort=False).size().reset_index(name="cnt"))
-        g["cnt"] = g["cnt"].astype(np.int64)
-        return g
+    from .groupagg import grouped_count
 
-    from .groupagg import grouped_sum
-
-    hist = grouped_sum(ds.map_batches(partial, batch_format="pandas"),
-                       [key, col], ["cnt"])
+    hist = grouped_count(ds, [key, col])
 
     def select(g: pd.DataFrame) -> pd.DataFrame:
         order = np.lexsort((g[col].to_numpy(), -g["cnt"].to_numpy()))
@@ -815,34 +777,25 @@ def source_quality_profile(docs: "ray.data.Dataset") -> "ray.data.Dataset":
     ingest-audit row a pipeline checks before accepting a new source
     drop (schema drift, truncation, language contamination all surface
     here).  Pure composition of the decomposable-aggregate machinery:
-    one sum/min/max partial-agg pass + one exact distinct-count pass,
+    one sum/min/max ``grouped_agg`` + one exact distinct-count pass,
     merged on the source-count-sized driver frame."""
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def project(batch: pd.DataFrame) -> pd.DataFrame:
         txt = batch["text"].fillna("")
-        g = pd.DataFrame({
+        return pd.DataFrame({
             "source": batch["source"],
             "n_docs": np.int64(1),
             "n_empty": (txt.str.strip() == "").to_numpy().astype(np.int64),
             "min_chars": batch["n_chars"].to_numpy(dtype=np.int64),
             "max_chars": batch["n_chars"].to_numpy(dtype=np.int64),
         })
-        return g.groupby("source", sort=False, as_index=False).agg(
-            n_docs=("n_docs", "sum"), n_empty=("n_empty", "sum"),
-            min_chars=("min_chars", "min"), max_chars=("max_chars", "max"))
 
-    from .groupagg import sorted_block_aggregate
+    from .groupagg import grouped_agg
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df
-        return df.groupby("source", sort=True, as_index=False).agg(
-            n_docs=("n_docs", "sum"), n_empty=("n_empty", "sum"),
-            min_chars=("min_chars", "min"), max_chars=("max_chars", "max"))
-
-    base = sorted_block_aggregate(
-        docs.map_batches(partial, batch_format="pandas"),
-        ["source"], merge, merge).to_pandas()
+    base = grouped_agg(
+        docs.map_batches(project, batch_format="pandas"), ["source"],
+        {"n_docs": "sum", "n_empty": "sum", "min_chars": "min",
+         "max_chars": "max"}).to_pandas()
     langs = (grouped_distinct_count(docs, "source", "lang")
              .to_pandas().rename(columns={"ndv": "n_langs"}))
     out = (base.merge(langs, on="source").sort_values("source")
@@ -861,16 +814,9 @@ def discrete_quantiles(ds: "ray.data.Dataset", col: str,
     or None when the column holds no non-null values.  The single home
     of the rank rule, shared by ``winsorize`` and
     ``relational.filter_by_percentile``."""
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = (batch[[col]].dropna().groupby(col, sort=False).size()
-             .reset_index(name="cnt"))
-        g["cnt"] = g["cnt"].astype(np.int64)
-        return g
+    from .groupagg import grouped_count
 
-    from .groupagg import grouped_sum
-
-    hist = grouped_sum(ds.map_batches(partial, batch_format="pandas"),
-                       [col], ["cnt"]).to_pandas()
+    hist = grouped_count(ds, [col]).to_pandas()
     if col not in hist.columns or not len(hist):
         return None
     hist = hist.sort_values(col, kind="mergesort")
@@ -960,44 +906,13 @@ def dense_rank(ds: "ray.data.Dataset", col: str, by: str,
     group (no gaps at ties).
 
     Scale shape: the shuffle carries one row per distinct (group, value)
-    pair (the documented distinct-value-bounded assumption shared with
-    grouped_quantiles/percent_rank); ranks come from one sorted cumcount
-    over those pairs, broadcast via ray.put; the rank attach is a
-    streaming vectorized merge.  NULL values rank LAST as one shared
-    dense rank (DuckDB's default NULLS LAST), keeping ``out_col``
-    int64."""
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = (batch.dropna(subset=[col]).groupby([by, col], sort=False)
-             .size().reset_index(name="cnt"))
-        g["cnt"] = g["cnt"].astype(np.int64)
-        return g
-
-    from .groupagg import grouped_sum
-
-    pairs = (grouped_sum(ds.map_batches(partial, batch_format="pandas"),
-                         [by, col], ["cnt"]).to_pandas()
-             .sort_values([by, col], kind="mergesort"))
-    pairs[out_col] = pairs.groupby(by, sort=False).cumcount().astype(np.int64) + 1
-    # NULL order values share the next dense rank after the group's last
-    # non-null value (DuckDB NULLS LAST); an all-null group ranks 1
-    null_rank = (pairs.groupby(by, sort=False)[out_col].max() + 1)
-    import ray as _ray
-
-    pref = _ray.put((pairs[[by, col, out_col]], null_rank))
-
-    def attach(b: pd.DataFrame) -> pd.DataFrame:
-        p, nr = _ray.get(pref)
-        out = b.merge(p, on=[by, col], how="left")
-        na = out[col].isna().to_numpy()
-        if na.any():
-            fill = nr.reindex(out[by][na]).fillna(1).to_numpy()
-            r = out[out_col].to_numpy(dtype=np.float64)
-            r[na] = fill
-            out[out_col] = r
-        out[out_col] = out[out_col].astype(np.int64)
-        return out
-
-    return ds.map_batches(attach, batch_format="pandas")
+    pair (``grouped_count``; the documented distinct-value-bounded
+    assumption shared with grouped_quantiles/percent_rank); ranks come
+    from one sorted cumcount over those pairs, broadcast via ray.put;
+    the rank attach is a streaming vectorized merge.  NULL values rank
+    LAST as one shared dense rank (DuckDB's default NULLS LAST), keeping
+    ``out_col`` int64."""
+    return _group_rank(ds, col, by, out_col, dense=True)
 
 
 def rank_with_gaps(ds: "ray.data.Dataset", col: str, by: str,
@@ -1012,26 +927,28 @@ def rank_with_gaps(ds: "ray.data.Dataset", col: str, by: str,
     ray.put; the attach is a vectorized merge.  NULLs rank after every
     non-null row (DuckDB NULLS LAST): rank = #non-null rows + 1, shared
     by all null rows; an all-null group ranks 1."""
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = (batch.dropna(subset=[col]).groupby([by, col], sort=False)
-             .size().reset_index(name="cnt"))
-        g["cnt"] = g["cnt"].astype(np.int64)
-        return g
+    return _group_rank(ds, col, by, out_col, dense=False)
 
-    from .groupagg import grouped_sum
 
-    pairs = (grouped_sum(ds.map_batches(partial, batch_format="pandas"),
-                         [by, col], ["cnt"]).to_pandas()
+def _group_rank(ds: "ray.data.Dataset", col: str, by: str, out_col: str,
+                dense: bool) -> "ray.data.Dataset":
+    """Shared body of :func:`dense_rank` (``dense``) and
+    :func:`rank_with_gaps`: rank the (by, col) value counts per group,
+    then attach the ranks to every row by a broadcast merge."""
+    from .groupagg import grouped_count
+
+    pairs = (grouped_count(ds, [by, col]).to_pandas()
              .sort_values([by, col], kind="mergesort"))
-    csum = pairs.groupby(by, sort=False)["cnt"].cumsum().to_numpy()
-    pairs[out_col] = csum - pairs["cnt"].to_numpy() + 1
-    null_rank = pairs.groupby(by, sort=False)["cnt"].sum() + 1
-    import ray as _ray
-
-    pref = _ray.put((pairs[[by, col, out_col]], null_rank))
+    if dense:  # each distinct value advances the rank by one, not by its rows
+        pairs["cnt"] = np.int64(1)
+    steps = pairs.groupby(by, sort=False)["cnt"]
+    pairs[out_col] = steps.cumsum() - pairs["cnt"] + 1
+    # NULL order values share the rank after every non-null value of
+    # their group (DuckDB NULLS LAST); an all-null group ranks 1
+    ref = ray.put((pairs[[by, col, out_col]], steps.sum() + 1))
 
     def attach(b: pd.DataFrame) -> pd.DataFrame:
-        p, nr = _ray.get(pref)
+        p, nr = ray.get(ref)
         out = b.merge(p, on=[by, col], how="left")
         na = out[col].isna().to_numpy()
         if na.any():
@@ -1059,9 +976,8 @@ def zscore(ds: "ray.data.Dataset", col: str, by: str,
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         b = batch.dropna(subset=[col])
         x = np.round(b[col].to_numpy(dtype=np.float64) * 100.0).astype(np.int64)
-        g = pd.DataFrame({by: b[by].to_numpy(), "n": np.int64(1),
-                          "sx": x, "sxx": x * x})
-        return g.groupby(by, sort=False, as_index=False).sum()
+        return pd.DataFrame({by: b[by].to_numpy(), "n": np.int64(1),
+                             "sx": x, "sxx": x * x})
 
     from .groupagg import grouped_sum
 
@@ -1166,16 +1082,9 @@ def grouped_quantile_cont(ds: "ray.data.Dataset", key: str, col: str,
     qs = [float(q) for q in qs]
     names = [f"p{int(round(q * 100))}_c" for q in qs]
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = (batch[[key, col]].dropna(subset=[col])
-             .groupby([key, col], sort=False).size().reset_index(name="cnt"))
-        g["cnt"] = g["cnt"].astype(np.int64)
-        return g
+    from .groupagg import grouped_count
 
-    from .groupagg import grouped_sum
-
-    hist = grouped_sum(ds.map_batches(partial, batch_format="pandas"),
-                       [key, col], ["cnt"])
+    hist = grouped_count(ds, [key, col])
 
     def select(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(col, kind="mergesort")
@@ -1198,7 +1107,7 @@ def grouped_quantile_cont(ds: "ray.data.Dataset", key: str, col: str,
 def grouped_regression(ds: "ray.data.Dataset", key: str, x_col: str,
                        y_col: str) -> "ray.data.Dataset":
     """Per-group simple OLS fit of ``y`` on ``x`` from the five
-    decomposable sums (n, Σx, Σy, Σxy, Σx²) — one partial-agg pass, no
+    decomposable sums (n, Σx, Σy, Σxy, Σx²) — one ``grouped_sum``, no
     second scan, shuffle carries five int64/float64 counters per group
     per block.  Callers pass PRE-SCALED integer-domain columns (e.g.
     cents, hours-since-epoch) when they need the SQL twin hash-exact:
@@ -1211,11 +1120,10 @@ def grouped_regression(ds: "ray.data.Dataset", key: str, x_col: str,
         b = b[[key, x_col, y_col]].dropna(subset=[x_col, y_col])
         x = b[x_col].to_numpy()
         y = b[y_col].to_numpy()
-        p = pd.DataFrame({key: b[key].to_numpy(),
-                          "n": np.int64(1),
-                          "sum_x": x, "sum_y": y,
-                          "sum_xy": x * y, "sum_xx": x * x})
-        return p.groupby(key, sort=False, as_index=False).sum()
+        return pd.DataFrame({key: b[key].to_numpy(),
+                             "n": np.int64(1),
+                             "sum_x": x, "sum_y": y,
+                             "sum_xy": x * y, "sum_xx": x * x})
 
     from .groupagg import grouped_sum
 
@@ -1250,41 +1158,7 @@ def cume_dist(ds: "ray.data.Dataset", col: str,
     counts broadcast via ``ray.put``, streaming searchsorted pass 2.
     ``cd`` is one ``int/int`` float division from exact counts, so the
     SQL twin hash-matches bitwise.  NULLs are dropped."""
-    id_cols = list(id_cols)
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = (batch.dropna(subset=[col]).groupby(col, sort=False).size()
-             .reset_index(name="cnt"))
-        g["cnt"] = g["cnt"].astype(np.int64)
-        return g
-
-    from .groupagg import grouped_sum
-
-    hist = grouped_sum(ds.map_batches(partial, batch_format="pandas"),
-                       [col], ["cnt"]).to_pandas()
-    if col not in hist.columns or not len(hist):
-        # zero non-null values: no rows survive (window NULL exclusion)
-        return ray.data.from_pandas(
-            pd.DataFrame(columns=[*(id_cols or ()), col, "cd"]))
-    hist = hist.sort_values(col)
-    vals = hist[col].to_numpy()
-    cum = hist["cnt"].to_numpy(dtype=np.int64).cumsum()
-    n = int(cum[-1])
-    cd = cum / n
-    import ray as _ray
-
-    ref = _ray.put((vals, cd))
-
-    def f(batch: pd.DataFrame) -> pd.DataFrame:
-        v, p = _ray.get(ref)
-        batch = batch.dropna(subset=[col])
-        out = pd.DataFrame({c: batch[c] for c in (id_cols or batch.columns)})
-        if id_cols and col not in out.columns:
-            out[col] = batch[col]
-        out["cd"] = p[np.searchsorted(v, batch[col].to_numpy())]
-        return out
-
-    return ds.map_batches(f, batch_format="pandas")
+    return _score_values(ds, col, id_cols, "cd", lambda below, cum, n: cum / n)
 
 
 def impute_median(ds: "ray.data.Dataset", key: str, col: str,

@@ -127,29 +127,25 @@ def stats_by_source(docs: "ray.data.Dataset") -> "ray.data.Dataset":
 def top_terms(docs: "ray.data.Dataset", k: int = 50) -> pd.DataFrame:
     """Corpus-wide top-k term frequencies.
 
-    Partial-agg pattern: per-batch word counts (one np.unique per batch),
-    ``groupby(word).aggregate(Sum)`` — the shuffle carries (word, count)
-    partials, never text — then distributed per-block top-k with only
-    k rows per block reaching the driver merge. Tie-break (n desc, word
-    asc) matches the SQL oracle exactly.
+    Partial-agg pattern: ``grouped_count`` over the per-batch word stream
+    — the shuffle carries (word, count) partials, never text — then
+    distributed per-block top-k with only k rows per block reaching the
+    driver merge. Tie-break (n desc, word asc) matches the SQL oracle
+    exactly.
 
     SQL twin: regexp_extract_all(lower(text), '[a-z0-9]+') -> unnest ->
     GROUP BY -> ORDER BY n DESC, word LIMIT k.
     """
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        words = batch["text"].fillna("").str.lower().str.findall(r"[a-z0-9]+")
-        lens = words.str.len().astype(np.int64).to_numpy()
-        flat = flatten_words(words, lens)
-        if not len(flat):
-            return pd.DataFrame({"word": pd.Series([], dtype=object),
-                                 "n": pd.Series([], dtype=np.int64)})
-        uniq, counts = np.unique(flat, return_counts=True)
-        return pd.DataFrame({"word": uniq, "n": counts.astype(np.int64)})
+    def words(batch: pd.DataFrame) -> pd.DataFrame:
+        w = batch["text"].fillna("").str.lower().str.findall(r"[a-z0-9]+")
+        return pd.DataFrame({"word": flatten_words(
+            w, w.str.len().astype(np.int64).to_numpy())})
 
-    from .groupagg import grouped_sum
+    from .groupagg import grouped_count
 
-    agg = grouped_sum(docs.map_batches(partial, batch_format="pandas"), ["word"], ["n"])
+    agg = grouped_count(docs.map_batches(words, batch_format="pandas"),
+                        ["word"], name="n")
 
     def local_topk(batch: pd.DataFrame) -> pd.DataFrame:
         if "word" not in batch.columns or not len(batch):
@@ -170,7 +166,7 @@ def doc_top_terms(docs: "ray.data.Dataset", k: int = 3) -> "ray.data.Dataset":
     integer-only keys, so the DuckDB twin hashes bit-exact (no float log).
 
     Scale shape: tf is doc-local (computed inside the batch, no shuffle);
-    df is one vocabulary-sized Count aggregate over distinct (doc, word)
+    df is one vocabulary-sized ``grouped_count`` over distinct (doc, word)
     pairs, broadcast once via ray.put; ranking is vectorized per batch.
     """
 
@@ -179,16 +175,12 @@ def doc_top_terms(docs: "ray.data.Dataset", k: int = 3) -> "ray.data.Dataset":
         lens = words.str.len().astype(np.int64).to_numpy()
         flat = flatten_words(words, lens)
         doc_of = np.repeat(np.arange(len(batch), dtype=np.int64), lens)
-        key = pd.DataFrame({"d": doc_of, "w": flat}).drop_duplicates()
-        return pd.DataFrame({"word": key["w"].to_numpy(),
-                             "one": np.ones(len(key), dtype=np.int64)})
+        return pd.DataFrame({"d": doc_of, "word": flat}).drop_duplicates()
 
-    from .groupagg import grouped_sum
+    from .groupagg import grouped_count
 
-    df_ds = (grouped_sum(docs.map_batches(distinct_pairs, batch_format="pandas"),
-                         ["word"], ["one"])
-             .map_batches(lambda b: b.rename(columns={"one": "df"}),
-                          batch_format="pandas"))
+    df_ds = grouped_count(docs.map_batches(distinct_pairs, batch_format="pandas"),
+                          ["word"], name="df")
     # the df table is vocabulary-sized (not corpus-sized); at true web scale
     # swap this broadcast for a hash join on word
     df_pdf = df_ds.to_pandas()
@@ -224,7 +216,7 @@ def top_terms_per_source(docs: "ray.data.Dataset",
     provenance bucket).  SQL twin: one ``row_number() OVER (PARTITION BY
     source ORDER BY n DESC, word)`` window.
 
-    Scale shape: per-batch (source, word, n) partials -> ``grouped_sum``
+    Scale shape: per-batch (source, word) rows -> ``grouped_count``
     on (source, word) (the shuffle carries counts, never text) ->
     per-block per-source top-k (the global top-k of a group is contained
     in the union of its per-block top-ks — counts are final after the
@@ -235,20 +227,14 @@ def top_terms_per_source(docs: "ray.data.Dataset",
         words = batch["text"].fillna("").str.lower().str.findall(r"[a-z0-9]+")
         lens = words.str.len().astype(np.int64).to_numpy()
         flat = flatten_words(words, lens)
-        if not len(flat):
-            return pd.DataFrame({"source": pd.Series([], dtype=object),
-                                 "word": pd.Series([], dtype=object),
-                                 "n": pd.Series([], dtype=np.int64)})
         src = batch["source"].to_numpy()[np.repeat(
             np.arange(len(batch), dtype=np.int64), lens)]
-        g = (pd.DataFrame({"source": src, "word": flat, "n": np.int64(1)})
-             .groupby(["source", "word"], sort=False, as_index=False).sum())
-        return g
+        return pd.DataFrame({"source": src, "word": flat})
 
-    from .groupagg import grouped_sum
+    from .groupagg import grouped_count
 
-    agg = grouped_sum(docs.map_batches(partial, batch_format="pandas"),
-                      ["source", "word"], ["n"])
+    agg = grouped_count(docs.map_batches(partial, batch_format="pandas"),
+                        ["source", "word"], name="n")
 
     def local_topk(b: pd.DataFrame) -> pd.DataFrame:
         if not len(b):
@@ -343,7 +329,7 @@ def top_ngrams(docs: "ray.data.Dataset", n: int = 2, k: int = 30) -> pd.DataFram
     Same scale shape as :func:`top_terms`: n-grams are built per batch
     from the flattened word stream with shifted-view concatenation (no
     per-row Python), partial (gram, count) rows shuffle through
-    ``grouped_sum`` (vocabulary-bounded, never text), and only k rows
+    ``grouped_count`` (vocabulary-bounded, never text), and only k rows
     per block reach the driver merge.  Tie-break (n desc, gram asc)
     matches the SQL twin exactly."""
     if n < 1:
@@ -353,26 +339,21 @@ def top_ngrams(docs: "ray.data.Dataset", n: int = 2, k: int = 30) -> pd.DataFram
         words = batch["text"].fillna("").str.lower().str.findall(r"[a-z0-9]+")
         lens = words.str.len().astype(np.int64).to_numpy()
         flat = flatten_words(words, lens)
-        empty = pd.DataFrame({"gram": pd.Series([], dtype=object),
-                              "n": pd.Series([], dtype=np.int64)})
         if len(flat) < n:
-            return empty
+            return pd.DataFrame({"gram": pd.Series([], dtype=object)})
         doc_of = np.repeat(np.arange(len(batch), dtype=np.int64), lens)
         # valid starts: the whole n-gram stays inside one document
         m = doc_of[:len(flat) - n + 1] == doc_of[n - 1:]
-        if not m.any():
-            return empty
         grams = flat[:len(flat) - n + 1].copy()
         for i in range(1, n):
             grams = grams + " "
             grams = grams + flat[i:len(flat) - n + 1 + i]
-        uniq, counts = np.unique(grams[m], return_counts=True)
-        return pd.DataFrame({"gram": uniq, "n": counts.astype(np.int64)})
+        return pd.DataFrame({"gram": grams[m]})
 
-    from .groupagg import grouped_sum
+    from .groupagg import grouped_count
 
-    agg = grouped_sum(docs.map_batches(partial, batch_format="pandas"),
-                      ["gram"], ["n"])
+    agg = grouped_count(docs.map_batches(partial, batch_format="pandas"),
+                        ["gram"], name="n")
 
     def local_topk(batch: pd.DataFrame) -> pd.DataFrame:
         if "gram" not in batch.columns or not len(batch):

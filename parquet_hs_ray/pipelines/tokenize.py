@@ -24,6 +24,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .blocktasks import shuffle_partitions
+
 _TOKEN_RE = r"[a-z0-9]+"
 
 
@@ -112,21 +114,18 @@ def token_frequencies(tok: "ray.data.Dataset") -> "ray.data.Dataset":
     vocabulary-usage / OOV-rate profile an encode job wants before
     choosing dictionary codecs.
 
-    Scale shape (100 TB): per-block partials are ONE ``np.unique`` pass
-    over the block's flattened token values (zero-copy from the Arrow
-    list buffer, no per-row Python); the shuffle carries (token_id, n)
-    partials bounded by the vocabulary size per block, never token
-    streams. Merge is ``grouped_sum``."""
-    from .groupagg import grouped_sum
+    Scale shape (100 TB): each block's flattened token values (zero-copy
+    from the Arrow list buffer, no per-row Python) are counted once by
+    ``grouped_count``; the shuffle carries (token_id, n) partials bounded
+    by the vocabulary size per block, never token streams."""
+    from .groupagg import grouped_count
 
-    def partial(t: pa.Table) -> pd.DataFrame:
+    def token_ids(t: pa.Table) -> pd.DataFrame:
         vals = t["tokens"].combine_chunks().flatten().to_numpy(zero_copy_only=False)
-        ids, cnt = np.unique(vals, return_counts=True)
-        return pd.DataFrame({"token_id": ids.astype(np.int64),
-                             "n": cnt.astype(np.int64)})
+        return pd.DataFrame({"token_id": vals.astype(np.int64)})
 
-    return grouped_sum(tok.map_batches(partial, batch_format="pyarrow"),
-                       ["token_id"], ["n"])
+    return grouped_count(tok.map_batches(token_ids, batch_format="pyarrow"),
+                         ["token_id"], name="n")
 
 
 def vocab_coverage(docs: "ray.data.Dataset",
@@ -493,7 +492,7 @@ def bigram_surprisal_tokens(tok: "ray.data.Dataset",
     from .groupagg import grouped_sum
 
     if num_partitions is None:
-        num_partitions = max(2, min(16, int(ray.available_resources().get("CPU", 4))))
+        num_partitions = shuffle_partitions()
 
     def bigram_partial(t: pa.Table) -> pd.DataFrame:
         col = t["tokens"].combine_chunks() if isinstance(
@@ -539,9 +538,11 @@ def bigram_surprisal_tokens(tok: "ray.data.Dataset",
         sv = _bit_lengths(q.astype(np.uint64)).astype(np.int64) - 1
         return pa.table({"a": t["a"], "b": t["b"], "sv": pa.array(sv)})
 
+    # materialized: a second hash join chained onto the first in the same
+    # execution never finishes (the raylet keeps starting workers)
     svt = _enforce_schema(svt.map_batches(sv_of, batch_format="pyarrow"),
                           pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                                     ("sv", pa.int64())]))
+                                     ("sv", pa.int64())])).materialize()
 
     j = occ.join(svt, join_type="inner", num_partitions=num_partitions,
                  on=("a", "b"))

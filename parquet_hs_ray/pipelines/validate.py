@@ -133,7 +133,7 @@ def validate(ds: "ray.data.Dataset", rules: Sequence[tuple]) -> "ray.data.Datase
         summed[["n_checked", "n_violations"]].fillna(0).astype(np.int64))
 
     if uniq_rules:
-        from .groupagg import grouped_agg
+        from .groupagg import grouped_agg, grouped_count
 
         def distinct_vals(batch: pd.DataFrame) -> pd.DataFrame:
             frames = []
@@ -149,17 +149,7 @@ def validate(ds: "ray.data.Dataset", rules: Sequence[tuple]) -> "ray.data.Datase
         distinct = grouped_agg(ds.map_batches(distinct_vals, batch_format="pandas"),
                                ["rule", "value"], {"one": "min"})
 
-        def ndv_per_rule(batch: pd.DataFrame) -> pd.DataFrame:
-            if "rule" not in batch.columns:  # empty block lost its schema
-                return pd.DataFrame({"rule": pd.Series([], dtype=object),
-                                     "ndv": pd.Series([], dtype=np.int64)})
-            g = batch.groupby("rule", sort=False).size().reset_index(name="ndv")
-            g["ndv"] = g["ndv"].astype(np.int64)
-            return g
-
-        ndv = grouped_sum(distinct.map_batches(ndv_per_rule,
-                                               batch_format="pandas"),
-                          ["rule"], ["ndv"]).to_pandas()
+        ndv = grouped_count(distinct, ["rule"], name="ndv").to_pandas()
         if "rule" not in ndv.columns:
             # all-empty distinct reduction (empty input / all-null unique
             # column): Ray's to_pandas drops the schema at 0 rows

@@ -453,7 +453,7 @@ def retention_cohorts(events: "ray.data.Dataset", key: str = "user_id",
     size-aware join back (broadcast while the cohort table fits, hash
     shuffle at scale) -> one grouped count of already-distinct rows.
     SQL twin: DISTINCT + min + join + GROUP BY."""
-    from .groupagg import grouped_agg, grouped_sum
+    from .groupagg import grouped_agg, grouped_count
     from .relational import broadcast_join, hash_join
 
     def pairs(t):
@@ -486,22 +486,16 @@ def retention_cohorts(events: "ray.data.Dataset", key: str = "user_id",
         joined = hash_join(uw, cohorts, key, key)
 
     def cell(t):
-        # input rows are globally distinct (user, week): a count is a sum
+        # input rows are globally distinct (user, week): a row count
+        # is a distinct-user count
         import pyarrow as pa
         import pyarrow.compute as pc
 
-        g = pa.table({
-            "cohort_week": t["cohort_week"],
-            "age": pc.subtract(t["week"], t["cohort_week"]),
-            "n_users": pa.array(np.ones(t.num_rows, np.int64))})
-        out = g.group_by(["cohort_week", "age"]).aggregate(
-            [("n_users", "sum")])
-        return pa.table({"cohort_week": out["cohort_week"],
-                         "age": out["age"],
-                         "n_users": out["n_users_sum"]})
+        return pa.table({"cohort_week": t["cohort_week"],
+                         "age": pc.subtract(t["week"], t["cohort_week"])})
 
-    return grouped_sum(joined.map_batches(cell, batch_format="pyarrow"),
-                       ["cohort_week", "age"], ["n_users"])
+    return grouped_count(joined.map_batches(cell, batch_format="pyarrow"),
+                         ["cohort_week", "age"], name="n_users")
 
 
 def calendar_rollup(events: "ray.data.Dataset", unit: str = "month",
@@ -534,14 +528,9 @@ def calendar_rollup(events: "ray.data.Dataset", unit: str = "month",
         cents = pc.cast(pc.round(
             pc.multiply(pc.cast(t[val_col], pa.float64()), 100.0),
             ndigits=0, round_mode="half_to_even"), pa.int64())
-        g = pa.table({"bucket": bucket, key: t[key],
-                      "n": pa.array(np.ones(t.num_rows, np.int64)),
-                      "value_cents": cents})
-        out = g.group_by(["bucket", key]).aggregate(
-            [("n", "sum"), ("value_cents", "sum")])
-        return pa.table({"bucket": out["bucket"], key: out[key],
-                         "n": out["n_sum"],
-                         "value_cents": out["value_cents_sum"]})
+        return pa.table({"bucket": bucket, key: t[key],
+                         "n": pa.array(np.ones(t.num_rows, np.int64)),
+                         "value_cents": cents})
 
     from .groupagg import grouped_sum
 
@@ -596,12 +585,8 @@ def event_transitions(events: "ray.data.Dataset", key: str = "user_id",
         if carry is not None and k[0] == carry[0]:
             prev_t[0] = carry[1]
             same[0] = True
-        g = (pd.DataFrame({"prev_type": prev_t[same], "next_type": tp[same],
-                           "n": np.int64(1)})
-             .groupby(["prev_type", "next_type"], sort=False, as_index=False)
-             .sum())
-        g["n"] = g["n"].astype(np.int64)
-        return g
+        return pd.DataFrame({"prev_type": prev_t[same], "next_type": tp[same],
+                             "n": np.int64(1)})
 
     from .groupagg import grouped_sum
 
@@ -782,7 +767,7 @@ def growth_accounting(events: "ray.data.Dataset", key: str = "user_id",
     3's input is bounded by the CALENDAR (one row per day), not by the
     data, so a driver-side vectorized cumsum is the correct scale shape
     even at 10^12 events."""
-    from .groupagg import grouped_agg, grouped_sum
+    from .groupagg import grouped_agg, grouped_count
 
     def first_seen(t):
         import pyarrow as pa
@@ -797,19 +782,7 @@ def growth_accounting(events: "ray.data.Dataset", key: str = "user_id",
         events.map_batches(first_seen, batch_format="pyarrow"),
         [key], {"bucket": "min"})
 
-    def day_count(t):
-        import pyarrow as pa
-
-        g = pa.table({"bucket": t["bucket"],
-                      "new_users": pa.array(
-                          np.ones(t.num_rows, np.int64))})
-        out = g.group_by(["bucket"]).aggregate([("new_users", "sum")])
-        return pa.table({"bucket": out["bucket"],
-                         "new_users": out["new_users_sum"]})
-
-    daily = grouped_sum(firsts.map_batches(day_count,
-                                           batch_format="pyarrow"),
-                        ["bucket"], ["new_users"]).to_pandas()
+    daily = grouped_count(firsts, ["bucket"], name="new_users").to_pandas()
     daily = daily.sort_values("bucket").reset_index(drop=True)
     daily["cum_users"] = daily["new_users"].cumsum().astype(np.int64)
     return ray.data.from_pandas(daily)
@@ -983,11 +956,9 @@ def rolling_time_sum(events: "ray.data.Dataset", interval_us: int,
         cents = pc.cast(pc.round(pc.multiply(
             pc.cast(tt[val_col], pa.float64()), 100.0),
             ndigits=0, round_mode="half_to_even"), pa.int64())
-        df = pd.DataFrame({key: tt[key].to_numpy(zero_copy_only=False),
-                           "_us": us.to_numpy(zero_copy_only=False),
-                           "_c": cents.to_numpy(zero_copy_only=False)})
-        return (df.groupby([key, "_us"], sort=False, as_index=False)
-                ["_c"].sum())
+        return pd.DataFrame({key: tt[key].to_numpy(zero_copy_only=False),
+                             "_us": us.to_numpy(zero_copy_only=False),
+                             "_c": cents.to_numpy(zero_copy_only=False)})
 
     from .groupagg import grouped_sum
 

@@ -118,3 +118,14 @@ def test_drop_empty_blocks(ray_session):
     assert ds.num_blocks() == 2 and ds.to_pandas()["x"].tolist() == [1, 2, 3, 100]
     empty = ray.data.from_arrow_refs([refs[1]])
     assert blocktasks.drop_empty_blocks(empty) is None
+
+
+def test_cluster_defaults_follow_cpu_slots(ray_session, monkeypatch):
+    """The hash-join width and the pair runner's in-flight cap come from
+    the session's CPU slots (2..16 partitions; 4x slots, at least 8)."""
+    pairs = [(r, r) for r in _blocks() * 3]  # 12 pairs
+    for slots, width, peak in ((1, 2, 8), (4, 4, 12), (64, 16, 12)):
+        monkeypatch.setattr(blocktasks, "cpu_slots", lambda: slots)
+        assert blocktasks.shuffle_partitions() == width
+        out, p = blocktasks.run_pairs(lambda a, b: a.num_rows, pairs)
+        assert sorted(out) == sorted([3, 0, 2, 1] * 3) and p == peak

@@ -10,7 +10,7 @@ import pandas as pd
 import pytest
 import ray.data
 
-from parquet_hs_ray.pipelines.groupagg import grouped_agg, grouped_sum
+from parquet_hs_ray.pipelines.groupagg import grouped_agg, grouped_count, grouped_sum
 
 
 def _frame(n=5000, n_keys=700, seed=7):
@@ -73,6 +73,54 @@ def test_grouped_sum_multikey_string(ray_session):
            .to_pandas().sort_values(["a", "b"]).reset_index(drop=True))
     exp = (df.groupby(["a", "b"], as_index=False)["v"].sum()
            .sort_values(["a", "b"]).reset_index(drop=True))
+    pd.testing.assert_frame_equal(out, exp)
+
+
+
+@pytest.mark.parametrize("small_merge_rows", [500_000, 0])
+def test_grouped_count_matches_pandas_size(ray_session, small_merge_rows):
+    rng = np.random.default_rng(13)
+    n = 3000
+    df = pd.DataFrame({
+        "s": pd.Series(rng.choice(["x", "y", "zz", None], n), dtype=object),
+        "k": rng.integers(0, 40, n).astype(np.float64),
+        "v": rng.normal(size=n),
+    })
+    df.loc[rng.integers(0, n, 200), "k"] = np.nan
+    df.loc[: n // 3, "k"] = 7.0  # hot key: straddles blocks on the sort path
+    ds = ray.data.from_pandas([df.iloc[i::8].reset_index(drop=True) for i in range(8)])
+    out = (grouped_count(ds, ["s", "k"], small_merge_rows=small_merge_rows)
+           .to_pandas().sort_values(["s", "k"]).reset_index(drop=True))
+    exp = (df.groupby(["s", "k"]).size().reset_index(name="cnt")
+           .sort_values(["s", "k"]).reset_index(drop=True))
+    assert out["cnt"].dtype == np.int64
+    assert out["s"].notna().all() and out["k"].notna().all()
+    assert int(out["cnt"].sum()) == len(df.dropna(subset=["s", "k"]))
+    pd.testing.assert_frame_equal(out, exp)
+
+    empty = ray.data.from_pandas(df.iloc[:0])
+    assert len(grouped_count(empty, ["s", "k"],
+                             small_merge_rows=small_merge_rows).to_pandas()) == 0
+
+
+def test_grouped_sum_pre_combines_each_block(ray_session, monkeypatch):
+    """16 blocks of 200 raw rows over 10 keys pre-combine to at most 160
+    partial rows, under a merge bound of 1000 < 3200 raw rows: the merge
+    stays on the driver and Ray's sort never runs."""
+    rng = np.random.default_rng(21)
+    blocks = [pd.DataFrame({"k": rng.integers(0, 10, 200),
+                            "v": rng.integers(0, 100, 200).astype(np.int64)})
+              for _ in range(16)]
+    ds = ray.data.from_pandas(blocks).materialize()
+
+    def no_sort(*a, **k):
+        raise AssertionError("grouped_sum shuffled raw rows through sort")
+
+    monkeypatch.setattr(ray.data.Dataset, "sort", no_sort)
+    out = (grouped_sum(ds, ["k"], ["v"], small_merge_rows=1000)
+           .to_pandas().sort_values("k").reset_index(drop=True))
+    exp = (pd.concat(blocks).groupby("k", as_index=False)["v"].sum()
+           .sort_values("k").reset_index(drop=True))
     pd.testing.assert_frame_equal(out, exp)
 
 
