@@ -134,12 +134,17 @@ def grouped_count(
     quantile, rank and term-frequency operators: each block is counted
     once, and the counts merge as a sum."""
     keys = list(keys)
+    return _pre_combined(rows, keys, lambda df: count_rows(df, keys, name),
+                         _agg(keys, {name: "sum"}, True), small_merge_rows)
 
-    def count(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(keys, sort=True).size().reset_index(name=name)
 
-    return _pre_combined(rows, keys, count, _agg(keys, {name: "sum"}, True),
-                         small_merge_rows)
+def count_rows(df: pd.DataFrame, keys: Sequence[str],
+               name: str = "cnt") -> pd.DataFrame:
+    """:func:`grouped_count`'s per-block body over one in-memory frame:
+    int64 ``name`` rows per distinct non-null ``keys`` combination, key
+    sorted.  For a block task whose output is stored (not fused into the
+    count), so the stored partial is already one row per key."""
+    return df.groupby(list(keys), sort=True).size().reset_index(name=name)
 
 
 def grouping_sets_sum(
@@ -251,7 +256,8 @@ def _pre_combined(rows, keys, block_agg, merge, small_merge_rows):
     block BEFORE the sort, so the shuffle carries one row per (group,
     input block), not one per input row; ``merge`` then combines those
     partials (``sorted_block_aggregate``)."""
-    partials = rows.map_batches(block_agg, batch_format="pandas")
+    partials = rows.map_batches(block_agg, batch_format="pandas",
+                                batch_size=None)
     return sorted_block_aggregate(partials, keys, merge, merge,
                                   small_merge_rows=small_merge_rows)
 

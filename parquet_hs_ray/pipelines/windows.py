@@ -585,10 +585,11 @@ def event_transitions(events: "ray.data.Dataset", key: str = "user_id",
         if carry is not None and k[0] == carry[0]:
             prev_t[0] = carry[1]
             same[0] = True
-        return pd.DataFrame({"prev_type": prev_t[same], "next_type": tp[same],
-                             "n": np.int64(1)})
+        return count_rows(pd.DataFrame({"prev_type": prev_t[same],
+                                        "next_type": tp[same]}),
+                          ["prev_type", "next_type"], "n")
 
-    from .groupagg import grouped_sum
+    from .groupagg import count_rows, grouped_sum
 
     partials = ray.data.from_pandas_refs(
         carry_scan(refs, summary, lambda _, s: s, block_pairs))

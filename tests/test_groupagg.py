@@ -10,7 +10,8 @@ import pandas as pd
 import pytest
 import ray.data
 
-from parquet_hs_ray.pipelines.groupagg import grouped_agg, grouped_count, grouped_sum
+from parquet_hs_ray.pipelines.groupagg import (count_rows, grouped_agg, grouped_count,
+                                                grouped_sum)
 
 
 def _frame(n=5000, n_keys=700, seed=7):
@@ -76,7 +77,6 @@ def test_grouped_sum_multikey_string(ray_session):
     pd.testing.assert_frame_equal(out, exp)
 
 
-
 @pytest.mark.parametrize("small_merge_rows", [500_000, 0])
 def test_grouped_count_matches_pandas_size(ray_session, small_merge_rows):
     rng = np.random.default_rng(13)
@@ -97,6 +97,7 @@ def test_grouped_count_matches_pandas_size(ray_session, small_merge_rows):
     assert out["s"].notna().all() and out["k"].notna().all()
     assert int(out["cnt"].sum()) == len(df.dropna(subset=["s", "k"]))
     pd.testing.assert_frame_equal(out, exp)
+    pd.testing.assert_frame_equal(count_rows(df, ["s", "k"]), exp)
 
     empty = ray.data.from_pandas(df.iloc[:0])
     assert len(grouped_count(empty, ["s", "k"],
@@ -121,6 +122,32 @@ def test_grouped_sum_pre_combines_each_block(ray_session, monkeypatch):
            .to_pandas().sort_values("k").reset_index(drop=True))
     exp = (pd.concat(blocks).groupby("k", as_index=False)["v"].sum()
            .sort_values("k").reset_index(drop=True))
+    pd.testing.assert_frame_equal(out, exp)
+
+
+def test_grouped_count_pre_combines_exploded_blocks(ray_session, monkeypatch):
+    """A projection that explodes each of 16 blocks of 50 documents into
+    5000 word rows over 10 distinct words pre-combines to at most
+    16 x 10 partial rows: a merge bound of 160 (< 80,000 exploded rows)
+    keeps the merge on the driver, so each block is counted once, not
+    once per batch of the exploded stream."""
+    rng = np.random.default_rng(23)
+    blocks = [pd.DataFrame({"doc": np.arange(50) + 50 * b}) for b in range(16)]
+    ds = ray.data.from_pandas(blocks).materialize()
+    words = rng.integers(0, 10, 100).astype(str)
+
+    def explode(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"word": np.tile(words, len(df))})
+
+    def no_sort(*a, **k):
+        raise AssertionError("grouped_count shuffled exploded rows through sort")
+
+    monkeypatch.setattr(ray.data.Dataset, "sort", no_sort)
+    out = (grouped_count(ds.map_batches(explode, batch_format="pandas"),
+                         ["word"], name="n", small_merge_rows=160)
+           .to_pandas().sort_values("word").reset_index(drop=True))
+    exp = (pd.DataFrame({"word": np.tile(words, 800)}).groupby("word").size()
+           .reset_index(name="n"))
     pd.testing.assert_frame_equal(out, exp)
 
 
