@@ -112,21 +112,21 @@ def encode_hybrid_columnar(values: np.ndarray, width: int) -> bytes:
     bp_spans, rle_starts, rle_ends = long_runs(values, neq)
     k = len(rle_starts)
 
-    words = np.empty(2 * k + 1, dtype="<u4")
-    words[0:-1:2] = (bp_spans << 1) | 1
-    words[1::2] = (rle_ends - rle_starts) << 1
-    last_e = int(rle_ends[-1]) if k else 0
-    words[-1] = ((n - last_e) << 1) | 1  # terminal bp span (may be 0, unaligned)
+    # segment lengths bp0, rle0, bp1, ..., bp_k; the terminal bp span
+    # may be 0 and unaligned
+    seg_lens = np.empty(2 * k + 1, dtype=np.int64)
+    seg_lens[0:-1:2] = bp_spans
+    seg_lens[1::2] = rle_ends - rle_starts
+    seg_lens[-1] = n - (int(rle_ends[-1]) if k else 0)
+    words = (seg_lens << 1).astype("<u4")
+    words[0::2] |= 1
 
     if k:
         rle_vals = np.ascontiguousarray(values[rle_starts])
         rle_bytes = rle_vals.view(np.uint8).reshape(k, values.dtype.itemsize)[:, :nb].tobytes()
-        # mask of positions covered by RLE runs (diff trick)
-        delta = np.zeros(n + 1, dtype=np.int8)
-        delta[rle_starts] = 1
-        np.subtract.at(delta, rle_ends, 1)
-        in_rle = np.cumsum(delta[:n]) > 0
-        bp_vals = values[~in_rle]
+        is_bp = np.zeros(2 * k + 1, dtype=bool)
+        is_bp[0::2] = True
+        bp_vals = values[np.repeat(is_bp, seg_lens)]
     else:
         rle_bytes = b""
         bp_vals = values

@@ -129,9 +129,17 @@ def encode_pfor(values: np.ndarray) -> bytes:
         encode_varint(len(exc_pos)),
     ]
     if len(exc_pos):
-        gaps = np.diff(exc_pos, prepend=0).astype(np.int64)
+        # encode_int writes the same bytes for the same values in any
+        # dtype, so the side streams stay narrow: gaps in uint32, highs in
+        # the column's width. 8-byte highs keep their int64 view: at base
+        # width 0 a high can pass 2**63, where uint64 would change the bytes
+        gaps = np.empty(len(exc_pos), dtype=np.uint32 if n < 1 << 32 else np.int64)
+        gaps[0] = exc_pos[0]
+        np.subtract(exc_pos[1:], exc_pos[:-1], out=gaps[1:], casting="unsafe")
+        if exc_high.dtype.itemsize == 8:
+            exc_high = exc_high.view(np.int64)
         g = encode_int(gaps)
-        h = encode_int(exc_high.astype(np.int64))
+        h = encode_int(exc_high)
         parts += [encode_varint(len(g)), g, encode_varint(len(h)), h]
     return b"".join(parts)
 

@@ -246,8 +246,18 @@ def encode_array(arr: pa.Array | pa.ChunkedArray, codec_override: int | None = N
     decode-only: blobs may hold them, the encoder writes FOR instead."""
     if codec_override in (RLE, BITPACK):
         raise ValueError(f"codec {CODEC_NAMES[codec_override]} is decode-only")
+    parts: list = []
+    stats = _frame_parts(arr, codec_override, parts)
+    return b"".join(parts), stats
+
+
+def _frame_parts(arr: pa.Array | pa.ChunkedArray, codec_override: int | None,
+                 parts: list) -> ColumnStats:
+    """Append the frame of ``arr`` to ``parts`` as its sections, child
+    frames inline, so a whole column tree is joined once."""
     if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
+        # one chunk is taken as is: combine_chunks() would copy it
+        arr = arr.chunk(0) if arr.num_chunks == 1 else arr.combine_chunks()
     n = len(arr)
     nc = arr.null_count
     t = arr.type
@@ -255,23 +265,35 @@ def encode_array(arr: pa.Array | pa.ChunkedArray, codec_override: int | None = N
         # all-null typeless column (a common inference artifact): nothing
         # but the row count on the wire (nc encoded as 0 — nullness is
         # implied by the kind, and NullArray has no validity buffer)
-        frame = bytes([_KIND_NULL]) + encode_varint(n) + encode_varint(0)
+        parts.append(bytes([_KIND_NULL]) + encode_varint(n) + encode_varint(0))
         st = ColumnStats(codec="null")
         st.n, st.null_count = n, n
-        return frame, st
+        return st
+    if pa.types.is_map(t):
+        # a map is list<struct<key,value>> on the wire; encode through the
+        # list+struct machinery, decode_array casts back by schema type
+        as_list = arr.cast(pa.list_(pa.struct([pa.field("key", t.key_type),
+                                               pa.field("value", t.item_type)])))
+        return _frame_parts(as_list, codec_override, parts)
     valid = _validity_np(arr) if nc else None
-    head = bytearray()
-    body: list[bytes] = []
+    at = len(parts)
+    parts.append(b"")  # the head, written once the kind is known
 
-    def finish(kind: int, stats: ColumnStats) -> tuple[bytes, ColumnStats]:
-        head.append(kind)
+    def finish(kind: int, stats: ColumnStats) -> ColumnStats:
+        head = bytearray([kind])
         head.extend(encode_varint(n))
         head.extend(encode_varint(nc))
         if nc:
             head.extend(np.packbits(valid, bitorder="little").tobytes())
+        parts[at] = head
         stats.n = n
         stats.null_count = nc
-        return bytes(head) + b"".join(body), stats
+        return stats
+
+    def payload_parts(codec: int, payload: bytes) -> None:
+        parts.append(bytes([codec]))
+        parts.append(encode_varint(len(payload)))
+        parts.append(payload)
 
     if pa.types.is_list(t) or pa.types.is_large_list(t):
         lens = pc.list_value_length(arr)
@@ -289,12 +311,8 @@ def encode_array(arr: pa.Array | pa.ChunkedArray, codec_override: int | None = N
         else:  # gaps under null slots: gather live child elements
             idx = _ragged_indices(offs[:-1].astype(np.int64), lens_np)
             child = child_all.take(pa.array(idx))
-        payload = encode_int(lens_np)
-        body.append(bytes([FOR]))
-        body.append(encode_varint(len(payload)))
-        body.append(payload)
-        child_frame, child_stats = encode_array(child, codec_override)
-        body.append(child_frame)
+        payload_parts(FOR, encode_int(lens_np))
+        child_stats = _frame_parts(child, codec_override, parts)
         stats = ColumnStats(codec=f"list<{child_stats.codec}>")
         stats.predicted = child_stats.predicted
         stats.card_est = child_stats.card_est
@@ -302,28 +320,17 @@ def encode_array(arr: pa.Array | pa.ChunkedArray, codec_override: int | None = N
         stats.min, stats.max = child_stats.min, child_stats.max
         return finish(_KIND_LIST, stats)
 
-    if pa.types.is_map(t):
-        # a map is list<struct<key,value>> on the wire; encode through the
-        # list+struct machinery, decode_array casts back by schema type
-        as_list = arr.cast(pa.list_(pa.struct([pa.field("key", t.key_type),
-                                               pa.field("value", t.item_type)])))
-        return encode_array(as_list, codec_override)
-
     if pa.types.is_struct(t):
         # recursive per-field frames; the reference parses the full nested
         # type universe (Types/Enums.hs:45-109) — we encode it
-        child_codecs = []
-        for i in range(t.num_fields):
-            child_frame, child_stats = encode_array(arr.field(i), codec_override)
-            body.append(child_frame)
-            child_codecs.append(child_stats.codec)
+        child_codecs = [_frame_parts(arr.field(i), codec_override, parts).codec
+                        for i in range(t.num_fields)]
         return finish(_KIND_STRUCT, ColumnStats(codec=f"struct<{','.join(child_codecs)}>"))
 
     if pa.types.is_fixed_size_list(t):
         sz = t.list_size
         child = arr.values.slice(arr.offset * sz, n * sz)
-        child_frame, child_stats = encode_array(child, codec_override)
-        body.append(child_frame)
+        child_stats = _frame_parts(child, codec_override, parts)
         stats = ColumnStats(codec=f"fsl<{child_stats.codec}>")
         stats.min, stats.max = child_stats.min, child_stats.max
         return finish(_KIND_FSL, stats)
@@ -332,10 +339,7 @@ def encode_array(arr: pa.Array | pa.ChunkedArray, codec_override: int | None = N
         vals = arr.cast(pa.uint8())
         vals_np = _fixed_values_np(vals, valid)
         codec, stats = select_int_codec(vals_np) if codec_override is None else (codec_override, ColumnStats(codec=CODEC_NAMES[codec_override]))
-        payload = _encode_int_payload(vals_np, codec)
-        body.append(bytes([codec]))
-        body.append(encode_varint(len(payload)))
-        body.append(payload)
+        payload_parts(codec, _encode_int_payload(vals_np, codec))
         return finish(_KIND_BOOL, stats)
 
     if pa.types.is_string(t) or pa.types.is_binary(t) or pa.types.is_large_string(t) or pa.types.is_large_binary(t):
@@ -374,9 +378,7 @@ def encode_array(arr: pa.Array | pa.ChunkedArray, codec_override: int | None = N
             mm = pc.min_max(arr)
             stats.min = mm["min"].as_py()
             stats.max = mm["max"].as_py()
-        body.append(bytes([codec]))
-        body.append(encode_varint(len(payload)))
-        body.append(payload)
+        payload_parts(codec, payload)
         return finish(_KIND_BINARY, stats)
 
     # fixed-width primitives
@@ -407,9 +409,7 @@ def encode_array(arr: pa.Array | pa.ChunkedArray, codec_override: int | None = N
         if vals_np.dtype.kind in "iu"
         else _encode_float_payload(vals_np, codec)
     )
-    body.append(bytes([codec]))
-    body.append(encode_varint(len(payload)))
-    body.append(payload)
+    payload_parts(codec, payload)
     return finish(_KIND_FIXED, stats)
 
 

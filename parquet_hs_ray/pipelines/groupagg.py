@@ -122,6 +122,23 @@ def grouped_sum(
                        small_merge_rows=small_merge_rows, dropna=dropna)
 
 
+def grouped_sum_of_blocks(
+    rows: "ray.data.Dataset",
+    keys: Sequence[str],
+    sum_cols: Sequence[str],
+    block_sum: Callable[["pa.Table"], "pa.Table"],
+    small_merge_rows: int = SMALL_MERGE_ROWS,
+) -> "ray.data.Dataset":
+    """:func:`grouped_sum` whose per-block pre-combine is the caller's
+    own Arrow kernel: ``block_sum`` maps each input block, once, to its
+    sums of ``sum_cols`` per ``keys`` group, and those partials merge as
+    sums (NULL keys dropped), with no second pass over the block."""
+    keys = list(keys)
+    return _pre_combined(rows, keys, block_sum,
+                         _agg(keys, dict.fromkeys(sum_cols, "sum"), True),
+                         small_merge_rows, batch_format="pyarrow")
+
+
 def grouped_count(
     rows: "ray.data.Dataset",
     keys: Sequence[str],
@@ -251,12 +268,13 @@ def _agg(keys: list, spec: dict, dropna: bool):
     return block_agg
 
 
-def _pre_combined(rows, keys, block_agg, merge, small_merge_rows):
+def _pre_combined(rows, keys, block_agg, merge, small_merge_rows,
+                  batch_format="pandas"):
     """The one per-block pre-combine: ``block_agg`` runs once per input
-    block BEFORE the sort, so the shuffle carries one row per (group,
-    input block), not one per input row; ``merge`` then combines those
-    partials (``sorted_block_aggregate``)."""
-    partials = rows.map_batches(block_agg, batch_format="pandas",
+    block (in ``batch_format``) BEFORE the sort, so the shuffle carries
+    one row per (group, input block), not one per input row; ``merge``
+    then combines those partials (``sorted_block_aggregate``)."""
+    partials = rows.map_batches(block_agg, batch_format=batch_format,
                                 batch_size=None)
     return sorted_block_aggregate(partials, keys, merge, merge,
                                   small_merge_rows=small_merge_rows)

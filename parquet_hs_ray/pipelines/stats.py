@@ -580,7 +580,8 @@ def column_profile(ds: "ray.data.Dataset",
     """Per-column table profile: row count, null count, min, max, exact
     distinct count — the schema-audit pass before a long job.  Output:
     one row per column (column, n, n_null, vmin, vmax, ndv), numeric
-    columns only (min/max are emitted as float64).
+    columns only (min/max are emitted as float64, NaN — NULL — for a
+    column without a non-null value, as SQL ``min``/``max``).
 
     Scale shape: count/null/min/max are per-block partials merged on the
     driver (one tiny row per block); ndv reuses the distinct-pair
@@ -595,8 +596,8 @@ def column_profile(ds: "ray.data.Dataset",
             nn = int(v.isna().sum())
             vv = v.dropna()
             rows.append({"column": c, "n": len(v), "n_null": nn,
-                         "vmin": float(vv.min()) if len(vv) else np.inf,
-                         "vmax": float(vv.max()) if len(vv) else -np.inf})
+                         "vmin": float(vv.min()) if len(vv) else np.nan,
+                         "vmax": float(vv.max()) if len(vv) else np.nan})
         return pd.DataFrame(rows)
 
     parts = pd.concat(
@@ -622,11 +623,13 @@ def column_profile(ds: "ray.data.Dataset",
     distinct = grouped_agg(ds.map_batches(pairs, batch_format="pandas"),
                            ["column", "value"], {"one": "min"})
     ndv = grouped_count(distinct, ["column"], name="ndv").to_pandas()
-    out = agg.merge(ndv, on="column", how="left")
-    out["ndv"] = out["ndv"].fillna(0).astype(np.int64)
+    # with no non-null value anywhere the count is empty, and Ray's
+    # to_pandas of an empty dataset has no columns
+    counts = dict(zip(ndv["column"], ndv["ndv"])) if len(ndv) else {}
+    agg["ndv"] = agg["column"].map(counts).fillna(0).astype(np.int64)
     for c in ("n", "n_null"):
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("column").reset_index(drop=True)
+        agg[c] = agg[c].astype(np.int64)
+    return agg.sort_values("column").reset_index(drop=True)
 
 
 def pivot_sum(ds: "ray.data.Dataset", key: str, piv: str, val: str,

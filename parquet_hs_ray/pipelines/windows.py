@@ -77,7 +77,7 @@ def tumbling_window(events: "ray.data.Dataset", window_us: int = _HOUR_US) -> "r
     """Per (user_id, tumbling window): event count and value sum.
 
     Partial-aggregation pattern: one partial row per (user, window) per
-    batch, then a small groupby over partials — the shuffle carries
+    block, then a small groupby over partials — the shuffle carries
     aggregates, not events.  The partial is zero-copy Arrow + numpy
     lexsort/reduceat (the r3 verdict's pandas-conversion fix)."""
     import pyarrow as pa
@@ -90,11 +90,17 @@ def tumbling_window(events: "ray.data.Dataset", window_us: int = _HOUR_US) -> "r
         return pa.table({"user_id": u, "win": w, "n_events": n,
                          "sum_value": s})
 
-    partials = events.map_batches(partial, batch_format="pyarrow")
-    from .groupagg import grouped_sum
+    return _win_sums(events, partial)
 
-    agg = grouped_sum(partials, ["user_id", "win"], ["n_events", "sum_value"])
 
+def _win_sums(events: "ray.data.Dataset", partial) -> "ray.data.Dataset":
+    """Shared tumbling/hopping aggregate: ``partial`` (the
+    ``_user_win_partial`` kernel) reduces each block once, and its
+    (user, win) rows merge as sums."""
+    from .groupagg import grouped_sum_of_blocks
+
+    agg = grouped_sum_of_blocks(events, ["user_id", "win"],
+                                ["n_events", "sum_value"], partial)
     return agg.map_batches(_finish_win_agg, batch_format="pyarrow")
 
 
@@ -204,7 +210,7 @@ def hopping_window(events: "ray.data.Dataset", window_us: int = _HOUR_US,
     w (indexed by start//hop) covers [w*hop, w*hop + window); each event
     lands in window/hop consecutive windows.
 
-    Same partial-agg shape as ``tumbling_window``: the per-batch explode
+    Same partial-agg shape as ``tumbling_window``: the per-block explode
     is numpy repeat/tile, the shuffle carries (user, win) partials only.
     ``window_us`` must be a multiple of ``hop_us``.
     """
@@ -224,12 +230,7 @@ def hopping_window(events: "ray.data.Dataset", window_us: int = _HOUR_US,
         return pa.table({"user_id": u, "win": w, "n_events": cnt,
                          "sum_value": s})
 
-    partials = events.map_batches(partial, batch_format="pyarrow")
-    from .groupagg import grouped_sum
-
-    agg = grouped_sum(partials, ["user_id", "win"], ["n_events", "sum_value"])
-
-    return agg.map_batches(_finish_win_agg, batch_format="pyarrow")
+    return _win_sums(events, partial)
 
 
 def running_totals(events: "ray.data.Dataset", key: str = "user_id",

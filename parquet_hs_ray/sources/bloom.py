@@ -452,7 +452,7 @@ def build_manifest_bloom(arr) -> dict | None:
     import pyarrow.compute as pc
 
     if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
+        arr = arr.chunk(0) if arr.num_chunks == 1 else arr.combine_chunks()
     if pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type) or \
             pa.types.is_fixed_size_list(arr.type):
         arr = arr.flatten()

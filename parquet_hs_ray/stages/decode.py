@@ -14,6 +14,7 @@ offsets + validity ARE the assembled representation.
 Every partition takes the same path: row mask (``true_rows`` of the
 predicate AND the delete-vector keep mask) → decode the projected
 columns the base blob and each family blob hold, only if a row survives
+(a predicate column decoded for the mask is not decoded again)
 → join them by row position and filter once → adapt to the output
 fields.  The decode job, the Parquet export and compaction all run it,
 one partition per call; ``pipelines.encode_job._plan_read`` builds it.
@@ -41,14 +42,21 @@ def true_rows(blob: bytes, preds: list) -> pa.Array:
     predates (an evolved store) reads as all-NULL by the absent-column
     rule the manifest pruning applies too: an op NULL satisfies
     (is_null) constrains nothing, any other op matches no row."""
+    return _true_rows_and_columns(blob, preds)[0]
+
+
+def _true_rows_and_columns(blob: bytes, preds: list) -> tuple[pa.Array, pa.Table | None]:
+    """:func:`true_rows`' mask, and the predicate columns it decoded
+    (None when it decoded none), for a caller that outputs them too."""
     names = blob_schema(blob).names
     n = blob_num_rows(blob)
     if not all(absent_may_match(op, v, n) for c, op, v in preds if c not in names):
-        return pa.array(np.zeros(n, dtype=bool))
+        return pa.array(np.zeros(n, dtype=bool)), None
     present = [p for p in preds if p[0] in names]
     if not present:
-        return pa.array(np.ones(n, dtype=bool))
-    return predicate_mask(decode_table(blob, sorted({p[0] for p in present})), present)
+        return pa.array(np.ones(n, dtype=bool)), None
+    cols = decode_table(blob, sorted({p[0] for p in present}))
+    return predicate_mask(cols, present), cols
 
 
 class DecoderStage:
@@ -97,15 +105,16 @@ class DecoderStage:
         return dv if dv is not None and len(dv) else None
 
     def _row_mask(self, blob: bytes, pid: int):
-        """The rows this partition contributes: the predicate's
-        ``true_rows`` ANDed with the delete-vector keep mask, or None
-        when every row stays."""
-        mask = true_rows(blob, self.predicate) if self.predicate else None
+        """(The rows this partition contributes, the predicate columns
+        decoded for them): the predicate's ``true_rows`` ANDed with the
+        delete-vector keep mask, or None when every row stays."""
+        mask, decoded = (_true_rows_and_columns(blob, self.predicate)
+                         if self.predicate else (None, None))
         dv = self._delete_vector(pid)
         if dv is not None:
             keep = pa.array(dvs.keep_mask(dv, blob_num_rows(blob)))
             mask = keep if mask is None else pc.and_(mask, keep)
-        return mask
+        return mask, decoded
 
     def __call__(self, batch: dict) -> pa.Table:
         """Decode the batch's one partition row (``partition_id``,
@@ -118,9 +127,9 @@ class DecoderStage:
         pid = int(batch["partition_id"][0])
         blob = mf.read_blob(self.out_dir, pid, self.filesystem, int(batch["crc32"][0]))
         n = blob_num_rows(blob)
-        mask = self._row_mask(blob, pid)
+        mask, decoded = self._row_mask(blob, pid)
         keep = n if mask is None else int(pc.sum(mask).as_py() or 0)
-        t = _held(blob, self.columns, keep)
+        t = _held(blob, self.columns, keep, decoded)
         arrays, names = t.columns, t.column_names
         for adir, (crcs, cols) in self.aux.items():
             ablob = mf.read_blob(adir, pid, self.filesystem, crcs.get(pid))
@@ -159,8 +168,18 @@ class DecoderStage:
         return pa.Table.from_arrays(arrays, schema=pa.schema(fields))
 
 
-def _held(blob: bytes, columns: list[str] | None, keep: int) -> pa.Table:
+def _held(blob: bytes, columns: list[str] | None, keep: int,
+          decoded: pa.Table | None = None) -> pa.Table:
     """The columns of ``columns`` (None = all) that a blob holds,
-    decoded, or as a zero-row table when no row survives."""
+    decoded, or as a zero-row table when no row survives. Columns of
+    ``decoded`` (already decoded from this blob) are not decoded again."""
     sch = pa.schema([f for f in blob_schema(blob) if columns is None or f.name in columns])
-    return sch.empty_table() if keep == 0 else decode_table(blob, sch.names)
+    if keep == 0:
+        return sch.empty_table()
+    have = [] if decoded is None else [c for c in sch.names if c in decoded.column_names]
+    if not have:
+        return decode_table(blob, sch.names)
+    rest = [c for c in sch.names if c not in have]
+    got = decode_table(blob, rest) if rest else None
+    return pa.table([decoded[c] if c in have else got[c] for c in sch.names],
+                    names=sch.names)

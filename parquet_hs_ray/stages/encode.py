@@ -116,8 +116,7 @@ def encode_partitions(batch: dict, out_dir: str, token_col: str | None = "n_tok"
     read_ms = round((time.perf_counter() - t0) * 1e3, 1)
     n_tokens = 0
     if token_col and token_col in tbl.column_names and tbl.num_rows:
-        col = tbl[token_col].combine_chunks()
-        n_tokens = max(0, int(pa.compute.sum(col).as_py() or 0))
+        n_tokens = max(0, int(pa.compute.sum(tbl[token_col]).as_py() or 0))
     e = write_partition(out_dir, part, tbl, n_tokens, filesystem,
                         bloom=bloom_stats, read_ms=read_ms)
     return {k: np.asarray([e[k]]) for k in ("partition_id", "row_count", "n_tokens",

@@ -120,6 +120,30 @@ def test_hybrid_bytes_independent_of_dtype(width, seed, narrow):
     assert got == list(_plain_long_runs(vals.tolist()))
 
 
+@given(st.integers(min_value=0, max_value=32), st.integers(min_value=0, max_value=2**32),
+       st.integers(min_value=0, max_value=600), st.floats(0.0, 0.9))
+@settings(max_examples=80, deadline=None)
+def test_encode_int_bytes_independent_of_dtype(width, seed, n, run_prob):
+    """Same non-negative values, same FOR bytes in every dtype that holds
+    them (uint8, uint16, uint32, int64): what lets PFOR keep its
+    exception streams in their own narrow width."""
+    from parquet_hs_ray.codecs.intpack import decode_int, encode_int
+
+    rng = np.random.default_rng(seed)
+    hi = 1 << width
+    vals = rng.integers(0, hi, size=n, dtype=np.int64)
+    runs = rng.random(n) < run_prob  # repeat the previous value: RLE runs
+    runs[:1] = False
+    vals = vals[np.maximum.accumulate(np.where(runs, 0, np.arange(n)))] if n else vals
+    ref = encode_int(vals)
+    for dt in ("uint8", "uint16", "uint32"):
+        if hi - 1 <= np.iinfo(dt).max:
+            assert encode_int(vals.astype(dt)) == ref, dt
+    out, pos = decode_int(ref, np.int64)
+    assert pos == len(ref)
+    np.testing.assert_array_equal(out, vals)
+
+
 @pytest.mark.parametrize("length", [14, 15, 16, 17])
 def test_long_runs_lone_run_at_every_offset(length):
     """One run among distinct values, so only that run's 8-aligned block

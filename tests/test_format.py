@@ -1116,3 +1116,48 @@ def test_parquet_pages_schema_fidelity_edge_cases():
             for name in theirs.column_names:
                 assert ours[name].combine_chunks().equals(
                     theirs[name].combine_chunks()), (tag, name)
+
+
+def _sliced_columns(n: int = 300, seed: int = 13) -> pa.Table:
+    """One table of every column shape the encoder branches on, each
+    column with nulls (struct and list children too)."""
+    rng = np.random.default_rng(seed)
+    null = rng.random(n) < 0.2
+    ints = pa.array(rng.integers(-5, 1 << 40, n), mask=null)
+    lists = pa.array([None if null[i] else rng.integers(0, 900, rng.integers(0, 6)).tolist()
+                      for i in range(n)], pa.list_(pa.int32()))
+    strs = pa.array([None if null[i] else f"s{i % 37}" for i in range(n)])
+    kv = pa.map_(pa.string(), pa.int64())
+    return pa.table({
+        "int64": ints,
+        "float": pa.array(rng.normal(size=n), mask=null),
+        "bool": pa.array(rng.random(n) < 0.5, mask=null),
+        "string": strs,
+        "list": lists,
+        "struct": pa.StructArray.from_arrays([ints, strs], ["a", "b"],
+                                             mask=pa.array(rng.random(n) < 0.1)),
+        "fixed_size_list": pa.FixedSizeListArray.from_arrays(
+            pa.array(rng.integers(0, 50, 3 * n), pa.int16()), 3, mask=pa.array(null)),
+        "map": pa.array([None if null[i] else [(f"k{i % 5}", i)] for i in range(n)], kv),
+    })
+
+
+@pytest.mark.parametrize("offset,length", [(1, 250), (37, 200), (64, 236), (299, 1)])
+def test_sliced_columns_encode_as_their_copies(offset, length):
+    """A one-chunk column sliced at an offset (the shape ``read_slice``
+    hands the encoder, which takes the chunk without copying it) gives
+    the blob bytes, the manifest Blooms and the decoded table of its
+    ``combine_chunks()`` copy."""
+    from parquet_hs_ray.sources.bloom import build_manifest_bloom
+
+    tbl = _sliced_columns().slice(offset, length)
+    copy = pa.table({c: tbl[c].combine_chunks() for c in tbl.column_names})
+    assert all(tbl[c].num_chunks == 1 and tbl[c].chunk(0).offset == offset
+               for c in tbl.column_names)
+    assert all(copy[c].chunk(0).offset == 0 for c in copy.column_names)
+    blob, stats = encode_table(tbl)
+    assert blob == encode_table(copy)[0]
+    assert decode_table(blob).equals(copy)
+    for c in tbl.column_names:
+        assert build_manifest_bloom(tbl[c]) == build_manifest_bloom(copy[c]), c
+        assert encode_array(tbl[c].chunk(0))[0] == encode_array(copy[c])[0], c

@@ -11,7 +11,7 @@ import pytest
 import ray.data
 
 from parquet_hs_ray.pipelines.groupagg import (count_rows, grouped_agg, grouped_count,
-                                                grouped_sum)
+                                                grouped_sum, grouped_sum_of_blocks)
 
 
 def _frame(n=5000, n_keys=700, seed=7):
@@ -149,6 +149,41 @@ def test_grouped_count_pre_combines_exploded_blocks(ray_session, monkeypatch):
     exp = (pd.DataFrame({"word": np.tile(words, 800)}).groupby("word").size()
            .reset_index(name="n"))
     pd.testing.assert_frame_equal(out, exp)
+
+
+def test_grouped_sum_of_blocks_runs_the_kernel_once_per_block(ray_session, monkeypatch):
+    """The caller's Arrow kernel is each block's only pre-combine: over
+    16 blocks of 200 rows and 10 keys, every partial row says it came
+    from one kernel call over a whole block, and 160 partial rows merge
+    on the driver without Ray's sort."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(29)
+    blocks = [pd.DataFrame({"k": rng.integers(0, 10, 200),
+                            "v": rng.integers(0, 100, 200).astype(np.int64)})
+              for _ in range(16)]
+    ds = ray.data.from_pandas(blocks).materialize()
+
+    def block_sum(t: pa.Table) -> pa.Table:
+        g = t.group_by("k").aggregate([("v", "sum")])
+        n = g.num_rows
+        return pa.table({"k": g["k"], "v": g["v_sum"],
+                         "calls": np.ones(n, np.int64),
+                         "rows_seen": np.full(n, t.num_rows, np.int64)})
+
+    def no_sort(*a, **k):
+        raise AssertionError("grouped_sum_of_blocks shuffled partials through sort")
+
+    monkeypatch.setattr(ray.data.Dataset, "sort", no_sort)
+    out = (grouped_sum_of_blocks(ds, ["k"], ["v", "calls", "rows_seen"], block_sum,
+                                 small_merge_rows=160)
+           .to_pandas().sort_values("k").reset_index(drop=True))
+    raw = pd.concat(blocks)
+    exp = raw.groupby("k", as_index=False)["v"].sum()
+    pd.testing.assert_frame_equal(out[["k", "v"]], exp)
+    in_blocks = np.array([sum(k in set(b["k"]) for b in blocks) for k in exp["k"]])
+    assert (out["calls"].to_numpy() == in_blocks).all()
+    assert (out["rows_seen"].to_numpy() == 200 * in_blocks).all()
 
 
 def _docs_frame(n=4000, seed=5):

@@ -126,3 +126,30 @@ def test_read_plan(store, unify, columns, pred):
         want = _expected(r["partition_id"], columns, keep, unify)
         assert got.schema == want.schema, (r, got.schema, want.schema)
         assert got.equals(want), r
+
+
+@pytest.mark.parametrize("columns", [None, ["v", "k"], ["v"]])
+def test_decoder_decodes_each_predicate_column_once(tmp_path, monkeypatch, columns):
+    """The predicate column decoded for the row mask is the one the
+    output reuses: each column frame of the partition decodes once,
+    and the output is the plain decode of the projection, filtered."""
+    from parquet_hs_ray.format import decode_table
+    from parquet_hs_ray.plan import Partition
+    from parquet_hs_ray.stages import decode
+    from parquet_hs_ray.stages.encode import write_partition
+
+    out = str(tmp_path)
+    mf.ensure_dirs(out)
+    tbl = pa.table({"k": pa.array(range(20), pa.int64()),
+                    "v": pa.array([f"s{i}" for i in range(20)]),
+                    "w": pa.array(range(0, 40, 2), pa.int32())})
+    entry = write_partition(out, Partition(0, "mem", 0, 20, 0), tbl, 0)
+    decoded = []
+    monkeypatch.setattr(decode, "decode_table",
+                        lambda blob, cols=None: decoded.extend(cols) or decode_table(blob, cols))
+    stage = decode.DecoderStage(out, columns=columns, predicate=[("k", ">=", 15)])
+    got = stage({"partition_id": [0], "crc32": [entry["checksum_crc32"]]})
+    want = tbl.filter(pc.greater_equal(tbl["k"], 15))
+    assert got.equals(want if columns is None else want.select(columns))
+    assert sorted(decoded) == sorted(set(decoded))
+    assert set(decoded) == {"k"} | set(columns or tbl.column_names)

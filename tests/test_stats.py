@@ -137,6 +137,28 @@ def test_column_profile_with_nulls(ray_session):
     assert out.loc["b", "ndv"] == 2 and out.loc["b", "n_null"] == 0
 
 
+def test_column_profile_all_null(ray_session):
+    """A column without a non-null value profiles as NULL min/max and
+    ndv 0 (SQL ``min``/``max``/``count(DISTINCT)``), beside a non-null
+    column and with no non-null column at all."""
+    import ray.data
+
+    from parquet_hs_ray.pipelines.stats import column_profile
+
+    df = pd.DataFrame({"a": [np.nan, np.nan, np.nan], "b": [np.nan] * 3,
+                       "c": [3.0, 1.0, 3.0]})
+    ds = ray.data.from_pandas([df.iloc[:2], df.iloc[2:]])
+    out = column_profile(ds, ["a", "c"]).set_index("column")
+    assert out.loc["a", ["n", "n_null", "ndv"]].tolist() == [3, 3, 0]
+    assert np.isnan(out.loc["a", "vmin"]) and np.isnan(out.loc["a", "vmax"])
+    assert out.loc["c", ["vmin", "vmax"]].tolist() == [1.0, 3.0]
+    assert out.loc["c", "ndv"] == 2
+    none = column_profile(ds, ["a", "b"])
+    assert none["column"].tolist() == ["a", "b"]
+    assert none["ndv"].tolist() == [0, 0] and none["n_null"].tolist() == [3, 3]
+    assert none[["vmin", "vmax"]].isna().all().all()
+
+
 def test_pivot_sum_matches_pandas(ray_session):
     """Wide per-key category sums (integer cents) match a pandas twin;
     absent categories are zero-filled, unknown ones ignored."""
