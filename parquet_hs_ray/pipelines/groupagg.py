@@ -127,7 +127,6 @@ def grouped_sum_of_blocks(
     keys: Sequence[str],
     sum_cols: Sequence[str],
     block_sum: Callable[["pa.Table"], "pa.Table"],
-    small_merge_rows: int = SMALL_MERGE_ROWS,
 ) -> "ray.data.Dataset":
     """:func:`grouped_sum` whose per-block pre-combine is the caller's
     own Arrow kernel: ``block_sum`` maps each input block, once, to its
@@ -136,7 +135,7 @@ def grouped_sum_of_blocks(
     keys = list(keys)
     return _pre_combined(rows, keys, block_sum,
                          _agg(keys, dict.fromkeys(sum_cols, "sum"), True),
-                         small_merge_rows, batch_format="pyarrow")
+                         SMALL_MERGE_ROWS, batch_format="pyarrow")
 
 
 def grouped_count(

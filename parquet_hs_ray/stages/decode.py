@@ -176,10 +176,7 @@ def _held(blob: bytes, columns: list[str] | None, keep: int,
     sch = pa.schema([f for f in blob_schema(blob) if columns is None or f.name in columns])
     if keep == 0:
         return sch.empty_table()
-    have = [] if decoded is None else [c for c in sch.names if c in decoded.column_names]
-    if not have:
-        return decode_table(blob, sch.names)
-    rest = [c for c in sch.names if c not in have]
-    got = decode_table(blob, rest) if rest else None
+    have = set() if decoded is None else set(decoded.column_names)
+    got = decode_table(blob, [c for c in sch.names if c not in have])
     return pa.table([decoded[c] if c in have else got[c] for c in sch.names],
                     names=sch.names)

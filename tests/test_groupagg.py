@@ -175,8 +175,7 @@ def test_grouped_sum_of_blocks_runs_the_kernel_once_per_block(ray_session, monke
         raise AssertionError("grouped_sum_of_blocks shuffled partials through sort")
 
     monkeypatch.setattr(ray.data.Dataset, "sort", no_sort)
-    out = (grouped_sum_of_blocks(ds, ["k"], ["v", "calls", "rows_seen"], block_sum,
-                                 small_merge_rows=160)
+    out = (grouped_sum_of_blocks(ds, ["k"], ["v", "calls", "rows_seen"], block_sum)
            .to_pandas().sort_values("k").reset_index(drop=True))
     raw = pd.concat(blocks)
     exp = raw.groupby("k", as_index=False)["v"].sum()
