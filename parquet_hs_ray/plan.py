@@ -126,9 +126,10 @@ def cpu_slots() -> int:
 
 
 def task_count(n_units: int) -> int:
-    """The one task-count rule of the blob-store jobs and the kernel
-    Parquet read: one task per CPU slot, each over a contiguous run of
-    units (partitions, row groups), never more tasks than units."""
+    """The one task-count rule of the blob-store jobs, the kernel
+    Parquet read and the kernel Parquet sink's write of a materialized
+    dataset: one task per CPU slot, each over a contiguous run of units
+    (partitions, row groups, blocks), never more tasks than units."""
     return max(1, min(n_units, cpu_slots()))
 
 

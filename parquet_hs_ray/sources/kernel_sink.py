@@ -4,7 +4,7 @@
 Dremel shredding, RLE levels, PLAIN / PLAIN_DICTIONARY pages —
 `parquet_writer.py`) into Ray Data's ``Dataset.write_datasink`` write
 operator, so a streaming pipeline can land standard Parquet without
-pyarrow's writer anywhere on the path: one file per write task
+pyarrow's writer anywhere on the path: one file per non-empty block
 (``part-<task>-<seq>.parquet``), each written atomically
 (write-then-rename via ``fsio.write_atomic``), plus a committed
 ``_kernel_manifest.json`` listing every file with row/byte counts —
@@ -17,8 +17,11 @@ Parquet, never one giant file".
 
 Scale notes: blocks stream through write tasks with backpressure (no
 driver materialization); each task holds only its current block plus
-the encoded image. File count == write-task count, controlled upstream
-with ``repartition`` / block size.
+the encoded image. File count == non-empty block count, controlled
+upstream with ``repartition`` / block size. A materialized input
+(``from_arrow``, ``from_pandas``, ``.materialize()``) is written by at
+most ``plan.task_count(blocks)`` tasks, each over a run of its blocks;
+a lazy input streams one block per task.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Iterable
 from ray.data import Datasink, Datasource, ReadTask, read_datasource
 from ray.data.block import BlockMetadata
 from ray.data._internal.execution.interfaces import TaskContext
+from ray.data.dataset import MaterializedDataset
 
 from .. import predicates as P
 from ..plan import task_count
@@ -60,9 +64,15 @@ class KernelParquetDatasink(Datasink):
                           page_version=page_version,
                           data_page_rows=data_page_rows,
                           bloom_filters=bloom_filters)
+        # rows Ray bundles into one write task; None: one block per task
+        self._rows_per_task: int | None = None
 
     def get_name(self) -> str:
         return "KernelParquet"
+
+    @property
+    def min_rows_per_write(self) -> int | None:
+        return self._rows_per_task
 
     def on_write_start(self) -> None:
         fsio.mkdirs(self._path, self._filesystem)
@@ -97,6 +107,8 @@ class KernelParquetDatasink(Datasink):
         files = [r for task in write_result.write_returns for r in task]
         manifest = {
             "files": sorted(files, key=lambda r: r["file"]),
+            # one write() return per task: the task-count decision
+            "write_tasks": len(write_result.write_returns),
             "rows": sum(r["rows"] for r in files),
             "bytes": sum(r["bytes"] for r in files),
             "compression": self._opts["compression"],
@@ -116,8 +128,13 @@ def write_parquet_kernels(ds, path: str, compression: str = "SNAPPY",
                           bloom_filters=None) -> dict:
     """``Dataset.write_parquet`` twin over the kernel writer: streams
     the dataset's blocks through ``KernelParquetDatasink`` (one file per
-    non-empty block, at Ray Data's default write concurrency) and
-    returns the committed manifest.  The options are
+    non-empty block) and returns the committed manifest.  A
+    ``MaterializedDataset`` is written by at most
+    ``plan.task_count(num_blocks)`` tasks, each over about
+    ``rows / tasks`` rows of whole blocks: its blocks already sit in the
+    object store, and Ray Data's per-task cost, not the encode, bounds a
+    write of a few blocks.  A lazy dataset keeps one task per block, so
+    no task waits for a share of the whole stream.  The options are
     ``encode_parquet_bytes``'s; ``bloom_filters`` (column names or
     ``{name: fpp}``) emits per-chunk split-block bloom filters the
     read path probes for equality predicates (`bloom.py`)."""
@@ -129,6 +146,11 @@ def write_parquet_kernels(ds, path: str, compression: str = "SNAPPY",
                                  filesystem=filesystem,
                                  data_page_rows=data_page_rows,
                                  bloom_filters=bloom_filters)
+    if isinstance(ds, MaterializedDataset):
+        # both read the block metadata: no execution runs
+        rows = ds.count()
+        if rows:
+            sink._rows_per_task = -(-rows // task_count(ds.num_blocks()))
     ds.write_datasink(sink)
     return read_sink_manifest(path, filesystem)
 

@@ -229,8 +229,19 @@ def _build_node(els: list[dict], i: int, r: int, d: int,
 
 
 def parse_footer(blob: bytes) -> KernelFileMetaData:
-    """Parse a raw FileMetaData thrift blob."""
+    """Parse a raw FileMetaData thrift blob.  Encrypted files are
+    refused: field 8 (``encryption_algorithm``) marks a plaintext footer
+    over encrypted column chunks (parquet-format Encryption.md)."""
     meta, _ = _read_compact_struct(blob, 0, "FileMetaData")
+    if 8 in meta:
+        raise ValueError(
+            "encrypted parquet unsupported: FileMetaData carries "
+            "encryption_algorithm (plaintext-footer mode)")
+    missing = [name for fid, name in ((2, "schema"), (3, "num_rows"))
+               if fid not in meta]
+    if missing:
+        raise ValueError(
+            f"FileMetaData missing required field(s) {missing}")
     els = meta[2]
     root_children = els[0].get(5, 0)
     fields = []
@@ -513,7 +524,9 @@ def prune_pages_by_index(km: KernelFileMetaData, path: str, rg: int,
 def read_footer_via_kernels(path: str,
                             filesystem=None) -> KernelFileMetaData:
     """Read + parse a parquet file's footer through our kernels only:
-    tail magic, u32-LE length, thrift compact FileMetaData.
+    tail magic, u32-LE length, thrift compact FileMetaData.  Encrypted
+    parquet (``PARE`` tail magic, or an ``encryption_algorithm`` in a
+    plaintext footer) raises ``ValueError``.
 
     ``filesystem`` (any ``pyarrow.fs.FileSystem``, e.g. the HTTP-range
     filesystem in `state/httpfs.py`) makes this two ranged reads —
@@ -536,6 +549,10 @@ def read_footer_via_kernels(path: str,
             raise ValueError(f"{path}: too small to be parquet")
         fh.seek(size - 8)
         tail = fh.read(8)
+        if tail[4:] == b"PARE":
+            raise ValueError(
+                f"{path}: encrypted parquet unsupported (PARE "
+                "encrypted-footer mode)")
         if tail[4:] != b"PAR1":
             raise ValueError(f"{path}: missing PAR1 tail magic")
         flen = int.from_bytes(tail[:4], "little")

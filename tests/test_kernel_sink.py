@@ -586,3 +586,78 @@ def test_read_tasks_never_read_footers(tmp_path):
         got = [t for task in source.get_read_tasks(3) for t in task()]
         assert not handler.tail_reads, (kw, handler.tail_reads)
         assert pa.concat_tables(got).equals(want), kw
+
+
+def _task_indices(manifest: dict) -> set[int]:
+    """The write-task index of each committed ``part-<task>-<seq>``."""
+    return {int(r["file"].split("-")[1]) for r in manifest["files"]}
+
+
+def test_materialized_write_runs_one_task_per_cpu_slot(ray_session,
+                                                       tmp_path,
+                                                       monkeypatch):
+    """A ``from_arrow`` of 8 tables is written by at most
+    ``task_count(8)`` tasks in one execution, one file per block; each
+    file is the kernel image of its block, in block order, and the
+    manifest records the task count.  On one CPU slot it is one task."""
+    import ray
+    from ray.data._internal.execution import streaming_executor as se
+
+    from parquet_hs_ray import plan
+    from parquet_hs_ray.sources.parquet_writer import encode_parquet_bytes
+
+    runs = []
+    execute = se.StreamingExecutor.execute
+
+    def counting(self, *a, **k):
+        runs.append(1)
+        return execute(self, *a, **k)
+
+    monkeypatch.setattr(se.StreamingExecutor, "execute", counting)
+    tables = [pa.table({"x": pa.array(range(k * 50, k * 50 + 50), pa.int64()),
+                        "s": [f"t{k}-{i % 5}" for i in range(50)]})
+              for k in range(8)]
+    for slots, out in ((None, "wide"), (1, "one")):
+        if slots is not None:
+            monkeypatch.setattr(plan, "cpu_slots", lambda: slots)
+        runs.clear()
+        m = write_parquet_kernels(ray.data.from_arrow(tables),
+                                  str(tmp_path / out))
+        assert len(runs) == 1, out  # the metadata reads start no execution
+        tasks = _task_indices(m)
+        assert len(m["files"]) == 8 and m["rows"] == 400
+        assert m["write_tasks"] == len(tasks)
+        assert len(tasks) <= plan.task_count(8)
+        if slots == 1:
+            assert len(tasks) == 1
+        for r, t in zip(m["files"], tables):
+            with open(tmp_path / out / r["file"], "rb") as fh:
+                assert fh.read() == encode_parquet_bytes(
+                    t, compression="SNAPPY")
+        back = read_parquet_kernels(str(tmp_path / out)).take_all()
+        assert pa.Table.from_pylist(back).sort_by("x").equals(
+            pa.concat_tables(tables))
+
+
+def test_lazy_write_runs_one_task_per_block(ray_session, tmp_path):
+    """A lazy input streams: each block is its own write task, so no task
+    waits for a share of the whole stream."""
+    import ray
+
+    ds = ray.data.range(800, override_num_blocks=8).map_batches(
+        lambda b: {"x": b["id"]}, batch_format="numpy")
+    m = write_parquet_kernels(ds, str(tmp_path / "lazy"))
+    assert m["rows"] == 800 and len(m["files"]) == 8
+    assert len(_task_indices(m)) == 8 == m["write_tasks"]
+
+
+def test_materialized_empty_write_commits_empty_manifest(ray_session,
+                                                          tmp_path):
+    import ray
+
+    out = str(tmp_path / "empty")
+    m = write_parquet_kernels(
+        ray.data.from_arrow(pa.table({"x": pa.array([], pa.int64())})), out)
+    assert (m["files"], m["rows"], m["bytes"]) == ([], 0, 0)
+    assert m == read_sink_manifest(out)
+    assert read_parquet_kernels(out).count() == 0

@@ -561,3 +561,61 @@ def test_truncated_thrift_raises_typed_error():
         for cut in range(len(blob)):
             with pytest.raises(ValueError, match=f"^thrift {what} at byte"):
                 parse(blob[:cut])
+
+
+def _file_with_footer(path: str, body: bytes, footer: bytes,
+                      magic: bytes = b"PAR1") -> str:
+    with open(path, "wb") as fh:
+        fh.write(body + footer + len(footer).to_bytes(4, "little") + magic)
+    return path
+
+
+def test_encrypted_parquet_is_refused(tmp_path):
+    """Both encryption modes raise a typed ``ValueError`` up front: the
+    ``PARE`` tail magic (encrypted footer) and a plaintext footer whose
+    FileMetaData carries ``encryption_algorithm`` (field 8)."""
+    from parquet_hs_ray.sources.parquet_footer import parse_footer
+    from parquet_hs_ray.sources.parquet_writer import encode_parquet_bytes
+
+    p = _file_with_footer(str(tmp_path / "pare.parquet"), b"PARE",
+                          b"\x00" * 16, magic=b"PARE")
+    with pytest.raises(ValueError, match="encrypted parquet unsupported"):
+        read_footer_via_kernels(p)
+
+    img = bytes(encode_parquet_bytes(pa.table({"x": [1, 2, 3]})))
+    flen = int.from_bytes(img[-8:-4], "little")
+    footer = img[-8 - flen:-8]
+    assert footer[-1] == 0  # the FileMetaData STOP byte
+    # field 8 in the long field header (struct type 12, zigzag id 16):
+    # EncryptionAlgorithm{AES_GCM_V1: AesGcmV1{}}, then STOP
+    signed = footer[:-1] + b"\x0c\x10" + b"\x1c\x00\x00" + b"\x00"
+    with pytest.raises(ValueError, match="encrypted parquet unsupported"):
+        parse_footer(signed)
+    p = _file_with_footer(str(tmp_path / "plain.parquet"),
+                          img[:-8 - flen], signed)
+    with pytest.raises(ValueError, match="encrypted parquet unsupported"):
+        read_footer_via_kernels(p)
+    assert parse_footer(footer).num_rows == 3  # the untouched footer
+
+
+def test_footer_missing_or_external_fields(tmp_path):
+    """A FileMetaData without its schema names FileMetaData in a
+    ``ValueError``; a column chunk whose metadata lives in another file
+    (no inline ``meta_data``) is ``NotImplementedError``."""
+    from parquet_hs_ray.sources.parquet_footer import parse_footer
+    from parquet_hs_ray.sources.parquet_writer import _Struct
+
+    with pytest.raises(ValueError, match="FileMetaData.*schema"):
+        parse_footer(_Struct().i32(1, 1).i64(3, 0).tobytes())
+
+    schema = [_Struct().binary(4, "schema").i32(5, 1),
+              _Struct().i32(1, 2).i32(3, 0).binary(4, "x")]
+    chunk = _Struct().binary(1, "other.parquet").i64(2, 4)
+    row_group = _Struct().list_struct(1, [chunk]).i64(2, 0).i64(3, 0)
+    footer = (_Struct().i32(1, 1).list_struct(2, schema).i64(3, 0)
+              .list_struct(4, [row_group]).tobytes())
+    with pytest.raises(NotImplementedError, match="external file_path"):
+        parse_footer(footer)
+    p = _file_with_footer(str(tmp_path / "ext.parquet"), b"PAR1", footer)
+    with pytest.raises(NotImplementedError, match="external file_path"):
+        read_footer_via_kernels(p)
